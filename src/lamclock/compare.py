@@ -16,8 +16,8 @@ convertibility; an ``inconvertible`` verdict always rests on one of:
   not match eventually;
 * a simple term whose closed tree provably does not improve eventually
   on the other side's tree;
-* an exhaustive reduct enumeration with a caller-supplied certificate
-  that the bound covers all reducts.
+* an exhaustive reduct enumeration (one closed under reduction steps)
+  with a caller-supplied certificate that the bound covers all reducts.
 
 Anything weaker yields ``inconclusive`` together with the evidence
 gathered (an improving reduct when one was found, or the search
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 from .reduction import (
     DEFAULT_FUEL,
@@ -460,6 +460,16 @@ def holds_eventually(t1: ClockTree, t2: ClockTree, rel: Relation) -> EventualRes
 # reduct search
 
 
+def _new_reducts(t: Term, seen: set[Term], size_limit: int) -> Iterator[Term]:
+    """The one-step reducts of ``t`` of size at most ``size_limit`` that
+    are not in ``seen``, in redex order; each is added to ``seen``."""
+    for p in redex_positions(t):
+        r = contract_at(t, p)
+        if r.size <= size_limit and r not in seen:
+            seen.add(r)
+            yield r
+
+
 def enumerate_reducts(
     t: Term, limit: int = 2000, size_limit: int = 500
 ) -> list[Term]:
@@ -472,14 +482,17 @@ def enumerate_reducts(
     while i < len(out) and len(out) < limit:
         cur = out[i]
         i += 1
-        for p in redex_positions(cur):
-            r = contract_at(cur, p)
-            if r.size <= size_limit and r not in seen:
-                seen.add(r)
-                out.append(r)
-                if len(out) >= limit:
-                    break
+        for r in _new_reducts(cur, seen, size_limit):
+            out.append(r)
+            if len(out) >= limit:
+                break
     return out
+
+
+def _closed(pool: list[Term]) -> bool:
+    """Is every one-step reduct of every member, of any size, a member?"""
+    members = set(pool)
+    return all(contract_at(r, p) in members for r in pool for p in redex_positions(r))
 
 
 def bounded_joinable(
@@ -489,33 +502,19 @@ def bounded_joinable(
     breadth-first; None when the bound is hit without a meeting point."""
     if a == b:
         return a
-    seen_a, seen_b = {a}, {b}
-    front_a, front_b = [a], [b]
-    while front_a or front_b:
-        if len(seen_a) + len(seen_b) > 2 * limit:
+    seen = ({a}, {b})
+    fronts = [[a], [b]]
+    while fronts[0] or fronts[1]:
+        if len(seen[0]) + len(seen[1]) > 2 * limit:
             return None
-        nxt: list[Term] = []
-        for cur in front_a:
-            for p in redex_positions(cur):
-                r = contract_at(cur, p)
-                if r.size > size_limit or r in seen_a:
-                    continue
-                if r in seen_b:
-                    return r
-                seen_a.add(r)
-                nxt.append(r)
-        front_a = nxt
-        nxt = []
-        for cur in front_b:
-            for p in redex_positions(cur):
-                r = contract_at(cur, p)
-                if r.size > size_limit or r in seen_b:
-                    continue
-                if r in seen_a:
-                    return r
-                seen_b.add(r)
-                nxt.append(r)
-        front_b = nxt
+        for this, other in ((0, 1), (1, 0)):
+            nxt: list[Term] = []
+            for cur in fronts[this]:
+                for r in _new_reducts(cur, seen[this], size_limit):
+                    if r in seen[other]:
+                        return r
+                    nxt.append(r)
+            fronts[this] = nxt
     return None
 
 
@@ -597,7 +596,8 @@ class DiscriminationConfig:
     reducts_m: tuple[Term, ...] = ()
     reducts_n: tuple[Term, ...] = ()
     # Called with the list of enumerated reducts and whether the
-    # enumeration was exhaustive; returning True certifies that every
+    # enumeration was exhaustive (shorter than ``reduct_limit`` and closed
+    # under one-step reduction); returning True certifies that every
     # reduct has been covered by the non-improvement check.
     certify_all_reducts: Callable[[list[Term], bool], bool] | None = None
 
@@ -694,7 +694,6 @@ def discriminate(
 
     # (4) reducts of m vs the tree of n
     pool = enumerate_reducts(m, cfg.reduct_limit, cfg.size_limit)
-    exhaustive = len(pool) < cfg.reduct_limit
     improving = None
     for r in pool[: cfg.global_check_limit]:
         tr = compact_cyclic(r, cfg.depth, cfg.fuel, "bt", atomic=cfg.atomic)
@@ -707,6 +706,8 @@ def discriminate(
             "none",
             base | {"improving_reduct": True, "reducts_enumerated": len(pool)},
         )
+    # Size pruning can leave a pool short of the limit yet open.
+    exhaustive = len(pool) < cfg.reduct_limit and _closed(pool)
     covered = len(pool) <= cfg.global_check_limit and exhaustive
     if covered and cfg.certify_all_reducts is not None and cfg.certify_all_reducts(
         pool, exhaustive

@@ -20,10 +20,10 @@ from .terms import (
     TermError,
     Var,
     instantiate,
-    positions,
     replace_at,
     spine,
     subterm_at,
+    subterms,
 )
 
 DEFAULT_FUEL = 10_000
@@ -236,7 +236,8 @@ def classify_redex(t: Term, pos: Position = ()) -> RedexClass:
 
 
 def redex_positions(t: Term) -> list[Position]:
-    return [p for p in positions(t) if is_redex(subterm_at(t, p))]
+    """Positions of the redexes of ``t``, leftmost-outermost first."""
+    return [p for p, u in subterms(t) if is_redex(u)]
 
 
 def is_normal(t: Term) -> bool:
@@ -299,15 +300,6 @@ def gross_knuth(t: Term) -> Term:
 # full normalization
 
 
-def leftmost_outermost(t: Term) -> Position | None:
-    best: Position | None = None
-    for p in positions(t):
-        if is_redex(subterm_at(t, p)):
-            if best is None or p < best:
-                best = p
-    return best
-
-
 @dataclass
 class NormalizeOutcome:
     status: str
@@ -324,21 +316,8 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeOutcome:
     seen: set[Term] = set()
     n = 0
     while True:
-        pos = None
-        # preorder, parent before children, function before argument
-        stack = [(t, ())]
-        while stack:
-            u, p = stack.pop()
-            if is_redex(u):
-                pos = p
-                break
-            match u:
-                case Lam(_, b):
-                    stack.append((b, p + (0,)))
-                case App(f, a):
-                    stack.append((a, p + (2,)))
-                    stack.append((f, p + (1,)))
-        if pos is None:
+        redexes = redex_positions(t)
+        if not redexes:
             return NormalizeOutcome(RESOLVED, n, t)
         if len(seen) < TRACE_CAP:
             if t in seen:
@@ -346,7 +325,7 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeOutcome:
             seen.add(t)
         if n >= fuel:
             return NormalizeOutcome(FUEL_EXHAUSTED, n, None)
-        t = contract_at(t, pos)
+        t = contract_at(t, redexes[0])
         n += 1
 
 

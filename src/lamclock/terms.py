@@ -278,34 +278,24 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
     )
 
 
-def positions(t: Term) -> list[Position]:
-    """All positions of ``t`` in preorder (node before 0/1/2 children)."""
-    out: list[Position] = []
-    stack: list[tuple[Term, Position]] = [(t, ())]
-    while stack:
-        u, p = stack.pop()
-        out.append(p)
-        match u:
-            case Lam(_, b):
-                stack.append((b, p + (0,)))
-            case App(f, a):
-                stack.append((a, p + (2,)))
-                stack.append((f, p + (1,)))
-    out.sort()
-    return out
-
-
 def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
+    """Every subterm with its position, in preorder: a node, then its
+    ``0``/``1`` subtree, then its ``2`` subtree.  As directions run
+    ``0 < 1 < 2``, this is the lexicographic order of the positions."""
     stack: list[tuple[Term, Position]] = [(t, ())]
     while stack:
         u, p = stack.pop()
         yield p, u
-        match u:
-            case Lam(_, b):
-                stack.append((b, p + (0,)))
-            case App(f, a):
-                stack.append((a, p + (2,)))
-                stack.append((f, p + (1,)))
+        if type(u) is App:
+            stack.append((u.arg, p + (2,)))
+            stack.append((u.fn, p + (1,)))
+        elif type(u) is Lam:
+            stack.append((u.body, p + (0,)))
+
+
+def positions(t: Term) -> list[Position]:
+    """All positions of ``t``, in the (lexicographic) order of ``subterms``."""
+    return [p for p, _ in subterms(t)]
 
 
 def iterate(mode: str, a: Term, b: Term, n: int) -> Term:

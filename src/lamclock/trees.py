@@ -540,31 +540,6 @@ def node_at(tree: ClockTree, pos: Position) -> Node | None:
         stack.append(n.children[i])
 
 
-def node_at_path(tree: ClockTree, path) -> Node:
-    """Node at a child-slot index path, following back edges."""
-    stack: list[Node] = [tree.root]
-    path = list(path)
-    while True:
-        n = stack[-1]
-        if n.kind == "backedge":
-            assert isinstance(n, BackEdge)
-            target_idx = len(stack) - 1 - n.delta
-            if target_idx < 0:
-                raise TermError("back edge escapes the tree root")
-            del stack[target_idx + 1 :]
-            continue
-        if n.kind == "shared":
-            assert isinstance(n, SharedRef)
-            stack[-1] = n.target
-            continue
-        if not path:
-            return n
-        i = path.pop(0)
-        if i >= len(n.children):
-            raise TermError(f"node has no child slot {i}")
-        stack.append(n.children[i])
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

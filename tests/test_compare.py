@@ -2,7 +2,7 @@
 
 import pytest
 
-from lamclock.combinators import E1, E2, E3
+from lamclock.combinators import E1, E2, E3, Y0, scott_seq
 from lamclock.compare import (
     INCONCLUSIVE,
     INCONVERTIBLE,
@@ -19,7 +19,7 @@ from lamclock.compare import (
 )
 from lamclock.parser import parse, pretty
 from lamclock.reduction import gross_knuth
-from lamclock.terms import alpha_eq
+from lamclock.terms import Free, alpha_eq, iterate
 from lamclock.trees import compact_cyclic
 
 
@@ -170,6 +170,36 @@ def test_bounded_joinable_finds_common_reduct():
 
 def test_bounded_joinable_negative(defs):
     assert bounded_joinable(parse("I", defs), parse(r"\x. x x"), limit=200, size_limit=100) is None
+
+
+def test_size_pruned_pool_is_not_exhaustive():
+    # Every reduct of scott_seq(1) is larger than 30, so the pool holds the
+    # term alone: short of the limit, but not closed under reduction.
+    cfg = DiscriminationConfig(
+        size_limit=30, simple_check_limit=0, certify_all_reducts=lambda pool, exh: True
+    )
+    v = discriminate(scott_seq(1), scott_seq(0), cfg)
+    assert v.conclusion == INCONCLUSIVE
+    assert v.evidence["reducts_enumerated"] == 1
+    assert v.evidence["exhaustive"] is False
+
+
+def test_size_pruned_pool_never_certifies_a_convertible_pair(defs):
+    # Y0 f has infinitely many reducts, 47 of them of size at most 60;
+    # f^30 ((\x.f (x x)) (\x.f (x x))) is one of the others.
+    m = parse("Y0 f", defs)
+    n = iterate("right", Free("f"), parse(r"(\x. f (x x)) (\x. f (x x))"), 30)
+    assert len(enumerate_reducts(m, size_limit=60)) == 47
+    flags = []
+
+    def certify(pool, exhaustive):
+        flags.append(exhaustive)
+        return True
+
+    v = discriminate(m, n, DiscriminationConfig(size_limit=60, certify_all_reducts=certify))
+    assert not any(flags)
+    assert v.conclusion == INCONCLUSIVE
+    assert v.evidence["exhaustive"] is False
 
 
 def test_find_simple_reduct():

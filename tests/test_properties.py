@@ -12,11 +12,12 @@ from lamclock.compare import (
     INCONVERTIBLE,
     DiscriminationConfig,
     discriminate,
+    enumerate_reducts,
     subseq_le,
 )
 from lamclock.parser import parse, pretty
-from lamclock.reduction import contract_at, gross_knuth, redex_positions
-from lamclock.terms import App, Free, Lam, Var, alpha_eq, app, lam
+from lamclock.reduction import contract_at, gross_knuth, is_redex, redex_positions
+from lamclock.terms import App, Free, Lam, Var, alpha_eq, app, lam, positions, subterm_at
 from lamclock.trees import clocked_bt
 
 SETTINGS = dict(max_examples=500, deadline=None, derandomize=True)
@@ -192,6 +193,51 @@ def test_parse_pretty_round_trip(t):
 @given(t=random_terms)
 def test_compact_lambda_round_trip(t):
     assert alpha_eq(parse(pretty(t, compact_lambda=True)), t)
+
+
+# -- one-pass redex search against the position-by-position lookup ------------
+
+
+def _redex_positions_reference(t):
+    """Every position in sorted order, each looked up from the root."""
+    return [p for p in sorted(positions(t)) if is_redex(subterm_at(t, p))]
+
+
+def _enumerate_reducts_reference(t, limit, size_limit=500):
+    """Breadth-first reduct search with the redexes found by the reference
+    lookup above."""
+    seen = {t}
+    out = [t]
+    i = 0
+    while i < len(out) and len(out) < limit:
+        cur = out[i]
+        i += 1
+        for p in _redex_positions_reference(cur):
+            r = contract_at(cur, p)
+            if r.size <= size_limit and r not in seen:
+                seen.add(r)
+                out.append(r)
+                if len(out) >= limit:
+                    break
+    return out
+
+
+@settings(**SETTINGS)
+@given(t=random_terms)
+def test_redex_positions_match_the_reference_lookup(t):
+    ps = positions(t)
+    assert len(ps) == t.size
+    assert ps == sorted(ps)
+    assert redex_positions(t) == _redex_positions_reference(t)
+
+
+def test_enumerate_reducts_matches_the_reference_search():
+    t = C.scott_seq(1)
+    got = enumerate_reducts(t, limit=300)
+    want = _enumerate_reducts_reference(t, limit=300)
+    assert len(got) == len(want) == 300
+    for a, b in zip(got, want):
+        assert a == b and pretty(a) == pretty(b)
 
 
 # -- balance preservation ----------------------------------------------------
