@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .parser import DefinitionTable
-from .reduction import DEFAULT_FUEL, RESOLVED, gross_knuth, normalize
+from .reduction import DEFAULT_FUEL, RESOLVED, gross_knuth, normalize, one_step_reducts
 from .terms import (
     App,
     Free,
@@ -254,7 +254,6 @@ def balanced_reducts(t: LabeledTerm, count: int, expand_cap: int = 400) -> list[
     """
     from collections import deque
 
-    from .reduction import contract_at, redex_positions
     from .terms import replace_at
 
     out: list[Term] = []
@@ -278,20 +277,15 @@ def balanced_reducts(t: LabeledTerm, count: int, expand_cap: int = 400) -> list[
         expanded += 1
         if add(gross_knuth(cur)):
             break
-        done = False
-        for p in redex_positions(cur):
-            if add(contract_at(cur, p)):
-                done = True
-                break
-        if done:
+        if any(add(r) for r in one_step_reducts(cur)):
             break
+        done = False
         for pos, sub in subterms(cur):
             if done:
                 break
             match sub:
                 case App(App(Free(name), s), u) if name == t.label and s == u:
-                    for q in redex_positions(s):
-                        mirrored = contract_at(s, q)
+                    for mirrored in one_step_reducts(s):
                         paired = App(App(Free(name), mirrored), mirrored)
                         if add(replace_at(cur, pos, paired)):
                             done = True

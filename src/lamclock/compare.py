@@ -28,13 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import Callable, Iterator
 
-from .reduction import (
-    DEFAULT_FUEL,
-    contract_at,
-    redex_positions,
-)
+from .reduction import DEFAULT_FUEL, one_step_reducts
 from .terms import Position, Term, pos_str
 from .trees import (
     DEFAULT_DEPTH,
@@ -463,8 +460,7 @@ def holds_eventually(t1: ClockTree, t2: ClockTree, rel: Relation) -> EventualRes
 def _new_reducts(t: Term, seen: set[Term], size_limit: int) -> Iterator[Term]:
     """The one-step reducts of ``t`` of size at most ``size_limit`` that
     are not in ``seen``, in redex order; each is added to ``seen``."""
-    for p in redex_positions(t):
-        r = contract_at(t, p)
+    for r in one_step_reducts(t):
         if r.size <= size_limit and r not in seen:
             seen.add(r)
             yield r
@@ -492,7 +488,7 @@ def enumerate_reducts(
 def _closed(pool: list[Term]) -> bool:
     """Is every one-step reduct of every member, of any size, a member?"""
     members = set(pool)
-    return all(contract_at(r, p) in members for r in pool for p in redex_positions(r))
+    return all(s in members for r in pool for s in one_step_reducts(r))
 
 
 def bounded_joinable(
@@ -526,12 +522,15 @@ def find_simple_reduct(
     limit: int = 2000,
     size_limit: int = 500,
     check_limit: int = 200,
+    reducts: Callable[[], list[Term]] | None = None,
 ) -> tuple[Term, SimplicityReport] | None:
     """A reduct of ``t`` whose every tree-computing head step is simple.
 
     Tries ``t`` itself and any caller-supplied candidates first, then
     enumerated reducts in order of increasing size, classifying at most
-    ``check_limit`` of them.
+    ``check_limit`` of them.  ``reducts``, when given, supplies the
+    enumeration of ``t`` (so a caller can share it); it is not sorted in
+    place.
     """
     tried = set()
     for c in (t, *extra):
@@ -541,10 +540,9 @@ def find_simple_reduct(
         rep = check_simple(c, depth, fuel)
         if rep.status == "simple":
             return c, rep
-    pool = enumerate_reducts(t, limit, size_limit)
-    pool.sort(key=lambda u: u.size)
+    pool = reducts() if reducts else enumerate_reducts(t, limit, size_limit)
     checked = 0
-    for c in pool:
+    for c in sorted(pool, key=lambda u: u.size):
         if checked >= check_limit:
             break
         if c in tried:
@@ -644,10 +642,14 @@ def discriminate(
             },
         )
 
-    # (2)/(3) need simple reducts
+    # (2)/(3) need simple reducts; m's reducts, if needed, are
+    # enumerated once and shared with (4)
+    reducts_of_m = cache(
+        lambda: enumerate_reducts(m, cfg.reduct_limit, cfg.size_limit)
+    )
     sm = find_simple_reduct(
         m, cfg.depth, cfg.fuel, cfg.reducts_m,
-        cfg.reduct_limit, cfg.size_limit, cfg.simple_check_limit,
+        cfg.reduct_limit, cfg.size_limit, cfg.simple_check_limit, reducts_of_m,
     )
     sn = find_simple_reduct(
         n, cfg.depth, cfg.fuel, cfg.reducts_n,
@@ -693,7 +695,7 @@ def discriminate(
             )
 
     # (4) reducts of m vs the tree of n
-    pool = enumerate_reducts(m, cfg.reduct_limit, cfg.size_limit)
+    pool = reducts_of_m()
     improving = None
     for r in pool[: cfg.global_check_limit]:
         tr = compact_cyclic(r, cfg.depth, cfg.fuel, "bt", atomic=cfg.atomic)

@@ -9,7 +9,7 @@ running out of fuel is a separate outcome and never claims divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Iterator, Literal
 
 from .terms import (
     App,
@@ -238,6 +238,38 @@ def classify_redex(t: Term, pos: Position = ()) -> RedexClass:
 def redex_positions(t: Term) -> list[Position]:
     """Positions of the redexes of ``t``, leftmost-outermost first."""
     return [p for p, u in subterms(t) if is_redex(u)]
+
+
+def one_step_reducts(t: Term) -> Iterator[Term]:
+    """``contract_at(t, p)`` for every ``p`` in ``redex_positions(t)``, in
+    that order, from one preorder walk.
+
+    The walk carries a zipper (Huet, "The Zipper", JFP 7(5), 1997): the
+    path to the current subterm as linked ``(parent, direction, rest)``
+    frames.  At a redex the contractum is built once and only the
+    ancestors on the path are rebuilt, so no position is looked up
+    from the root."""
+    stack: list[tuple[Term, tuple | None]] = [(t, None)]
+    while stack:
+        u, path = stack.pop()
+        if type(u) is App:
+            fn = u.fn
+            if type(fn) is Lam:
+                r = instantiate(fn.body, u.arg)
+                frame = path
+                while frame is not None:
+                    parent, d, frame = frame
+                    if d == 0:
+                        r = Lam(parent.hint, r)
+                    elif d == 1:
+                        r = App(r, parent.arg)
+                    else:
+                        r = App(parent.fn, r)
+                yield r
+            stack.append((u.arg, (u, 2, path)))
+            stack.append((fn, (u, 1, path)))
+        elif type(u) is Lam:
+            stack.append((u.body, (u, 0, path)))
 
 
 def is_normal(t: Term) -> bool:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import lamclock.compare as compare
 from lamclock.combinators import E1, E2, E3, Y0, scott_seq
 from lamclock.compare import (
     INCONCLUSIVE,
@@ -200,6 +201,46 @@ def test_size_pruned_pool_never_certifies_a_convertible_pair(defs):
     assert not any(flags)
     assert v.conclusion == INCONCLUSIVE
     assert v.evidence["exhaustive"] is False
+
+
+def test_discriminate_enumerates_each_side_at_most_once(defs, monkeypatch):
+    # Plain clocks leave this pair to step (4), after both sides went
+    # through find_simple_reduct: m's pool serves both stages.
+    m = parse("Y0 delta delta", defs)
+    n = parse("Y0 (S S) I", defs)
+    enumerated = []
+    original = compare.enumerate_reducts
+
+    def counting(t, *args, **kwargs):
+        enumerated.append(t)
+        return original(t, *args, **kwargs)
+
+    monkeypatch.setattr(compare, "enumerate_reducts", counting)
+    v = discriminate(m, n, DiscriminationConfig())
+    assert enumerated == [m, n]
+    assert v.to_dict() == {
+        "conclusion": INCONCLUSIVE,
+        "justification": "none",
+        "evidence": {
+            "depth": 12,
+            "fuel": 10000,
+            "atomic": False,
+            "closed": [True, True],
+            "improving_reduct": True,
+            "reducts_enumerated": 2000,
+        },
+    }
+
+
+def test_find_simple_reduct_leaves_a_shared_pool_in_order(defs):
+    # discriminate hands m's pool to find_simple_reduct and then reads it
+    # in breadth-first order in step (4)
+    m = parse("Y0 delta delta", defs)
+    pool = enumerate_reducts(m, limit=300)
+    bfs = list(pool)
+    assert bfs != sorted(bfs, key=lambda u: u.size)
+    find_simple_reduct(m, check_limit=5, reducts=lambda: pool)
+    assert pool == bfs
 
 
 def test_find_simple_reduct():

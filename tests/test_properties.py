@@ -11,12 +11,19 @@ import lamclock.combinators as C
 from lamclock.compare import (
     INCONVERTIBLE,
     DiscriminationConfig,
+    _closed,
     discriminate,
     enumerate_reducts,
     subseq_le,
 )
 from lamclock.parser import parse, pretty
-from lamclock.reduction import contract_at, gross_knuth, is_redex, redex_positions
+from lamclock.reduction import (
+    contract_at,
+    gross_knuth,
+    is_redex,
+    one_step_reducts,
+    redex_positions,
+)
 from lamclock.terms import App, Free, Lam, Var, alpha_eq, app, lam, positions, subterm_at
 from lamclock.trees import clocked_bt
 
@@ -238,6 +245,39 @@ def test_enumerate_reducts_matches_the_reference_search():
     assert len(got) == len(want) == 300
     for a, b in zip(got, want):
         assert a == b and pretty(a) == pretty(b)
+
+
+@settings(**SETTINGS)
+@given(t=random_terms)
+def test_one_step_reducts_match_contraction_at_each_redex(t):
+    got = list(one_step_reducts(t))
+    want = [contract_at(t, p) for p in redex_positions(t)]
+    # ``==`` ignores binder hints; printing shows them
+    assert got == want
+    assert [pretty(r) for r in got] == [pretty(r) for r in want]
+
+
+def _closed_reference(pool):
+    members = set(pool)
+    return all(contract_at(r, p) in members for r in pool for p in redex_positions(r))
+
+
+@pytest.mark.parametrize(
+    "pool, size, closed",
+    [
+        (lambda: enumerate_reducts(C.scott_seq(1), limit=300), 300, False),
+        (lambda: enumerate_reducts(parse("Y0 f", DEFS), size_limit=60), 47, False),
+        # omega reduces to itself, and the whole term to \y.y
+        (lambda: enumerate_reducts(parse(r"(\x y. y) ((\x. x x) (\x. x x))")), 2, True),
+        # open only at the second redex of the first member: (\x. z) w is missing
+        (lambda: [parse(r"(\x. z) ((\y. y) w)"), Free("z")], 2, False),
+    ],
+    ids=["scott_seq(1)", "Y0 f, size_limit=60", "K* omega", "second redex"],
+)
+def test_closed_matches_the_reference_check(pool, size, closed):
+    pool = pool()
+    assert len(pool) == size
+    assert _closed(pool) == _closed_reference(pool) == closed
 
 
 # -- balance preservation ----------------------------------------------------
