@@ -35,15 +35,14 @@ from .reduction import DEFAULT_FUEL, one_step_reducts
 from .terms import Position, Term, pos_str
 from .trees import (
     DEFAULT_DEPTH,
-    BackEdge,
     ClockTree,
     Node,
-    SharedRef,
     SimplicityReport,
     check_simple,
     child_step,
     compact_cyclic,
     node_at,
+    walk,
 )
 
 
@@ -101,8 +100,6 @@ def subseq_le(q, p) -> bool:
 # ---------------------------------------------------------------------------
 # product-graph machinery
 
-_REAL = ("hnf", "lam", "head", "var", "app", "bottom", "unknown")
-
 
 class _Side:
     """One tree preprocessed for paired unfolding.
@@ -124,30 +121,21 @@ class _Side:
         refid: dict[int, tuple | None] = {}
         blocks: dict[int, tuple] = {}
         order: list[Node] = []
-
-        def resolve(c: Node, stack: list[Node]) -> Node:
-            while True:
-                if c.kind == "backedge":
-                    assert isinstance(c, BackEdge)
-                    c = stack[len(stack) - c.delta]
-                elif c.kind == "shared":
-                    assert isinstance(c, SharedRef)
-                    c = c.target
-                else:
-                    return c
-
-        def walk(n: Node, stack: list[Node]):
-            if id(n) in children:
-                return
+        path: list[Node] = []  # the current node's ancestors
+        for n, _, depth, target, _ in walk(tree):
+            del path[depth:]
+            if path:
+                children[id(path[-1])].append(n if target is None else target)
+            if target is not None:
+                continue
             order.append(n)
-            stack.append(n)
-            children[id(n)] = [resolve(c, stack) for c in n.children]
+            path.append(n)
+            children[id(n)] = []
             r = getattr(n, "head_ref", None)
             if r is None:
                 r = getattr(n, "ref", None)
             if r is not None and r[0] == "b":
-                opener = stack[len(stack) - 1 - r[1]]
-                refid[id(n)] = ("x", id(opener), r[2])
+                refid[id(n)] = ("x", id(path[depth - r[1]]), r[2])
             else:
                 refid[id(n)] = r
             if n.kind == "hnf":
@@ -155,12 +143,6 @@ class _Side:
             else:
                 arity = 1 if n.kind == "lam" else 0
             blocks[id(n)] = tuple(("x", id(n), i) for i in range(arity))
-            for c in n.children:
-                if c.kind in _REAL:
-                    walk(c, stack)
-            stack.pop()
-
-        walk(tree.root, [])
 
         # Which identities from above can a node's whole (cyclic)
         # subtree still reference?  Fixpoint over the graph.
@@ -518,7 +500,6 @@ def find_simple_reduct(
     t: Term,
     depth: int = DEFAULT_DEPTH,
     fuel: int = DEFAULT_FUEL,
-    extra: tuple[Term, ...] = (),
     limit: int = 2000,
     size_limit: int = 500,
     check_limit: int = 200,
@@ -526,20 +507,15 @@ def find_simple_reduct(
 ) -> tuple[Term, SimplicityReport] | None:
     """A reduct of ``t`` whose every tree-computing head step is simple.
 
-    Tries ``t`` itself and any caller-supplied candidates first, then
-    enumerated reducts in order of increasing size, classifying at most
-    ``check_limit`` of them.  ``reducts``, when given, supplies the
-    enumeration of ``t`` (so a caller can share it); it is not sorted in
-    place.
+    Tries ``t`` itself first, then enumerated reducts in order of
+    increasing size, classifying at most ``check_limit`` of them.
+    ``reducts``, when given, supplies the enumeration of ``t`` (so a
+    caller can share it); it is not sorted in place.
     """
-    tried = set()
-    for c in (t, *extra):
-        if c in tried:
-            continue
-        tried.add(c)
-        rep = check_simple(c, depth, fuel)
-        if rep.status == "simple":
-            return c, rep
+    rep = check_simple(t, depth, fuel)
+    if rep.status == "simple":
+        return t, rep
+    tried = {t}
     pool = reducts() if reducts else enumerate_reducts(t, limit, size_limit)
     checked = 0
     for c in sorted(pool, key=lambda u: u.size):
@@ -591,8 +567,6 @@ class DiscriminationConfig:
     size_limit: int = 500
     simple_check_limit: int = 200
     global_check_limit: int = 60
-    reducts_m: tuple[Term, ...] = ()
-    reducts_n: tuple[Term, ...] = ()
     # Called with the list of enumerated reducts and whether the
     # enumeration was exhaustive (shorter than ``reduct_limit`` and closed
     # under one-step reduction); returning True certifies that every
@@ -648,12 +622,12 @@ def discriminate(
         lambda: enumerate_reducts(m, cfg.reduct_limit, cfg.size_limit)
     )
     sm = find_simple_reduct(
-        m, cfg.depth, cfg.fuel, cfg.reducts_m,
-        cfg.reduct_limit, cfg.size_limit, cfg.simple_check_limit, reducts_of_m,
+        m, cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
+        cfg.simple_check_limit, reducts_of_m,
     )
     sn = find_simple_reduct(
-        n, cfg.depth, cfg.fuel, cfg.reducts_n,
-        cfg.reduct_limit, cfg.size_limit, cfg.simple_check_limit,
+        n, cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
+        cfg.simple_check_limit,
     )
     tsm = (
         compact_cyclic(sm[0], cfg.depth, cfg.fuel, "bt", atomic=cfg.atomic)

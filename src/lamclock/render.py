@@ -12,7 +12,7 @@ dotted ones.
 from __future__ import annotations
 
 from .terms import pos_str
-from .trees import BackEdge, ClockTree, Node, SharedRef, child_step
+from .trees import BackEdge, ClockTree, Node, walk
 
 
 def clock_str(node: Node, atomic: bool) -> str:
@@ -51,41 +51,17 @@ def render_text(tree: ClockTree, atomic: bool | None = None) -> str:
     if atomic is None:
         atomic = tree.atomic
     lines: list[str] = []
-
-    def walk(n: Node, stack: list[tuple[Node, tuple]], pos: tuple, depth: int):
+    for n, pos, depth, _, tpos in walk(tree):
         pad = "  " * depth
-        if n.kind == "backedge":
-            assert isinstance(n, BackEdge)
-            idx = len(stack) - n.delta
-            tpos = stack[idx][1] if idx >= 0 else ()
+        if isinstance(n, BackEdge):
             lines.append(
                 f"{pad}↺ up {n.delta} "
                 f"(phase {pos_str(tpos)}, period {pos_str(pos[len(tpos):])})"
             )
-            return
-        if n.kind == "shared":
-            assert isinstance(n, SharedRef)
-            lines.append(f"{pad}→ shared subtree at {pos_str(_def_pos(n, stack))}")
-            return
-        lines.append(pad + _label(n, atomic))
-        stack.append((n, pos))
-        for i, c in enumerate(n.children):
-            walk(c, stack, pos + child_step(n, i), depth + 1)
-        stack.pop()
-
-    def _def_pos(ref: SharedRef, stack) -> tuple:
-        return _defs.get(id(ref.target), ())
-
-    _defs: dict[int, tuple] = {}
-
-    def index(n: Node, pos: tuple):
-        _defs.setdefault(id(n), pos)
-        for i, c in enumerate(n.children):
-            if c.kind not in ("backedge", "shared"):
-                index(c, pos + child_step(n, i))
-
-    index(tree.root, ())
-    walk(tree.root, [], (), 0)
+        elif n.kind == "shared":
+            lines.append(f"{pad}→ shared subtree at {pos_str(tpos)}")
+        else:
+            lines.append(pad + _label(n, atomic))
     return "\n".join(lines) + "\n"
 
 
@@ -97,36 +73,34 @@ def render_dot(tree: ClockTree, atomic: bool | None = None) -> str:
     ids: dict[int, str] = {}
     nodes: list[str] = []
     edges: list[str] = []
+    path: list[str] = []  # ids of the current node's ancestors
+    # A tree edge is listed only once its child's subtree is done:
+    # (child depth, edge line), deepest last.
+    pending: list[tuple[int, str]] = []
 
     def quote(s: str) -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    def visit(n: Node, stack: list[tuple[Node, tuple]], pos: tuple) -> str | None:
-        nid = f"n{len(ids)}"
-        ids[id(n)] = nid
-        nodes.append(f"  {nid} [label={quote(_label(n, atomic))}];")
-        stack.append((n, pos))
-        for i, c in enumerate(n.children):
-            cpos = pos + child_step(n, i)
-            if c.kind == "backedge":
-                assert isinstance(c, BackEdge)
-                idx = len(stack) - c.delta
-                target, tpos = stack[idx] if idx >= 0 else (None, ())
-                lbl = f"({pos_str(tpos)}, {pos_str(cpos[len(tpos):])})"
-                edges.append(
-                    f"  {nid} -> {ids[id(target)]} "
-                    f"[style=dashed, label={quote(lbl)}];"
-                )
-            elif c.kind == "shared":
-                assert isinstance(c, SharedRef)
-                edges.append(f"  {nid} -> {ids[id(c.target)]} [style=dotted];")
-            else:
-                cid = visit(c, stack, cpos)
-                edges.append(f"  {nid} -> {cid};")
-        stack.pop()
-        return nid
-
-    visit(tree.root, [], ())
+    for n, pos, depth, target, tpos in walk(tree):
+        while pending and pending[-1][0] >= depth:
+            edges.append(pending.pop()[1])
+        del path[depth:]
+        if n.kind == "backedge":
+            lbl = f"({pos_str(tpos)}, {pos_str(pos[len(tpos):])})"
+            edges.append(
+                f"  {path[-1]} -> {ids[id(target)]} "
+                f"[style=dashed, label={quote(lbl)}];"
+            )
+        elif n.kind == "shared":
+            edges.append(f"  {path[-1]} -> {ids[id(target)]} [style=dotted];")
+        else:
+            nid = f"n{len(ids)}"
+            ids[id(n)] = nid
+            nodes.append(f"  {nid} [label={quote(_label(n, atomic))}];")
+            if path:
+                pending.append((depth, f"  {path[-1]} -> {nid};"))
+            path.append(nid)
+    edges.extend(line for _, line in reversed(pending))
     out = ["digraph clocktree {", '  node [shape=box, fontname="monospace"];']
     out.extend(nodes)
     out.extend(edges)

@@ -173,11 +173,6 @@ def free_vars(t: Term) -> frozenset[str]:
     return t.names
 
 
-def is_closed(t: Term) -> bool:
-    """No unbound indices and no named free variables."""
-    return t.open_n == 0 and not t.names
-
-
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add ``by`` to every index pointing above ``cutoff`` binders."""
     if t.open_n <= cutoff:
@@ -210,11 +205,6 @@ def _inst(t: Term, arg: Term, depth: int) -> Term:
 def instantiate(body: Term, arg: Term) -> Term:
     """Substitute ``arg`` for index 0 of ``body`` (the beta step payload)."""
     return _inst(body, arg, 0)
-
-
-def open_with(body: Term, name: str) -> Term:
-    """Instantiate index 0 with the free variable ``name``."""
-    return instantiate(body, Free(name))
 
 
 def subst_free(t: Term, name: str, s: Term) -> Term:
@@ -323,15 +313,6 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
         t = t.fn
     args.reverse()
     return t, args
-
-
-def strip_lams(t: Term) -> tuple[list[str], Term]:
-    """Split off the leading binder prefix, returning its hints and the core."""
-    hints: list[str] = []
-    while type(t) is Lam:
-        hints.append(t.hint)
-        t = t.body
-    return hints, t
 
 
 def pos_str(p: Position) -> str:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .parser import _pick_name
 from .reduction import (
@@ -224,20 +225,47 @@ class ClockTree:
     def closed(self) -> bool:
         """No Unknown frontier: the finite structure describes the whole
         unfolding (shared subtrees are inspected at their defining site)."""
-        return not any(n.kind == "unknown" for _, n in iter_nodes(self))
+        return not any(n.kind == "unknown" for n, *_ in walk(self))
 
     def node_count(self) -> int:
-        return sum(1 for _ in iter_nodes(self))
+        return sum(1 for _ in walk(self))
 
 
-def iter_nodes(tree: ClockTree):
-    """Yield ``(path, node)`` in preorder; paths are child-slot indices."""
-    stack: list[tuple[tuple[int, ...], Node]] = [((), tree.root)]
+def walk(
+    tree: ClockTree,
+) -> Iterator[tuple[Node, Position, int, Node | None, Position | None]]:
+    """Preorder over the built graph, with an explicit stack.
+
+    Yields ``(node, pos, depth, target, target_pos)`` for every node,
+    back edge and shared reference; ``pos`` is the applicative position
+    and ``depth`` the number of tree edges from the root.  ``target`` and
+    ``target_pos`` are set only for back edges and shared references: the
+    real node stood for and where it sits (``None`` and ``()`` for a back
+    edge pointing above the root).  References are not entered, and a
+    node's ancestors are the nodes last yielded at each smaller depth.
+    """
+    ancestors: list[tuple[Node, Position]] = []
+    defined: dict[int, Position] = {}
+    stack: list[tuple[Node, Position, int]] = [(tree.root, (), 0)]
     while stack:
-        path, n = stack.pop()
-        yield path, n
-        for i in reversed(range(len(n.children))):
-            stack.append((path + (i,), n.children[i]))
+        n, pos, depth = stack.pop()
+        del ancestors[depth:]
+        if n.kind == "backedge":
+            assert isinstance(n, BackEdge)
+            i = depth - n.delta
+            target, tpos = ancestors[i] if i >= 0 else (None, ())
+            yield n, pos, depth, target, tpos
+        elif n.kind == "shared":
+            assert isinstance(n, SharedRef)
+            # the defining site precedes every reference in preorder
+            yield n, pos, depth, n.target, defined.get(id(n.target), ())
+        else:
+            defined.setdefault(id(n), pos)
+            yield n, pos, depth, None, None
+            ancestors.append((n, pos))
+            kids = n.children
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((kids[i], pos + child_step(n, i), depth + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -549,31 +577,30 @@ def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
     if atomic is None:
         atomic = tree.atomic
     ids: dict[int, str] = {}
-    at: dict[int, Position] = {}
-    counter = itertools.count()
-
-    def walk(n: Node, stack: list[tuple[Node, Position]], pos: Position) -> dict:
-        nid = f"n{next(counter)}"
+    path: list[dict] = []
+    root: dict = {}
+    for k, (n, pos, depth, target, tpos) in enumerate(walk(tree)):
+        nid = f"n{k}"
         ids[id(n)] = nid
-        at[id(n)] = pos
         d: dict = {"id": nid, "kind": n.kind}
+        del path[depth:]
+        if path:
+            path[-1]["children"].append(d)
+        else:
+            root = d
         if n.kind == "backedge":
-            assert isinstance(n, BackEdge)
-            target_idx = len(stack) - n.delta
-            target, tpos = stack[target_idx] if target_idx >= 0 else (None, ())
             d["backedge"] = {
                 "target": ids.get(id(target), "?"),
                 "phase": pos_str(tpos),
                 "period": pos_str(pos[len(tpos) :]),
             }
-            return d
+            continue
         if n.kind == "shared":
-            assert isinstance(n, SharedRef)
             d["shared"] = {
-                "target": ids.get(id(n.target), "?"),
-                "defined_at": pos_str(at.get(id(n.target), ())),
+                "target": ids.get(id(target), "?"),
+                "defined_at": pos_str(tpos),
             }
-            return d
+            continue
         if n.count is not None:
             d["clock"] = n.clock(atomic)
         match n.kind:
@@ -594,13 +621,8 @@ def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
                 assert isinstance(n, Unknown)
                 d["reason"] = n.reason
         if n.children:
-            stack.append((n, pos))
-            d["children"] = [
-                walk(c, stack, pos + child_step(n, i))
-                for i, c in enumerate(n.children)
-            ]
-            stack.pop()
-        return d
+            d["children"] = []
+        path.append(d)
 
     return {
         "semantics": tree.semantics,
@@ -608,36 +630,25 @@ def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
         "depth": tree.depth,
         "fuel": tree.fuel,
         "closed": tree.closed,
-        "root": walk(tree.root, [], ()),
+        "root": root,
     }
 
 
 def periodicity_report(tree: ClockTree) -> dict:
     """Where the tree loops: for each back edge its position, the
     position of its target (phase) and the relative path (period)."""
-    loops = []
-
-    def walk(n: Node, stack: list[Position], pos: Position):
-        if n.kind == "backedge":
-            assert isinstance(n, BackEdge)
-            idx = len(stack) - n.delta
-            tpos = stack[idx] if idx >= 0 else ()
-            loops.append(
-                {
-                    "at": pos_str(pos),
-                    "phase": pos_str(tpos),
-                    "period": pos_str(pos[len(tpos) :]),
-                    "delta": n.delta,
-                }
-            )
-            return
-        stack.append(pos)
-        for i, c in enumerate(n.children):
-            walk(c, stack, pos + child_step(n, i))
-        stack.pop()
-
-    walk(tree.root, [], ())
-    return {"fully_periodic": tree.closed, "closed": tree.closed, "loops": loops}
+    loops = [
+        {
+            "at": pos_str(pos),
+            "phase": pos_str(tpos),
+            "period": pos_str(pos[len(tpos) :]),
+            "delta": n.delta,
+        }
+        for n, pos, _, _, tpos in walk(tree)
+        if isinstance(n, BackEdge)
+    ]
+    closed = tree.closed
+    return {"fully_periodic": closed, "closed": closed, "loops": loops}
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,80 @@ def test_bt_dot(run):
     assert 'n0 -> n0 [style=dashed, label="(e, 2)"];' in res.output
 
 
+TWO_LOOPS = r"(\w z.z (w w) (w w)) (\w z.z (w w) (w w))"
+
+
+def test_bt_dot_two_loops(run):
+    res = run("bt", TWO_LOOPS, "--dot")
+    assert res.exit_code == 0
+    assert res.output == (
+        "digraph clocktree {\n"
+        '  node [shape=box, fontname="monospace"];\n'
+        '  n0 [label="[1] λz. z"];\n'
+        '  n0 -> n0 [style=dashed, label="(e, 012)"];\n'
+        '  n0 -> n0 [style=dashed, label="(e, 02)"];\n'
+        "}\n"
+    )
+
+
+def test_bt_json_two_loops(run):
+    res = run("bt", TWO_LOOPS, "--json")
+    assert res.exit_code == 0
+    loops = [
+        {"at": "012", "delta": 1, "period": "012", "phase": "e"},
+        {"at": "02", "delta": 1, "period": "02", "phase": "e"},
+    ]
+    expected = {
+        "atomic": False,
+        "closed": True,
+        "depth": 12,
+        "fuel": 10000,
+        "periodicity": {"closed": True, "fully_periodic": True, "loops": loops},
+        "root": {
+            "binders": ["z"],
+            "children": [
+                {
+                    "backedge": {"period": "012", "phase": "e", "target": "n0"},
+                    "id": "n1",
+                    "kind": "backedge",
+                },
+                {
+                    "backedge": {"period": "02", "phase": "e", "target": "n0"},
+                    "id": "n2",
+                    "kind": "backedge",
+                },
+            ],
+            "clock": 1,
+            "head": "z",
+            "id": "n0",
+            "kind": "hnf",
+        },
+        "semantics": "bt",
+    }
+    assert res.output == json.dumps(expected, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
+def test_bt_dot_lists_a_tree_edge_after_its_subtree(run):
+    # E3 has back edges below a shared subtree's defining site and a
+    # shared reference in a later sibling
+    res = run("bt", "E3", "--dot")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[11:] == [
+        "  n1 -> n2;",
+        "  n4 -> n5;",
+        '  n6 -> n4 [style=dashed, label="(02000212, 000212)"];',
+        '  n7 -> n4 [style=dashed, label="(02000212, 000222)"];',
+        "  n6 -> n7;",
+        "  n4 -> n6;",
+        "  n3 -> n4;",
+        "  n8 -> n4 [style=dotted];",
+        "  n3 -> n8;",
+        "  n1 -> n3;",
+        "  n0 -> n1;",
+        "}",
+    ]
+
+
 def test_llt_whnf_layers(run):
     res = run("llt", r"(\x y. x x)(\x y. x x)")
     assert res.exit_code == 0

@@ -3,7 +3,7 @@
 import pytest
 
 import lamclock.compare as compare
-from lamclock.combinators import E1, E2, E3, Y0, scott_seq
+from lamclock.combinators import E1, E2, E3, Y0, Y1, scott_seq
 from lamclock.compare import (
     INCONCLUSIVE,
     INCONVERTIBLE,
@@ -306,6 +306,15 @@ def test_discriminate_same_term(defs):
     v = discriminate(parse("Y0", defs), parse("Y0", defs), DiscriminationConfig())
     assert v.conclusion == INCONCLUSIVE
     assert v.justification == "none"
+
+
+def test_no_unverified_reduct_hints():
+    # A hint taken as a simple reduct without proof once separated
+    # scott_seq(0) from itself via Y1's tree.
+    with pytest.raises(TypeError):
+        DiscriminationConfig(reducts_m=(Y1,))  # type: ignore[call-arg]
+    v = discriminate(scott_seq(0), scott_seq(0))
+    assert v.conclusion == INCONCLUSIVE
 
 
 def test_verdict_serialization(defs):

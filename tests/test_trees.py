@@ -2,20 +2,25 @@
 
 import pytest
 
+from lamclock.compare import Relation, holds_eventually
 from lamclock.parser import parse
+from lamclock.render import render_dot, render_text
 from lamclock.terms import App, Free, pos_str
 from lamclock.trees import (
+    BackEdge,
+    ClockTree,
+    HnfNode,
     check_simple,
     child_step,
     clocked_bet,
     clocked_bt,
     clocked_llt,
     compact_cyclic,
-    iter_nodes,
     node_at,
     periodicity_report,
     strip,
     tree_to_dict,
+    walk,
 )
 
 OMEGA = r"(\x.x x) (\x.x x)"
@@ -61,7 +66,7 @@ def test_atomic_length_equals_count(defs):
     for text in ("Y0 f", "Y1 f", "E1", "E3", "eta eta delta x"):
         t = parse(text, defs)
         tree = clocked_bt(t, 5)
-        for _, node in iter_nodes(tree):
+        for node, *_ in walk(tree):
             if node.count is not None:
                 assert len(node.steps) == node.count
 
@@ -173,18 +178,13 @@ def test_cyclic_curry(defs):
 def _node_summary(tree):
     """Preorder (applicative position, kind, count, extra) rows."""
     out = []
-
-    def walk(node, pos):
+    for node, pos, *_ in walk(tree):
         entry = (pos_str(pos), node.kind, node.count)
         if node.kind == "hnf":
             entry += (node.head,)
         if node.kind == "backedge":
             entry += (node.delta,)
         out.append(entry)
-        for i, c in enumerate(node.children):
-            walk(c, pos + child_step(node, i))
-
-    walk(tree.root, ())
     return out
 
 
@@ -221,7 +221,7 @@ def test_cyclic_third_enumerator_with_sharing(defs):
     ]
     assert counts == [0, 2, 0, 3, 1, 0, 3, None, 0, None, 0, None]
     # the sibling fork reuses the inner cycle rather than copying it
-    shared = [n for _, n in iter_nodes(tree) if n.kind == "shared"]
+    shared = [n for n, *_ in walk(tree) if n.kind == "shared"]
     assert len(shared) == 1
     assert shared[0].target.count == 1
 
@@ -287,6 +287,21 @@ def test_tree_to_dict_schema(defs):
 def test_tree_to_dict_atomic_clock_strings(defs):
     d = tree_to_dict(compact_cyclic(parse("Y1 f", defs), atomic=True))
     assert d["root"]["clock"] == ["1", "e"]
+
+
+def test_walks_over_a_deep_tree_do_not_recurse():
+    # 3000 hnf layers closed by a loop to the last one: far deeper than
+    # the interpreter's recursion limit, and built without any reduction
+    node = BackEdge(1)
+    for _ in range(3000):
+        node = HnfNode(1, ((2,),), (), "f", ("f", "f"), (node,))
+    tree = ClockTree(node, "bt", False, 3001, 10, True)
+    assert render_text(tree).count("\n") == 3001
+    assert render_dot(tree).count(" -> ") == 3000
+    assert tree_to_dict(tree)["closed"] is True
+    (loop,) = periodicity_report(tree)["loops"]
+    assert (loop["delta"], loop["period"]) == (1, "2")
+    assert holds_eventually(tree, tree, Relation.EQ).holds
 
 
 # ---------------------------------------------------------------------------
