@@ -66,8 +66,41 @@ def _parse_term(text: str, defs: DefinitionTable):
         _fail(f"cannot parse term {text!r}: {e}", _EXIT_USAGE)
 
 
+def _dumps(obj) -> str:
+    """``json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)``,
+    byte for byte for string-keyed payloads, with an explicit stack: the
+    standard encoder recurses per nesting level, and a deep tree would
+    exhaust the interpreter stack.  Scalars and keys go through
+    ``json.dumps`` itself."""
+    out: list[str] = []
+    todo: list[tuple[object, int | None]] = [(obj, 0)]  # level None: text
+    while todo:
+        x, level = todo.pop()
+        if level is None:
+            out.append(x)  # type: ignore[arg-type]
+            continue
+        is_dict = isinstance(x, dict)
+        if not is_dict and not isinstance(x, (list, tuple)):
+            out.append(json.dumps(x, ensure_ascii=False))
+            continue
+        items = sorted(x.items()) if is_dict else [(None, v) for v in x]
+        out.append("{" if is_dict else "[")
+        pad = "\n" + "  " * (level + 1)
+        parts: list[tuple[object, int | None]] = []
+        for i, (k, v) in enumerate(items):
+            sep = ("," if i else "") + pad
+            if is_dict:
+                sep += json.dumps(k, ensure_ascii=False) + ": "
+            parts += [(sep, None), (v, level + 1)]
+        if parts:
+            parts.append(("\n" + "  " * level, None))
+        parts.append(("}" if is_dict else "]", None))
+        todo.extend(reversed(parts))
+    return "".join(out)
+
+
 def _emit_json(obj) -> None:
-    click.echo(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2))
+    click.echo(_dumps(obj))
 
 
 def _tree_options(f):

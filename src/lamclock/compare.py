@@ -9,15 +9,14 @@ is reachable from a cycle, and otherwise the minimal level is one more
 than the deepest violation along the acyclic part.
 
 ``discriminate`` turns these checks into verdicts.  It never claims
-convertibility; an ``inconvertible`` verdict always rests on one of:
+convertibility; an ``inconvertible`` verdict always rests on one of
+three bases:
 
 * the trees themselves differ at a mutually resolved position;
 * two simple terms (or simple reducts) whose closed trees provably do
   not match eventually;
 * a simple term whose closed tree provably does not improve eventually
-  on the other side's tree;
-* an exhaustive reduct enumeration (one closed under reduction steps)
-  with a caller-supplied certificate that the bound covers all reducts.
+  on the other side's tree.
 
 Anything weaker yields ``inconclusive`` together with the evidence
 gathered (an improving reduct when one was found, or the search
@@ -26,13 +25,13 @@ bounds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import Callable, Iterator
 
 from .reduction import DEFAULT_FUEL, one_step_reducts
-from .terms import Position, Term, pos_str
+from .terms import Position, Term
 from .trees import (
     DEFAULT_DEPTH,
     ClockTree,
@@ -179,122 +178,34 @@ class _Product:
     ann_bad: set[int]  # states where the relation fails
     unknown: bool  # some reachable state is unresolved
 
-    def recurring(self) -> set[int]:
-        """States reachable from a cycle (they occur at unboundedly
-        deep positions of the unfolding)."""
-        n = len(self.states)
-        # Tarjan SCC, iterative.
-        index = [0] * n
-        low = [0] * n
-        onstk = [False] * n
-        comp = [-1] * n
-        counter = 1
-        stk: list[int] = []
-        ncomp = 0
-        members: list[list[int]] = []
-        for s0 in range(n):
-            if index[s0]:
-                continue
-            work = [(s0, 0)]
-            while work:
-                s, pi = work.pop()
-                if pi == 0:
-                    nonlocal_counter = counter
-                    index[s] = low[s] = nonlocal_counter
-                    counter += 1
-                    stk.append(s)
-                    onstk[s] = True
-                kids = self.edges.get(s, ())
-                advanced = False
-                while pi < len(kids):
-                    t = kids[pi][0]
-                    pi += 1
-                    if not index[t]:
-                        work.append((s, pi))
-                        work.append((t, 0))
-                        advanced = True
-                        break
-                    if onstk[t]:
-                        low[s] = min(low[s], index[t])
-                if advanced:
-                    continue
-                if low[s] == index[s]:
-                    group = []
-                    while True:
-                        t = stk.pop()
-                        onstk[t] = False
-                        comp[t] = ncomp
-                        group.append(t)
-                        if t == s:
-                            break
-                    members.append(group)
-                    ncomp += 1
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[s])
-        cyclic = set()
-        for group in members:
-            if len(group) > 1:
-                cyclic.update(group)
-            else:
-                s = group[0]
-                if any(t == s for t, _ in self.edges.get(s, ())):
-                    cyclic.add(s)
-        # forward closure
-        seen = set(cyclic)
-        todo = list(cyclic)
-        while todo:
-            s = todo.pop()
-            for t, _ in self.edges.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return seen
+    def peel(self) -> dict[int, int]:
+        """The states not reachable from a cycle, each mapped to its
+        longest digit-distance from the root.
 
-    def deepest_violation(self) -> int:
-        """Longest digit-distance from the root to a violating state;
-        only meaningful when no violation is recurring (the relevant
-        region is then acyclic)."""
-        if not self.ann_bad:
-            return -1
-        # states that can reach a violation
-        rev: dict[int, list[int]] = {}
-        for s, kids in self.edges.items():
+        Kahn's peel: repeatedly remove a state with no incoming edge
+        left, counting every edge (duplicates and self-loops too).  The
+        states left over are exactly those reachable from a cycle (each
+        keeps a predecessor that is left over too); the rest form a DAG,
+        which the peel empties in topological order, so a running
+        maximum over incoming edges gives the longest distances (every
+        state is reachable from the root, the only possible source).
+        """
+        indeg = [0] * len(self.states)
+        for kids in self.edges.values():
             for t, _ in kids:
-                rev.setdefault(t, []).append(s)
-        relevant = set(self.ann_bad)
-        todo = list(self.ann_bad)
+                indeg[t] += 1
+        best = [0] * len(self.states)
+        longest: dict[int, int] = {}
+        todo = [s for s, d in enumerate(indeg) if not d]
         while todo:
             s = todo.pop()
-            for p in rev.get(s, ()):
-                if p not in relevant:
-                    relevant.add(p)
-                    todo.append(p)
-        # longest path over the (acyclic) relevant region
-        longest = {0: 0} if 0 in relevant else {}
-        order: list[int] = []
-        seen: set[int] = set()
-        stack = [(0, False)] if 0 in relevant else []
-        while stack:
-            s, done = stack.pop()
-            if done:
-                order.append(s)
-                continue
-            if s in seen:
-                continue
-            seen.add(s)
-            stack.append((s, True))
-            for t, _ in self.edges.get(s, ()):
-                if t in relevant and t not in seen:
-                    stack.append((t, False))
-        for s in reversed(order):
-            base = longest.get(s)
-            if base is None:
-                continue
+            longest[s] = best[s]
             for t, w in self.edges.get(s, ()):
-                if t in relevant and longest.get(t, -1) < base + w:
-                    longest[t] = base + w
-        return max(longest.get(s, self.depth[s]) for s in self.ann_bad)
+                best[t] = max(best[t], best[s] + w)
+                indeg[t] -= 1
+                if not indeg[t]:
+                    todo.append(t)
+        return longest
 
 
 def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
@@ -423,15 +334,14 @@ def holds_eventually(t1: ClockTree, t2: ClockTree, rel: Relation) -> EventualRes
     prod = _explore(t1, t2, rel)
     if prod.shape_bad is not None:
         return EventualResult(False, prod.depth[prod.shape_bad], True)
+    level = 0
     if prod.ann_bad:
-        recurring = prod.recurring()
-        bad_forever = prod.ann_bad & recurring
+        longest = prod.peel()
+        bad_forever = [s for s in prod.ann_bad if s not in longest]
         if bad_forever:
             lvl = min(prod.depth[s] for s in bad_forever)
             return EventualResult(False, lvl, True)
-        level = prod.deepest_violation() + 1
-    else:
-        level = 0
+        level = max(longest[s] for s in prod.ann_bad) + 1
     return EventualResult(True, level, not prod.unknown)
 
 
@@ -567,11 +477,6 @@ class DiscriminationConfig:
     size_limit: int = 500
     simple_check_limit: int = 200
     global_check_limit: int = 60
-    # Called with the list of enumerated reducts and whether the
-    # enumeration was exhaustive (shorter than ``reduct_limit`` and closed
-    # under one-step reduction); returning True certifies that every
-    # reduct has been covered by the non-improvement check.
-    certify_all_reducts: Callable[[list[Term], bool], bool] | None = None
 
 
 def discriminate(
@@ -585,16 +490,18 @@ def discriminate(
     eventual matching is definitive; (3) when one side has a simple
     reduct, a certified failure of that side improving eventually on
     the other is definitive; (4) otherwise enumerate reducts of ``m``
-    looking for one improving globally on ``n`` — finding one, or
-    running out of budget without a completeness certificate, is
-    inconclusive.
+    looking for one improving globally on ``n``.  Step (4) never
+    certifies: its verdict is inconclusive, with evidence saying
+    whether an improving reduct was found and, if not, whether the
+    enumeration was exhaustive.
     """
     cfg = config or DiscriminationConfig()
     eq_rel = Relation.LIST_EQ if cfg.atomic else Relation.EQ
     le_rel = Relation.SUBSEQ_LE if cfg.atomic else Relation.LE
 
-    tm = compact_cyclic(m, cfg.depth, cfg.fuel, "bt", atomic=cfg.atomic)
-    tn = compact_cyclic(n, cfg.depth, cfg.fuel, "bt", atomic=cfg.atomic)
+    # comparison reads the recorded steps, never ``ClockTree.atomic``
+    tm = compact_cyclic(m, cfg.depth, cfg.fuel)
+    tn = compact_cyclic(n, cfg.depth, cfg.fuel)
     base = {
         "depth": cfg.depth,
         "fuel": cfg.fuel,
@@ -629,16 +536,9 @@ def discriminate(
         n, cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
         cfg.simple_check_limit,
     )
-    tsm = (
-        compact_cyclic(sm[0], cfg.depth, cfg.fuel, "bt", atomic=cfg.atomic)
-        if sm
-        else None
-    )
-    tsn = (
-        compact_cyclic(sn[0], cfg.depth, cfg.fuel, "bt", atomic=cfg.atomic)
-        if sn
-        else None
-    )
+    # the tree each simplicity check built is the tree to compare
+    tsm = sm[1].tree if sm else None
+    tsn = sn[1].tree if sn else None
 
     if tsm is not None and tsn is not None and tsm.closed and tsn.closed:
         ev = holds_eventually(tsm, tsn, eq_rel)
@@ -670,29 +570,16 @@ def discriminate(
 
     # (4) reducts of m vs the tree of n
     pool = reducts_of_m()
-    improving = None
-    for r in pool[: cfg.global_check_limit]:
-        tr = compact_cyclic(r, cfg.depth, cfg.fuel, "bt", atomic=cfg.atomic)
-        if holds_globally(tr, tn, le_rel):
-            improving = r
-            break
-    if improving is not None:
+    if any(
+        holds_globally(compact_cyclic(r, cfg.depth, cfg.fuel), tn, le_rel)
+        for r in pool[: cfg.global_check_limit]
+    ):
         return Verdict(
             INCONCLUSIVE,
             "none",
             base | {"improving_reduct": True, "reducts_enumerated": len(pool)},
         )
-    # Size pruning can leave a pool short of the limit yet open.
-    exhaustive = len(pool) < cfg.reduct_limit and _closed(pool)
-    covered = len(pool) <= cfg.global_check_limit and exhaustive
-    if covered and cfg.certify_all_reducts is not None and cfg.certify_all_reducts(
-        pool, exhaustive
-    ):
-        return Verdict(
-            INCONVERTIBLE,
-            "general-no-reduct-improves",
-            base | {"reducts_checked": len(pool), "exhaustive": True},
-        )
+    # size pruning can leave a pool short of the limit yet open
     return Verdict(
         INCONCLUSIVE,
         "none",
@@ -701,6 +588,6 @@ def discriminate(
             "improving_reduct": False,
             "reducts_enumerated": len(pool),
             "reducts_checked": min(len(pool), cfg.global_check_limit),
-            "exhaustive": exhaustive,
+            "exhaustive": len(pool) < cfg.reduct_limit and _closed(pool),
         },
     )

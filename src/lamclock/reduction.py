@@ -21,7 +21,6 @@ from .terms import (
     Var,
     instantiate,
     replace_at,
-    spine,
     subterm_at,
     subterms,
 )

@@ -31,8 +31,8 @@ from .compare import subseq_le
 from .parser import parse
 from .reduction import reducing_fpc_order
 from .render import render_text
-from .terms import App, Free, Term, app, iterate, lam, Var, pos_str
-from .trees import check_simple, clocked_llt, compact_cyclic, node_at
+from .terms import App, Free, Term, app, iterate, pos_str
+from .trees import check_simple, compact_cyclic, node_at
 
 
 def _cyclic_block(title: str, t: Term, *, semantics: str = "bt",

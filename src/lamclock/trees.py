@@ -358,7 +358,14 @@ def _build(
         escape = INF
         complete = True
 
-        if semantics == "bt":
+        if type(r) is Lam and semantics != "bt":  # llt and bet: one lambda layer
+            opened, shown, env2, taken2 = open_binders(r, 1, level, env, taken)
+            body, escape, complete = build(
+                opened, level + 1, anc, env2, taken2, path + (0,)
+            )
+            node = LamNode(count, steps, shown[0], body)
+
+        elif semantics != "bet":  # a head normal form, or (llt) a variable-headed spine
             nb = 0
             u = r
             while type(u) is Lam:
@@ -373,42 +380,21 @@ def _build(
                 kids.append(c)
                 escape = min(escape, esc)
                 complete = complete and cm
-            node = HnfNode(count, steps, shown, name, ref, tuple(kids))
-
-        elif semantics == "llt":
-            if type(r) is Lam:
-                opened, shown, env2, taken2 = open_binders(r, 1, level, env, taken)
-                body, escape, complete = build(
-                    opened, level + 1, anc, env2, taken2, path + (0,)
-                )
-                node = LamNode(count, steps, shown[0], body)
+            if semantics == "bt":
+                node = HnfNode(count, steps, shown, name, ref, tuple(kids))
             else:
-                head, args = spine(r)
-                name, ref = head_info(head, env, level)
-                kids = []
-                for i, a in enumerate(args):
-                    c, esc, cm = build(a, level + 1, anc, env, taken, path + (i,))
-                    kids.append(c)
-                    escape = min(escape, esc)
-                    complete = complete and cm
                 node = HeadNode(count, steps, name, ref, tuple(kids))
 
-        else:  # bet
-            if type(r) is Lam:
-                opened, shown, env2, taken2 = open_binders(r, 1, level, env, taken)
-                body, escape, complete = build(
-                    opened, level + 1, anc, env2, taken2, path + (0,)
-                )
-                node = LamNode(count, steps, shown[0], body)
-            elif type(r) is App:
-                fn, e1, c1 = build(r.fn, level + 1, anc, env, taken, path + (0,))
-                arg, e2, c2 = build(r.arg, level + 1, anc, env, taken, path + (1,))
-                escape = min(e1, e2)
-                complete = c1 and c2
-                node = AppNode(count, steps, fn, arg)
-            else:
-                name, ref = head_info(r, env, level)
-                node = VarNode(count, steps, name, ref)
+        elif type(r) is App:  # bet
+            fn, e1, c1 = build(r.fn, level + 1, anc, env, taken, path + (0,))
+            arg, e2, c2 = build(r.arg, level + 1, anc, env, taken, path + (1,))
+            escape = min(e1, e2)
+            complete = c1 and c2
+            node = AppNode(count, steps, fn, arg)
+
+        else:  # bet: a variable
+            name, ref = head_info(r, env, level)
+            node = VarNode(count, steps, name, ref)
 
         if cyclic and complete and level <= escape < INF:
             memo.setdefault(term, node)
@@ -670,6 +656,7 @@ class SimplicityReport:
     witness: SimplicityWitness | None
     closed: bool
     depth: int
+    tree: ClockTree  # the cyclic ``bt`` tree whose steps were classified
 
     def __bool__(self) -> bool:
         return self.status == "simple"
@@ -700,7 +687,7 @@ def check_simple(t: Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL) 
     tree = compact_cyclic(t, depth, fuel, "bt", hook=hook)
     closed = tree.closed
     if found:
-        return SimplicityReport("not_simple", found[0], closed, depth)
+        return SimplicityReport("not_simple", found[0], closed, depth, tree)
     if closed and complete[0]:
-        return SimplicityReport("simple", None, closed, depth)
-    return SimplicityReport("unknown", None, closed, depth)
+        return SimplicityReport("simple", None, closed, depth, tree)
+    return SimplicityReport("unknown", None, closed, depth, tree)

@@ -1,11 +1,16 @@
 """Command-line interface, exercised through click's test runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from lamclock.cli import main
+import lamclock
+from lamclock.cli import _dumps, main
 
 
 @pytest.fixture()
@@ -71,41 +76,97 @@ def test_bt_dot_two_loops(run):
     )
 
 
+TWO_LOOPS_JSON = {
+    "atomic": False,
+    "closed": True,
+    "depth": 12,
+    "fuel": 10000,
+    "periodicity": {
+        "closed": True,
+        "fully_periodic": True,
+        "loops": [
+            {"at": "012", "delta": 1, "period": "012", "phase": "e"},
+            {"at": "02", "delta": 1, "period": "02", "phase": "e"},
+        ],
+    },
+    "root": {
+        "binders": ["z"],
+        "children": [
+            {
+                "backedge": {"period": "012", "phase": "e", "target": "n0"},
+                "id": "n1",
+                "kind": "backedge",
+            },
+            {
+                "backedge": {"period": "02", "phase": "e", "target": "n0"},
+                "id": "n2",
+                "kind": "backedge",
+            },
+        ],
+        "clock": 1,
+        "head": "z",
+        "id": "n0",
+        "kind": "hnf",
+    },
+    "semantics": "bt",
+}
+
+
 def test_bt_json_two_loops(run):
     res = run("bt", TWO_LOOPS, "--json")
     assert res.exit_code == 0
-    loops = [
-        {"at": "012", "delta": 1, "period": "012", "phase": "e"},
-        {"at": "02", "delta": 1, "period": "02", "phase": "e"},
-    ]
-    expected = {
-        "atomic": False,
-        "closed": True,
-        "depth": 12,
-        "fuel": 10000,
-        "periodicity": {"closed": True, "fully_periodic": True, "loops": loops},
-        "root": {
-            "binders": ["z"],
-            "children": [
-                {
-                    "backedge": {"period": "012", "phase": "e", "target": "n0"},
-                    "id": "n1",
-                    "kind": "backedge",
-                },
-                {
-                    "backedge": {"period": "02", "phase": "e", "target": "n0"},
-                    "id": "n2",
-                    "kind": "backedge",
-                },
-            ],
-            "clock": 1,
-            "head": "z",
-            "id": "n0",
-            "kind": "hnf",
+    expected = json.dumps(TWO_LOOPS_JSON, ensure_ascii=False, sort_keys=True, indent=2)
+    assert res.output == expected + "\n"
+
+
+def test_bt_json_of_a_600_level_tree():
+    # The standard encoder recurses about twice per tree level and fails
+    # here.  A fresh interpreter keeps the default recursion limit, which
+    # this suite raises; the output is not decoded, since the decoder
+    # recurses too.
+    src = str(Path(lamclock.__file__).parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "lamclock.cli", "bt", r"Y1 (\g x. f (g (s x))) z",
+         "--depth", "600", "--json"],
+        capture_output=True, text=True, encoding="utf-8",
+        env=os.environ | {"PYTHONPATH": src},
+    )
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout.startswith('{\n  "atomic": false,\n  "closed": false,\n')
+    assert res.stdout.endswith('\n  "semantics": "bt"\n}\n')
+    assert res.stdout.count('"kind": "hnf"') == 600
+    assert res.stdout.count('"reason": "depth"') == 1
+
+
+PINNED_PAYLOADS = [
+    TWO_LOOPS_JSON,
+    {
+        "conclusion": "inconclusive",
+        "justification": "none",
+        "evidence": {
+            "depth": 12,
+            "fuel": 10000,
+            "atomic": False,
+            "closed": [True, True],
+            "improving_reduct": True,
+            "reducts_enumerated": 2000,
         },
-        "semantics": "bt",
-    }
-    assert res.output == json.dumps(expected, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    },
+    {"status": "not_simple", "closed": False, "depth": 4,
+     "witness": {"path": "root", "step": 0, "kind": "duplicating"}},
+    {"name": "bohm-seq", "term": r"(\a b.b (a a b)) (\a b.b (a a b)) (\a b.b (a b))"},
+    ["y0", "y1"],
+    {"loops": [], "empty": {}, "nested": [[], [{}], {"λ": "⟨11,1,e⟩", "x": None}]},
+    [],
+    {},
+    1.5,
+]
+
+
+@pytest.mark.parametrize("payload", PINNED_PAYLOADS)
+def test_json_writer_matches_the_standard_encoder(payload):
+    expected = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+    assert _dumps(payload) == expected
 
 
 def test_bt_dot_lists_a_tree_edge_after_its_subtree(run):

@@ -176,9 +176,7 @@ def test_bounded_joinable_negative(defs):
 def test_size_pruned_pool_is_not_exhaustive():
     # Every reduct of scott_seq(1) is larger than 30, so the pool holds the
     # term alone: short of the limit, but not closed under reduction.
-    cfg = DiscriminationConfig(
-        size_limit=30, simple_check_limit=0, certify_all_reducts=lambda pool, exh: True
-    )
+    cfg = DiscriminationConfig(size_limit=30, simple_check_limit=0)
     v = discriminate(scott_seq(1), scott_seq(0), cfg)
     assert v.conclusion == INCONCLUSIVE
     assert v.evidence["reducts_enumerated"] == 1
@@ -191,16 +189,16 @@ def test_size_pruned_pool_never_certifies_a_convertible_pair(defs):
     m = parse("Y0 f", defs)
     n = iterate("right", Free("f"), parse(r"(\x. f (x x)) (\x. f (x x))"), 30)
     assert len(enumerate_reducts(m, size_limit=60)) == 47
-    flags = []
-
-    def certify(pool, exhaustive):
-        flags.append(exhaustive)
-        return True
-
-    v = discriminate(m, n, DiscriminationConfig(size_limit=60, certify_all_reducts=certify))
-    assert not any(flags)
+    v = discriminate(m, n, DiscriminationConfig(size_limit=60))
     assert v.conclusion == INCONCLUSIVE
+    assert v.evidence["reducts_enumerated"] == 47
     assert v.evidence["exhaustive"] is False
+
+
+def test_no_caller_certificate_for_unimproved_pools():
+    # Step (4) never certifies, so there is no hook to make it.
+    with pytest.raises(TypeError):
+        DiscriminationConfig(certify_all_reducts=lambda pool, exh: True)  # type: ignore[call-arg]
 
 
 def test_discriminate_enumerates_each_side_at_most_once(defs, monkeypatch):

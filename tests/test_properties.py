@@ -1,6 +1,7 @@
 """Randomized law checks: clock acceleration, annotation drift bounds,
-subsequence-order laws, printer/parser round trips, balance preservation,
-and soundness of the discrimination verdict on convertible pairs."""
+subsequence-order laws, printer/parser round trips, the product graph's
+peel against brute force, balance preservation, and soundness of the
+discrimination verdict on convertible pairs."""
 
 import random
 
@@ -12,6 +13,7 @@ from lamclock.compare import (
     INCONVERTIBLE,
     DiscriminationConfig,
     _closed,
+    _Product,
     discriminate,
     enumerate_reducts,
     subseq_le,
@@ -278,6 +280,64 @@ def test_closed_matches_the_reference_check(pool, size, closed):
     pool = pool()
     assert len(pool) == size
     assert _closed(pool) == _closed_reference(pool) == closed
+
+
+# -- the product graph's peel -------------------------------------------------
+
+
+@st.composite
+def _product_graphs(draw):
+    """Edge lists on states 0..n-1, all reachable from the root 0 (as in
+    an explored product), with duplicate edges, self-loops and, often,
+    an edge back into the root."""
+    n = draw(st.integers(1, 7))
+    weights = st.integers(0, 3)
+    edges: dict[int, list[tuple[int, int]]] = {}
+    for s in range(1, n):
+        parent = draw(st.integers(0, s - 1))
+        edges.setdefault(parent, []).append((s, draw(weights)))
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights)
+    for s, t, w in draw(st.lists(extra, max_size=2 * n)):
+        edges.setdefault(s, []).append((t, w))
+    if draw(st.booleans()):
+        edges.setdefault(n - 1, []).append((0, draw(weights)))
+    return n, edges
+
+
+def _peel_reference(n, edges):
+    """Brute force: a state recurs iff some state with a path back to
+    itself reaches it; every other state's longest distance is the
+    heaviest root path to it found by enumerating simple paths."""
+    succ = {s: [t for t, _ in edges.get(s, ())] for s in range(n)}
+
+    def reach(s):
+        seen, todo = {s}, [s]
+        while todo:
+            for t in succ[todo.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        return seen
+
+    cycles = [c for c in range(n) if any(c in reach(t) for t in succ[c])]
+    recurring = set().union(*(reach(c) for c in cycles))
+    longest: dict[int, int] = {}
+    paths = [(0, 0, {0})]
+    while paths:
+        s, dist, on_path = paths.pop()
+        longest[s] = max(longest.get(s, dist), dist)
+        for t, w in edges.get(s, ()):
+            if t not in on_path:
+                paths.append((t, dist + w, on_path | {t}))
+    return {s: d for s, d in longest.items() if s not in recurring}
+
+
+@settings(**SETTINGS)
+@given(graph=_product_graphs())
+def test_peel_matches_the_brute_force_definitions(graph):
+    n, edges = graph
+    prod = _Product([None] * n, edges, {s: 0 for s in range(n)}, None, set(), False)
+    assert prod.peel() == _peel_reference(n, edges)
 
 
 # -- balance preservation ----------------------------------------------------
