@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
-from typing import Callable, Iterator
+from heapq import heappop, heappush
+from itertools import islice
+from typing import Iterator
 
 from .reduction import DEFAULT_FUEL, one_step_reducts
 from .terms import Position, Term
@@ -413,31 +414,26 @@ def find_simple_reduct(
     limit: int = 2000,
     size_limit: int = 500,
     check_limit: int = 200,
-    reducts: Callable[[], list[Term]] | None = None,
 ) -> tuple[Term, SimplicityReport] | None:
     """A reduct of ``t`` whose every tree-computing head step is simple.
 
-    Tries ``t`` itself first, then enumerated reducts in order of
-    increasing size, classifying at most ``check_limit`` of them.
-    ``reducts``, when given, supplies the enumeration of ``t`` (so a
-    caller can share it); it is not sorted in place.
+    Best-first on term size (Hart, Nilsson and Raphael 1968): check the
+    smallest term made so far, ``t`` first, and make the new reducts of
+    one that is not simple.  At most ``limit`` terms are made, ``t``
+    included, and at most ``check_limit`` are checked after ``t``.
     """
-    rep = check_simple(t, depth, fuel)
-    if rep.status == "simple":
-        return t, rep
-    tried = {t}
-    pool = reducts() if reducts else enumerate_reducts(t, limit, size_limit)
-    checked = 0
-    for c in sorted(pool, key=lambda u: u.size):
-        if checked >= check_limit:
-            break
-        if c in tried:
-            continue
-        tried.add(c)
-        checked += 1
-        rep = check_simple(c, depth, fuel)
+    seen = {t}
+    heap = [(t.size, 0, t)]
+    checks = 0
+    while heap and checks <= check_limit:
+        cur = heappop(heap)[2]
+        rep = check_simple(cur, depth, fuel)
         if rep.status == "simple":
-            return c, rep
+            return cur, rep
+        checks += 1
+        room = max(limit - len(seen), 0)
+        for r in islice(_new_reducts(cur, seen, size_limit), room):
+            heappush(heap, (r.size, len(seen), r))
     return None
 
 
@@ -486,27 +482,28 @@ def discriminate(
 
     Pipeline: (1) a structural difference between the trees at a
     mutually resolved position is definitive on its own; (2) when both
-    sides have simple reducts with closed trees, a certified failure of
-    eventual matching is definitive; (3) when one side has a simple
-    reduct, a certified failure of that side improving eventually on
-    the other is definitive; (4) otherwise enumerate reducts of ``m``
-    looking for one improving globally on ``n``.  Step (4) never
-    certifies: its verdict is inconclusive, with evidence saying
-    whether an improving reduct was found and, if not, whether the
-    enumeration was exhaustive.
+    sides have simple reducts (a simple term is its own), a certified
+    failure of eventual matching of their closed trees is definitive;
+    (3) when one side has a simple reduct, a certified failure of that
+    side improving eventually on the other is definitive; (4) otherwise
+    enumerate reducts of ``m`` looking for one improving globally on
+    ``n``.  Step (4) never certifies: its verdict is inconclusive, with
+    evidence saying whether an improving reduct was found and, if not,
+    whether the enumeration was exhaustive.
     """
     cfg = config or DiscriminationConfig()
     eq_rel = Relation.LIST_EQ if cfg.atomic else Relation.EQ
     le_rel = Relation.SUBSEQ_LE if cfg.atomic else Relation.LE
 
     # comparison reads the recorded steps, never ``ClockTree.atomic``
-    tm = compact_cyclic(m, cfg.depth, cfg.fuel)
-    tn = compact_cyclic(n, cfg.depth, cfg.fuel)
+    rm = check_simple(m, cfg.depth, cfg.fuel)
+    rn = check_simple(n, cfg.depth, cfg.fuel)
+    tm, tn = rm.tree, rn.tree
     base = {
         "depth": cfg.depth,
         "fuel": cfg.fuel,
         "atomic": cfg.atomic,
-        "closed": [tm.closed, tn.closed],
+        "closed": [rm.closed, rn.closed],
     }
 
     # (1) the trees themselves differ
@@ -523,24 +520,16 @@ def discriminate(
             },
         )
 
-    # (2)/(3) need simple reducts; m's reducts, if needed, are
-    # enumerated once and shared with (4)
-    reducts_of_m = cache(
-        lambda: enumerate_reducts(m, cfg.reduct_limit, cfg.size_limit)
-    )
-    sm = find_simple_reduct(
-        m, cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
-        cfg.simple_check_limit, reducts_of_m,
-    )
-    sn = find_simple_reduct(
-        n, cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
-        cfg.simple_check_limit,
-    )
-    # the tree each simplicity check built is the tree to compare
+    # (2)/(3) need simple reducts, a simple side being its own; a simple
+    # report's tree is closed, and it is the tree to compare
+    search = (cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
+              cfg.simple_check_limit)
+    sm = (m, rm) if rm else find_simple_reduct(m, *search)
+    sn = (n, rn) if rn else find_simple_reduct(n, *search)
     tsm = sm[1].tree if sm else None
     tsn = sn[1].tree if sn else None
 
-    if tsm is not None and tsn is not None and tsm.closed and tsn.closed:
+    if tsm is not None and tsn is not None:
         ev = holds_eventually(tsm, tsn, eq_rel)
         if not ev.holds and ev.certified:
             return Verdict(
@@ -553,7 +542,7 @@ def discriminate(
         (tsm, tn, "first"),
         (tsn, tm, "second"),
     ):
-        if tree_simple is None or not tree_simple.closed:
+        if tree_simple is None:
             continue
         ev = holds_eventually(tree_simple, tree_other, le_rel)
         if not ev.holds and ev.certified:
@@ -569,7 +558,7 @@ def discriminate(
             )
 
     # (4) reducts of m vs the tree of n
-    pool = reducts_of_m()
+    pool = enumerate_reducts(m, cfg.reduct_limit, cfg.size_limit)
     if any(
         holds_globally(compact_cyclic(r, cfg.depth, cfg.fuel), tn, le_rel)
         for r in pool[: cfg.global_check_limit]

@@ -1,8 +1,4 @@
-import sys
-
 import pytest
-
-sys.setrecursionlimit(100_000)
 
 from lamclock.combinators import standard_definitions
 

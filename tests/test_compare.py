@@ -1,9 +1,20 @@
 """Tree comparison relations and the discrimination pipeline."""
 
+import itertools
+
 import pytest
 
 import lamclock.compare as compare
-from lamclock.combinators import E1, E2, E3, Y0, Y1, scott_seq
+from lamclock.combinators import (
+    E1,
+    E2,
+    E3,
+    Y0,
+    Y1,
+    bbb_scheme,
+    scott_composite,
+    scott_seq,
+)
 from lamclock.compare import (
     INCONCLUSIVE,
     INCONVERTIBLE,
@@ -202,8 +213,8 @@ def test_no_caller_certificate_for_unimproved_pools():
 
 
 def test_discriminate_enumerates_each_side_at_most_once(defs, monkeypatch):
-    # Plain clocks leave this pair to step (4), after both sides went
-    # through find_simple_reduct: m's pool serves both stages.
+    # Plain clocks leave this pair to step (4); the simple-reduct search
+    # enumerates no pool, so only step (4) enumerates m's reducts.
     m = parse("Y0 delta delta", defs)
     n = parse("Y0 (S S) I", defs)
     enumerated = []
@@ -215,7 +226,7 @@ def test_discriminate_enumerates_each_side_at_most_once(defs, monkeypatch):
 
     monkeypatch.setattr(compare, "enumerate_reducts", counting)
     v = discriminate(m, n, DiscriminationConfig())
-    assert enumerated == [m, n]
+    assert enumerated == [m]
     assert v.to_dict() == {
         "conclusion": INCONCLUSIVE,
         "justification": "none",
@@ -230,17 +241,6 @@ def test_discriminate_enumerates_each_side_at_most_once(defs, monkeypatch):
     }
 
 
-def test_find_simple_reduct_leaves_a_shared_pool_in_order(defs):
-    # discriminate hands m's pool to find_simple_reduct and then reads it
-    # in breadth-first order in step (4)
-    m = parse("Y0 delta delta", defs)
-    pool = enumerate_reducts(m, limit=300)
-    bfs = list(pool)
-    assert bfs != sorted(bfs, key=lambda u: u.size)
-    find_simple_reduct(m, check_limit=5, reducts=lambda: pool)
-    assert pool == bfs
-
-
 def test_find_simple_reduct():
     got = find_simple_reduct(E2)
     assert got is not None
@@ -253,6 +253,41 @@ def test_find_simple_reduct_identity(defs):
     y2 = parse("eta eta delta", defs)
     got = find_simple_reduct(y2)
     assert got is not None and alpha_eq(got[0], y2)
+
+
+@pytest.mark.parametrize(
+    "term", [bbb_scheme(Y0, 1), scott_composite([0, 0])], ids=["bbb1", "sc00"]
+)
+def test_find_simple_reduct_beyond_breadth_first(term):
+    # Neither term has a simple reduct among the first 2000 in
+    # breadth-first order; size order reaches one within 20 checks.
+    got = find_simple_reduct(term)
+    assert got is not None
+    reduct, report = got
+    assert report.status == "simple"
+    assert reduct.size < term.size
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_find_simple_reduct_check_limit(k, monkeypatch):
+    # check_limit caps the checks after the term itself
+    checked = []
+    original = compare.check_simple
+
+    def counting(t, *args, **kwargs):
+        checked.append(t)
+        return original(t, *args, **kwargs)
+
+    monkeypatch.setattr(compare, "check_simple", counting)
+    term = bbb_scheme(Y0, 1)
+    assert find_simple_reduct(term, check_limit=k) is None
+    assert checked[0] == term
+    assert len(checked) == k + 1
+    # limit caps the terms made, the term itself included, so at most
+    # that many can be checked
+    checked.clear()
+    assert find_simple_reduct(term, limit=k + 1) is None
+    assert len(checked) == k + 1
 
 
 # -- end-to-end discrimination ----------------------------------------------
@@ -320,3 +355,25 @@ def test_verdict_serialization(defs):
     d = v.to_dict()
     assert sorted(d) == ["conclusion", "evidence", "justification"]
     assert d["conclusion"] == INCONVERTIBLE
+
+
+_COMPOSITES = ([0], [1], [0, 0], [1, 0], [0, 1])
+
+
+@pytest.mark.parametrize("atomic", [False, True], ids=["plain", "atomic"])
+def test_discriminate_separates_generated_fpcs(atomic):
+    # Every fpc these schemes generate is new (the paper's abstract), so
+    # every pair is inconvertible; only [1,0]/[0,1] needs atomic clocks.
+    cfg = DiscriminationConfig(atomic=atomic)
+    pairs = [
+        (f"bbb_scheme {a}/{b}", bbb_scheme(Y0, a), bbb_scheme(Y0, b))
+        for a, b in itertools.combinations(range(3), 2)
+    ] + [
+        (f"{a}/{b}", scott_composite(a), scott_composite(b))
+        for a, b in itertools.combinations(_COMPOSITES, 2)
+    ]
+    missed = [
+        label for label, m, n in pairs
+        if discriminate(m, n, cfg).conclusion != INCONVERTIBLE
+    ]
+    assert missed == ([] if atomic else ["[1, 0]/[0, 1]"])
