@@ -414,6 +414,8 @@ def find_simple_reduct(
     limit: int = 2000,
     size_limit: int = 500,
     check_limit: int = 200,
+    *,
+    report: SimplicityReport | None = None,
 ) -> tuple[Term, SimplicityReport] | None:
     """A reduct of ``t`` whose every tree-computing head step is simple.
 
@@ -421,13 +423,18 @@ def find_simple_reduct(
     smallest term made so far, ``t`` first, and make the new reducts of
     one that is not simple.  At most ``limit`` terms are made, ``t``
     included, and at most ``check_limit`` are checked after ``t``.
+    ``report``, when given, is ``check_simple(t, depth, fuel)``, made
+    by the caller and not made again.
     """
     seen = {t}
     heap = [(t.size, 0, t)]
     checks = 0
     while heap and checks <= check_limit:
         cur = heappop(heap)[2]
-        rep = check_simple(cur, depth, fuel)
+        if cur is t and report is not None:
+            rep = report
+        else:
+            rep = check_simple(cur, depth, fuel)
         if rep.status == "simple":
             return cur, rep
         checks += 1
@@ -524,8 +531,8 @@ def discriminate(
     # report's tree is closed, and it is the tree to compare
     search = (cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
               cfg.simple_check_limit)
-    sm = (m, rm) if rm else find_simple_reduct(m, *search)
-    sn = (n, rn) if rn else find_simple_reduct(n, *search)
+    sm = (m, rm) if rm else find_simple_reduct(m, *search, report=rm)
+    sn = (n, rn) if rn else find_simple_reduct(n, *search, report=rn)
     tsm = sm[1].tree if sm else None
     tsn = sn[1].tree if sn else None
 

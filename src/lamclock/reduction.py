@@ -56,16 +56,9 @@ class HeadOutcome:
 
 def head_redex_position(t: Term) -> Position | None:
     """Position of the head redex (``0^n 1^m`` shape), or None in hnf."""
-    zeros = 0
-    while type(t) is Lam:
-        t = t.body
-        zeros += 1
-    ones = 0
-    while type(t) is App:
-        t = t.fn
-        ones += 1
-    if type(t) is Lam and ones:
-        return (0,) * zeros + (1,) * (ones - 1)
+    hints, head, args = _unwind(t, True)
+    if type(head) is Lam and args:
+        return (0,) * len(hints) + (1,) * (len(args) - 1)
     return None
 
 
@@ -114,16 +107,6 @@ def _canonical_core_key(t: Term) -> tuple:
     return tuple(out)
 
 
-def _whnf_redex_position(t: Term) -> Position | None:
-    ones = 0
-    while type(t) is App:
-        t = t.fn
-        ones += 1
-    if type(t) is Lam and ones:
-        return (1,) * (ones - 1)
-    return None
-
-
 class _Budget:
     __slots__ = ("left",)
 
@@ -137,24 +120,75 @@ class _Budget:
         return True
 
 
+class _CoreKeys:
+    """The hnf search's recurrence table.  Equal canonical core keys imply
+    equal core sizes, so the first term of each core size waits unkeyed,
+    and ``_canonical_core_key`` runs only once a second term of that size
+    arrives, keying both."""
+
+    __slots__ = ("keys", "waiting")
+
+    def __init__(self) -> None:
+        self.keys: set[tuple] = set()
+        self.waiting: dict[int, Term | None] = {}  # None once keyed
+
+    def repeats(self, t: Term, core_size: int) -> bool:
+        """Record ``t``; True when an earlier recorded term has its key."""
+        if core_size not in self.waiting:
+            self.waiting[core_size] = t
+            return False
+        first = self.waiting[core_size]
+        if first is not None:
+            self.keys.add(_canonical_core_key(first))
+            self.waiting[core_size] = None
+        k = _canonical_core_key(t)
+        if k in self.keys:
+            return True
+        self.keys.add(k)
+        return False
+
+
+def _unwind(t: Term, under_lams: bool) -> tuple[list[str], Term, list[Term]]:
+    """Split ``t`` into the hints of its λ-prefix (walked only when
+    ``under_lams``), its head, and its arguments, outermost first.  The
+    head redex, if any, is ``head args[-1]`` at position
+    ``0^len(hints) 1^(len(args)-1)``."""
+    hints: list[str] = []
+    if under_lams:
+        while type(t) is Lam:
+            hints.append(t.hint)
+            t = t.body
+    args: list[Term] = []
+    while type(t) is App:
+        args.append(t.arg)
+        t = t.fn
+    return hints, t, args
+
+
+def _contract_head(hints: list[str], head: Lam, args: list[Term]) -> Term:
+    """Contract the head redex of an unwound term and rebuild only its
+    spine and λ-prefix, as Krivine's machine does ("A call-by-name
+    lambda-calculus machine", HOSC 20, 2007)."""
+    r = instantiate(head.body, args[-1])
+    for i in range(len(args) - 2, -1, -1):
+        r = App(r, args[i])
+    for h in reversed(hints):
+        r = Lam(h, r)
+    return r
+
+
 def _run(t: Term, target: Target, budget: _Budget) -> HeadOutcome:
     steps: list[Position] = []
     trace: list[Term] = [t]
-    seen: dict = {}
-
-    def key(u: Term):
-        return _canonical_core_key(u) if target == "hnf" else u
+    hnf = target == "hnf"
+    cores = _CoreKeys()  # hnf recurrences
+    seen: set[Term] = set()  # whnf and root_stable recurrences
+    recorded = 0
 
     while True:
-        if target == "whnf" and type(t) is Lam:
-            return HeadOutcome(RESOLVED, steps, t, trace)
-        pos = head_redex_position(t) if target == "hnf" else _whnf_redex_position(t)
-        if target in ("hnf", "whnf"):
-            if pos is None:
-                return HeadOutcome(RESOLVED, steps, t, trace)
-        else:
-            # root_stable: abstractions and variables are stable as given;
-            # an application is stable once its function side provably
+        if target == "root_stable":
+            # abstractions and variables are stable as given; an
+            # application is stable once its function side provably
             # never becomes an abstraction.
             if type(t) is not App:
                 return HeadOutcome(RESOLVED, steps, t, trace)
@@ -163,17 +197,22 @@ def _run(t: Term, target: Target, budget: _Budget) -> HeadOutcome:
                 return HeadOutcome(FUEL_EXHAUSTED, steps, None, trace)
             if probe.status == PROVEN_DIVERGENT or type(probe.result) is not Lam:
                 return HeadOutcome(RESOLVED, steps, t, trace)
-            pos = _whnf_redex_position(t)
-            assert pos is not None
-        if len(seen) < TRACE_CAP:
-            k = key(t)
-            if k in seen:
+        hints, head, args = _unwind(t, hnf)
+        if type(head) is not Lam or not args:
+            return HeadOutcome(RESOLVED, steps, t, trace)
+        if recorded < TRACE_CAP:
+            recorded += 1
+            if hnf:
+                again = cores.repeats(t, t.size - len(hints))
+            else:
+                again = t in seen
+                seen.add(t)
+            if again:
                 return HeadOutcome(PROVEN_DIVERGENT, steps, None, trace)
-            seen[k] = len(steps)
         if not budget.spend():
             return HeadOutcome(FUEL_EXHAUSTED, steps, None, trace)
-        t = contract_at(t, pos)
-        steps.append(pos)
+        t = _contract_head(hints, head, args)
+        steps.append((0,) * len(hints) + (1,) * (len(args) - 1))
         if len(trace) < TRACE_CAP:
             trace.append(t)
 

@@ -125,7 +125,8 @@ class App(Term):
         self.fn = fn
         self.arg = arg
         self.size = fn.size + arg.size + 1
-        self.open_n = max(fn.open_n, arg.open_n)
+        n, m = fn.open_n, arg.open_n
+        self.open_n = n if n >= m else m  # faster than max() on this hot path
         if fn.names is EMPTY_FVS:
             self.names = arg.names
         elif arg.names is EMPTY_FVS:
@@ -251,21 +252,30 @@ def subterm_at(t: Term, pos: Position) -> Term:
 
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    """Rebuild ``t`` with the subterm at ``pos`` replaced by ``new``."""
-    if not pos:
-        return new
-    d, rest = pos[0], pos[1:]
-    match t, d:
-        case (Lam(h, b), 0):
-            return Lam(h, replace_at(b, rest, new))
-        case (App(f, a), 1):
-            return App(replace_at(f, rest, new), a)
-        case (App(f, a), 2):
-            return App(f, replace_at(a, rest, new))
-    raise PositionError(
-        f"position {''.join(map(str, pos))!r} invalid: "
-        f"{type(t).__name__} has no direction {d}"
-    )
+    """Rebuild ``t`` with the subterm at ``pos`` replaced by ``new``: walk
+    down collecting the nodes on the path, then rebuild them upward."""
+    path: list[Term] = []
+    for k, d in enumerate(pos):
+        path.append(t)
+        if d == 0 and type(t) is Lam:
+            t = t.body
+        elif d == 1 and type(t) is App:
+            t = t.fn
+        elif d == 2 and type(t) is App:
+            t = t.arg
+        else:
+            raise PositionError(
+                f"position {''.join(map(str, pos[k:]))!r} invalid: "
+                f"{type(t).__name__} has no direction {d}"
+            )
+    for u, d in zip(reversed(path), reversed(pos)):
+        if d == 0:
+            new = Lam(u.hint, new)
+        elif d == 1:
+            new = App(new, u.arg)
+        else:
+            new = App(u.fn, new)
+    return new
 
 
 def subterms(t: Term) -> Iterator[tuple[Position, Term]]:

@@ -268,9 +268,7 @@ def test_find_simple_reduct_beyond_breadth_first(term):
     assert reduct.size < term.size
 
 
-@pytest.mark.parametrize("k", [0, 3])
-def test_find_simple_reduct_check_limit(k, monkeypatch):
-    # check_limit caps the checks after the term itself
+def _count_checks(monkeypatch):
     checked = []
     original = compare.check_simple
 
@@ -279,6 +277,13 @@ def test_find_simple_reduct_check_limit(k, monkeypatch):
         return original(t, *args, **kwargs)
 
     monkeypatch.setattr(compare, "check_simple", counting)
+    return checked
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_find_simple_reduct_check_limit(k, monkeypatch):
+    # check_limit caps the checks after the term itself
+    checked = _count_checks(monkeypatch)
     term = bbb_scheme(Y0, 1)
     assert find_simple_reduct(term, check_limit=k) is None
     assert checked[0] == term
@@ -288,6 +293,27 @@ def test_find_simple_reduct_check_limit(k, monkeypatch):
     checked.clear()
     assert find_simple_reduct(term, limit=k + 1) is None
     assert len(checked) == k + 1
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_find_simple_reduct_starts_from_a_given_report(k, monkeypatch):
+    # the given report stands for the check of the term itself, and
+    # check_limit still caps the checks after it
+    term = bbb_scheme(Y0, 1)
+    report = compare.check_simple(term)
+    checked = _count_checks(monkeypatch)
+    assert find_simple_reduct(term, check_limit=k, report=report) is None
+    assert term not in checked
+    assert len(checked) == k
+
+
+def test_discriminate_checks_each_side_once(monkeypatch):
+    checked = _count_checks(monkeypatch)
+    m, n = scott_seq(1), scott_seq(2)
+    v = discriminate(m, n)
+    assert v.justification == "simple-eventual-mismatch"
+    assert len(checked) == 26
+    assert checked.count(m) == checked.count(n) == 1
 
 
 # -- end-to-end discrimination ----------------------------------------------

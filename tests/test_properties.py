@@ -1,7 +1,8 @@
 """Randomized law checks: clock acceleration, annotation drift bounds,
-subsequence-order laws, printer/parser round trips, the product graph's
-peel against brute force, balance preservation, and soundness of the
-discrimination verdict on convertible pairs."""
+subsequence-order laws, printer/parser round trips, the head step and
+``replace_at`` against their lookup and recursive references, the
+product graph's peel against brute force, balance preservation, and
+soundness of the discrimination verdict on convertible pairs."""
 
 import random
 
@@ -18,15 +19,34 @@ from lamclock.compare import (
     enumerate_reducts,
     subseq_le,
 )
+from lamclock import reduction
 from lamclock.parser import parse, pretty
 from lamclock.reduction import (
+    FUEL_EXHAUSTED,
+    PROVEN_DIVERGENT,
+    RESOLVED,
+    HeadOutcome,
+    _canonical_core_key,
     contract_at,
     gross_knuth,
+    head_reduce,
     is_redex,
     one_step_reducts,
     redex_positions,
 )
-from lamclock.terms import App, Free, Lam, Var, alpha_eq, app, lam, positions, subterm_at
+from lamclock.terms import (
+    App,
+    Free,
+    Lam,
+    PositionError,
+    Var,
+    alpha_eq,
+    app,
+    lam,
+    positions,
+    replace_at,
+    subterm_at,
+)
 from lamclock.trees import clocked_bt
 
 SETTINGS = dict(max_examples=500, deadline=None, derandomize=True)
@@ -257,6 +277,148 @@ def test_one_step_reducts_match_contraction_at_each_redex(t):
     # ``==`` ignores binder hints; printing shows them
     assert got == want
     assert [pretty(r) for r in got] == [pretty(r) for r in want]
+
+
+# -- the O(spine) head step against contraction at a looked-up position -------
+
+
+def _head_reduce_reference(t, target, fuel):
+    """``head_reduce`` as a position lookup: each step is ``contract_at``
+    at the head redex's position, and the hnf search keys every visited
+    term.  Reads ``reduction.TRACE_CAP`` when called."""
+    cap = reduction.TRACE_CAP
+    left = [fuel]
+
+    def position(u, under_lams):
+        zeros = ones = 0
+        while under_lams and type(u) is Lam:
+            u = u.body
+            zeros += 1
+        while type(u) is App:
+            u = u.fn
+            ones += 1
+        return (0,) * zeros + (1,) * (ones - 1) if type(u) is Lam and ones else None
+
+    def run(t, target):
+        steps, trace, seen = [], [t], {}
+        while True:
+            if target == "whnf" and type(t) is Lam:
+                return HeadOutcome(RESOLVED, steps, t, trace)
+            pos = position(t, target == "hnf")
+            if target in ("hnf", "whnf"):
+                if pos is None:
+                    return HeadOutcome(RESOLVED, steps, t, trace)
+            else:
+                if type(t) is not App:
+                    return HeadOutcome(RESOLVED, steps, t, trace)
+                probe = run(t.fn, "whnf")
+                if probe.status == FUEL_EXHAUSTED:
+                    return HeadOutcome(FUEL_EXHAUSTED, steps, None, trace)
+                if probe.status == PROVEN_DIVERGENT or type(probe.result) is not Lam:
+                    return HeadOutcome(RESOLVED, steps, t, trace)
+                pos = position(t, False)
+            if len(seen) < cap:
+                k = _canonical_core_key(t) if target == "hnf" else t
+                if k in seen:
+                    return HeadOutcome(PROVEN_DIVERGENT, steps, None, trace)
+                seen[k] = len(steps)
+            if left[0] <= 0:
+                return HeadOutcome(FUEL_EXHAUSTED, steps, None, trace)
+            left[0] -= 1
+            t = contract_at(t, pos)
+            steps.append(pos)
+            if len(trace) < cap:
+                trace.append(t)
+
+    return run(t, target)
+
+
+def _hints(t):
+    """Binder hints in preorder, without recursion (``==`` ignores them)."""
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is Lam:
+            out.append(u.hint)
+            stack.append(u.body)
+        elif type(u) is App:
+            stack += (u.arg, u.fn)
+    return out
+
+
+def _observed(out):
+    result = None if out.result is None else (out.result, _hints(out.result))
+    return out.status, out.steps, result, [(u, _hints(u)) for u in out.trace]
+
+
+def _same_head_runs(t, fuel):
+    for target in ("hnf", "whnf", "root_stable"):
+        got = head_reduce(t, target, fuel)
+        want = _head_reduce_reference(t, target, fuel)
+        assert _observed(got) == _observed(want), target
+
+
+@settings(**SETTINGS)
+@given(t=random_terms)
+def test_head_reduce_matches_the_reference_run(t):
+    _same_head_runs(t, 40)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "TRACE_CAP", 5)
+        _same_head_runs(t, 40)
+
+
+# returns to itself after six head steps, so a cap of 5 hides the loop
+_LOOP6 = r"\x.(\a.(\b.(\c.(\d.(\e. x x) I) I) I) I) I"
+
+
+@pytest.mark.parametrize("cap", [reduction.TRACE_CAP, 5])
+@pytest.mark.parametrize(
+    "source",
+    ["Y0 x", "Y1 x", "E1", "E3", "omega", "omega omega", r"(\x y. x x)(\x y. x x)",
+     "eta eta delta x", r"(\x.x x x)(\x.x x x)", f"({_LOOP6}) ({_LOOP6})"],
+)
+def test_head_reduce_matches_the_reference_run_on_the_catalog(source, cap, monkeypatch):
+    monkeypatch.setattr(reduction, "TRACE_CAP", cap)
+    _same_head_runs(parse(source, DEFS), 300)
+
+
+def _replace_at_reference(t, pos, new):
+    """``replace_at`` by recursion, one level per direction."""
+    if not pos:
+        return new
+    d, rest = pos[0], pos[1:]
+    match t, d:
+        case (Lam(h, b), 0):
+            return Lam(h, _replace_at_reference(b, rest, new))
+        case (App(f, a), 1):
+            return App(_replace_at_reference(f, rest, new), a)
+        case (App(f, a), 2):
+            return App(f, _replace_at_reference(a, rest, new))
+    raise PositionError(
+        f"position {''.join(map(str, pos))!r} invalid: "
+        f"{type(t).__name__} has no direction {d}"
+    )
+
+
+@settings(**SETTINGS)
+@given(
+    t=random_terms,
+    pick=st.integers(0, 10**6),
+    tail=st.lists(st.integers(0, 3), max_size=2),
+)
+def test_replace_at_matches_the_recursive_reference(t, pick, tail):
+    ps = positions(t)
+    pos = ps[pick % len(ps)] + tuple(tail)
+    new = parse(r"\n. n m")
+
+    def attempt(fn):
+        try:
+            r = fn(t, pos, new)
+        except PositionError as e:
+            return str(e)
+        return r, _hints(r)
+
+    assert attempt(replace_at) == attempt(_replace_at_reference)
 
 
 def _closed_reference(pool):

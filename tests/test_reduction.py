@@ -1,5 +1,7 @@
 """Reduction machinery: head steps, developments, classification, normalization."""
 
+import sys
+
 import pytest
 
 from lamclock.parser import parse
@@ -74,6 +76,21 @@ def test_head_reduce_growing_term_exhausts_fuel(defs):
     t = parse("delta delta (delta delta)", defs)
     out = head_reduce(t, "hnf", 300)
     assert out.status == FUEL_EXHAUSTED
+
+
+@pytest.mark.parametrize("target, steps", [("hnf", 1000), ("whnf", 1000), ("root_stable", 1)])
+def test_growing_spine_at_the_default_recursion_limit(target, steps):
+    # Each step adds a spine node; a step that recursed once per spine
+    # node raised RecursionError before step 1000 (K1).  root_stable takes
+    # one step at the root, then its whnf probe of the function side
+    # spends the rest of the fuel.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out = head_reduce(parse(r"(\x.x x x)(\x.x x x)"), target, 1000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (out.status, out.step_count) == (FUEL_EXHAUSTED, steps)
 
 
 def test_root_stable_target(defs):

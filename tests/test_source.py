@@ -1,4 +1,5 @@
-"""Source hygiene: every package module uses each name it imports."""
+"""Source hygiene: every package module uses each name it imports, and
+every module-level private helper is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,49 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unread_private_defs(sources: list[str]) -> list[str]:
+    """Module-level ``_private`` functions and classes that no other
+    top-level statement of the given modules reads, as a name or an
+    attribute; a helper that only calls itself is not read."""
+    defs: list[tuple[str, ast.stmt]] = []
+    reads: list[tuple[ast.stmt, set[str]]] = []
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            names = set()
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    names.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    names.add(n.attr)
+            reads.append((stmt, names))
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")
+                and not stmt.name.startswith("__")
+            ):
+                defs.append((stmt.name, stmt))
+    return sorted(
+        name
+        for name, stmt in defs
+        if not any(name in names for other, names in reads if other is not stmt)
+    )
+
+
+def test_the_check_finds_unread_private_defs():
+    a = (
+        "def _dead(n):\n    return _dead(n - 1)\n"
+        "def _used():\n    pass\n"
+        "class _Gone:\n    pass\n"
+        "def public():\n    return _used()\n"
+    )
+    b = "import a\na._via_attribute()\n"
+    c = "def _via_attribute():\n    pass\n"
+    assert _unread_private_defs([a, b, c]) == ["_Gone", "_dead"]
+
+
+def test_no_unread_private_defs():
+    package = Path(lamclock.__file__).parent
+    sources = [p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))]
+    assert _unread_private_defs(sources) == []
