@@ -8,7 +8,8 @@ running out of fuel is a separate outcome and never claims divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Literal
 
 from .terms import (
@@ -39,15 +40,14 @@ FUEL_EXHAUSTED = "fuel_exhausted"
 class HeadOutcome:
     """Result of driving a term toward a head target.
 
-    ``steps`` holds the contracted redex positions in order; ``trace``
-    the visited terms (one longer than ``steps``).  ``result`` is only
-    set when ``status == "resolved"``.
+    ``steps`` holds the contracted redex positions in order.  ``result``
+    is only set when ``status == "resolved"``.  The terms in between are
+    not kept; ``head_reduce``'s ``on_step`` callback sees each of them.
     """
 
     status: str
     steps: list[Position]
     result: Term | None
-    trace: list[Term] = field(repr=False, default_factory=list)
 
     @property
     def step_count(self) -> int:
@@ -56,9 +56,10 @@ class HeadOutcome:
 
 def head_redex_position(t: Term) -> Position | None:
     """Position of the head redex (``0^n 1^m`` shape), or None in hnf."""
-    hints, head, args = _unwind(t, True)
-    if type(head) is Lam and args:
-        return (0,) * len(hints) + (1,) * (len(args) - 1)
+    hints: list[str] = []
+    head, stack = _unwind(t, _EMPTY, hints)
+    if type(head) is Lam and stack[2]:
+        return (0,) * len(hints) + (1,) * (stack[2] - 1)
     return None
 
 
@@ -80,10 +81,8 @@ def _canonical_core_key(t: Term) -> tuple:
     with indices into the prefix and free names both canonicalised by
     first occurrence.  Two terms with equal keys head-reduce in lockstep
     forever, so seeing a key twice proves there is no hnf."""
-    depth0 = 0
     while type(t) is Lam:
         t = t.body
-        depth0 += 1
     ranks: dict[tuple, int] = {}
     out: list = []
     stack: list[tuple[Term, int]] = [(t, 0)]
@@ -120,112 +119,153 @@ class _Budget:
         return True
 
 
-class _CoreKeys:
-    """The hnf search's recurrence table.  Equal canonical core keys imply
-    equal core sizes, so the first term of each core size waits unkeyed,
-    and ``_canonical_core_key`` runs only once a second term of that size
-    arrives, keying both."""
+# The head reducer is Krivine's machine (Krivine, "A call-by-name
+# lambda-calculus machine", HOSC 20, 2007): a state is the hints of the
+# λ-prefix (hnf only), a head that is not an application, and the
+# arguments of the head as a persistent linked stack, innermost on top.
+# A stack node is ``(arg, below, depth, size, gate)``: ``depth`` counts
+# the arguments, ``size`` is their total size plus one application node
+# each, and ``gate`` hashes the argument sequence, ``hash((arg._h,
+# below's gate))``.  A step pops one argument and pushes the spine of the
+# contractum; no term is rebuilt.
+_EMPTY = (None, None, 0, 0, 0)
 
-    __slots__ = ("keys", "waiting")
 
-    def __init__(self) -> None:
-        self.keys: set[tuple] = set()
-        self.waiting: dict[int, Term | None] = {}  # None once keyed
+def _unwind(t: Term, stack: tuple, hints: list[str] | None) -> tuple[Term, tuple]:
+    """Push the spine arguments of ``t`` onto ``stack``, outermost first,
+    and return the head with the new stack.  With ``hints`` given (the hnf
+    target), an abstraction met with an empty stack joins the λ-prefix:
+    its hint is appended and the walk goes on under it."""
+    while True:
+        while type(t) is App:
+            a = t.arg
+            stack = (a, stack, stack[2] + 1, stack[3] + a.size + 1, hash((a._h, stack[4])))
+            t = t.fn
+        if hints is None or type(t) is not Lam or stack[2]:
+            return t, stack
+        hints.append(t.hint)
+        t = t.body
 
-    def repeats(self, t: Term, core_size: int) -> bool:
-        """Record ``t``; True when an earlier recorded term has its key."""
-        if core_size not in self.waiting:
-            self.waiting[core_size] = t
+
+def _term(hints: list[str], n: int, head: Term, stack: tuple) -> Term:
+    """The term of a machine state: ``head`` applied to the stack, under
+    the first ``n`` λ-prefix hints (the list only ever grows)."""
+    t = head
+    while stack[2]:
+        t = App(t, stack[0])
+        stack = stack[1]
+    for i in range(n - 1, -1, -1):
+        t = Lam(hints[i], t)
+    return t
+
+
+class _Recurrences:
+    """A run's recurrence table, for every target.  Each state is filed
+    under a gate that equal keys share: for hnf the core's size and spine
+    length (cores with equal canonical keys have the same shape), and
+    otherwise the size, the head's hash and the stack's gate hash.  The
+    first state of a gate waits unbuilt; once a second one arrives, both
+    are built and keyed, by the canonical core key for hnf and by the
+    term itself otherwise.  The λ-prefix never enters a key, so no state
+    keeps its hints."""
+
+    __slots__ = ("core", "keys", "waiting")
+
+    def __init__(self, core: bool) -> None:
+        self.core = core
+        self.keys: set = set()
+        self.waiting: dict = {}  # gate -> (head, stack), None once keyed
+
+    def _key(self, head: Term, stack: tuple):
+        t = _term([], 0, head, stack)
+        return _canonical_core_key(t) if self.core else t
+
+    def repeats(self, head: Term, stack: tuple) -> bool:
+        """Record a state; True when an earlier recorded one has its key."""
+        size = head.size + stack[3]
+        gate = (size, stack[2]) if self.core else (size, head._h, stack[4])
+        if gate not in self.waiting:
+            self.waiting[gate] = (head, stack)
             return False
-        first = self.waiting[core_size]
+        first = self.waiting[gate]
         if first is not None:
-            self.keys.add(_canonical_core_key(first))
-            self.waiting[core_size] = None
-        k = _canonical_core_key(t)
+            self.keys.add(self._key(*first))
+            self.waiting[gate] = None
+        k = self._key(head, stack)
         if k in self.keys:
             return True
         self.keys.add(k)
         return False
 
 
-def _unwind(t: Term, under_lams: bool) -> tuple[list[str], Term, list[Term]]:
-    """Split ``t`` into the hints of its λ-prefix (walked only when
-    ``under_lams``), its head, and its arguments, outermost first.  The
-    head redex, if any, is ``head args[-1]`` at position
-    ``0^len(hints) 1^(len(args)-1)``."""
-    hints: list[str] = []
-    if under_lams:
-        while type(t) is Lam:
-            hints.append(t.hint)
-            t = t.body
-    args: list[Term] = []
-    while type(t) is App:
-        args.append(t.arg)
-        t = t.fn
-    return hints, t, args
-
-
-def _contract_head(hints: list[str], head: Lam, args: list[Term]) -> Term:
-    """Contract the head redex of an unwound term and rebuild only its
-    spine and λ-prefix, as Krivine's machine does ("A call-by-name
-    lambda-calculus machine", HOSC 20, 2007)."""
-    r = instantiate(head.body, args[-1])
-    for i in range(len(args) - 2, -1, -1):
-        r = App(r, args[i])
-    for h in reversed(hints):
-        r = Lam(h, r)
-    return r
-
-
-def _run(t: Term, target: Target, budget: _Budget) -> HeadOutcome:
-    steps: list[Position] = []
-    trace: list[Term] = [t]
+def _drive(
+    hints: list[str],
+    head: Term,
+    stack: tuple,
+    target: Target,
+    budget: _Budget,
+    base: int,
+    steps: list[Position] | None,
+    on_step,
+) -> tuple[str, Term, tuple]:
+    """Run the machine from a state toward ``target`` and return the
+    status with the final head and stack.  The bottom ``base`` arguments
+    are not part of the term driven: ``root_stable`` probes its function
+    side with ``base`` 1.  Positions are appended to ``steps`` unless it
+    is None, as it is for the probe, whose steps nobody reads."""
     hnf = target == "hnf"
-    cores = _CoreKeys()  # hnf recurrences
-    seen: set[Term] = set()  # whnf and root_stable recurrences
+    table = _Recurrences(hnf)
     recorded = 0
-
     while True:
         if target == "root_stable":
             # abstractions and variables are stable as given; an
             # application is stable once its function side provably
             # never becomes an abstraction.
-            if type(t) is not App:
-                return HeadOutcome(RESOLVED, steps, t, trace)
-            probe = _run(t.fn, "whnf", budget)
-            if probe.status == FUEL_EXHAUSTED:
-                return HeadOutcome(FUEL_EXHAUSTED, steps, None, trace)
-            if probe.status == PROVEN_DIVERGENT or type(probe.result) is not Lam:
-                return HeadOutcome(RESOLVED, steps, t, trace)
-        hints, head, args = _unwind(t, hnf)
-        if type(head) is not Lam or not args:
-            return HeadOutcome(RESOLVED, steps, t, trace)
+            if not stack[2]:
+                return RESOLVED, head, stack
+            probe, fn_head, _ = _drive(hints, head, stack, "whnf", budget, 1, None, None)
+            if probe == FUEL_EXHAUSTED:
+                return FUEL_EXHAUSTED, head, stack
+            if probe == PROVEN_DIVERGENT or type(fn_head) is not Lam:
+                return RESOLVED, head, stack
+        if type(head) is not Lam or stack[2] <= base:
+            return RESOLVED, head, stack
         if recorded < TRACE_CAP:
             recorded += 1
-            if hnf:
-                again = cores.repeats(t, t.size - len(hints))
-            else:
-                again = t in seen
-                seen.add(t)
-            if again:
-                return HeadOutcome(PROVEN_DIVERGENT, steps, None, trace)
+            if table.repeats(head, stack):
+                return PROVEN_DIVERGENT, head, stack
         if not budget.spend():
-            return HeadOutcome(FUEL_EXHAUSTED, steps, None, trace)
-        t = _contract_head(hints, head, args)
-        steps.append((0,) * len(hints) + (1,) * (len(args) - 1))
-        if len(trace) < TRACE_CAP:
-            trace.append(t)
+            return FUEL_EXHAUSTED, head, stack
+        if steps is not None:
+            pos = (0,) * len(hints) + (1,) * (stack[2] - 1)
+            if on_step is not None:
+                on_step(len(steps), pos, head, stack[0], len(hints) + head.size + stack[3],
+                        partial(_term, hints, len(hints), head, stack))
+            steps.append(pos)
+        head, stack = _unwind(instantiate(head.body, stack[0]), stack[1], hints if hnf else None)
 
 
-def head_reduce(t: Term, target: Target = "hnf", fuel: int = DEFAULT_FUEL) -> HeadOutcome:
+def head_reduce(
+    t: Term, target: Target = "hnf", fuel: int = DEFAULT_FUEL, *, on_step=None
+) -> HeadOutcome:
     """Reduce toward ``target``, recording one position per step.
 
     The fuel budget is shared with any stability probes the
-    ``root_stable`` target performs on function sides.
+    ``root_stable`` target performs on function sides.  ``on_step``, when
+    given, is called before each step as ``on_step(i, pos, lam, arg, size,
+    build)``: the step's index and position, the redex's abstraction and
+    argument, the size of the whole term, and a thunk that builds the
+    whole term.
     """
     if target not in ("hnf", "whnf", "root_stable"):
         raise ValueError(f"unknown target {target!r}")
-    return _run(t, target, _Budget(fuel))
+    hints: list[str] = []
+    head, stack = _unwind(t, _EMPTY, hints if target == "hnf" else None)
+    steps: list[Position] = []
+    status, head, stack = _drive(hints, head, stack, target, _Budget(fuel), 0, steps, on_step)
+    if status != RESOLVED:
+        return HeadOutcome(status, steps, None)
+    return HeadOutcome(status, steps, _term(hints, len(hints), head, stack) if steps else t)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +302,17 @@ def _count_index(t: Term, k: int) -> int:
     return 0
 
 
+def _redex_class(body: Term, arg: Term) -> RedexClass:
+    """The class of the redex ``(\\x. body) arg``."""
+    return RedexClass(linear=_count_index(body, 0) <= 1, call_by_value=is_normal(arg))
+
+
 def classify_redex(t: Term, pos: Position = ()) -> RedexClass:
     sub = subterm_at(t, pos)
     if not is_redex(sub):
         raise TermError(f"no redex at position {''.join(map(str, pos)) or 'e'}")
     assert isinstance(sub, App) and isinstance(sub.fn, Lam)
-    return RedexClass(
-        linear=_count_index(sub.fn.body, 0) <= 1,
-        call_by_value=is_normal(sub.arg),
-    )
+    return _redex_class(sub.fn.body, sub.arg)
 
 
 def redex_positions(t: Term) -> list[Position]:
@@ -417,8 +459,7 @@ def reducing_fpc_order(y: Term, fuel: int = DEFAULT_FUEL) -> int | None:
         k += 1
     x = Free(base)
     goal = App(x, App(y, x))
+    # ``goal`` is a head normal form, so the head reduction can only
+    # meet it as its result.
     out = head_reduce(App(y, x), "hnf", fuel)
-    for i, u in enumerate(out.trace):
-        if u == goal:
-            return i
-    return None
+    return out.step_count if out.result == goal else None

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from .parser import _pick_name
@@ -33,9 +34,8 @@ from .reduction import (
     DEFAULT_FUEL,
     FUEL_EXHAUSTED,
     PROVEN_DIVERGENT,
-    HeadOutcome,
-    classify_redex,
     RedexClass,
+    _redex_class,
     head_reduce,
 )
 from .terms import (
@@ -345,9 +345,9 @@ def _build(
             anc = ancestors
         if level >= depth:
             return Unknown("depth"), INF, False
-        out = head_reduce(term, target, fuel)
-        if hook is not None:
-            hook(path, term, out)
+        out = head_reduce(
+            term, target, fuel, on_step=None if hook is None else partial(hook, path)
+        )
         if out.status == PROVEN_DIVERGENT:
             return Bottom(out.step_count), INF, True
         if out.status == FUEL_EXHAUSTED:
@@ -447,6 +447,9 @@ def compact_cyclic(
     becomes a ``SharedRef`` to the first occurrence instead of a copy,
     so the tree stays a finite closed graph even when the repetition is
     between siblings rather than between ancestor and descendant.
+
+    ``hook``, when given, sees every head step of every node's reduction
+    as ``hook(path, ...)`` with ``head_reduce``'s ``on_step`` arguments.
     """
     tree = _build(t, semantics, depth, fuel, cyclic=True, hook=hook)
     tree.atomic = atomic
@@ -670,24 +673,17 @@ def check_simple(t: Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL) 
     A non-simple step is a definite refutation either way.
     """
     found: list[SimplicityWitness] = []
-    complete = [True]
 
-    def hook(path, term: Term, out: HeadOutcome):
-        for i, p in enumerate(out.steps):
-            if found:
-                return
-            if i >= len(out.trace):
-                complete[0] = False
-                return
-            rc = classify_redex(out.trace[i], p)
+    def hook(path, i, pos, lam, arg, size, build):
+        if not found:
+            rc = _redex_class(lam.body, arg)
             if not rc.simple:
-                found.append(SimplicityWitness(path, i, p, rc, out.trace[i]))
-                return
+                found.append(SimplicityWitness(path, i, pos, rc, build()))
 
     tree = compact_cyclic(t, depth, fuel, "bt", hook=hook)
     closed = tree.closed
     if found:
         return SimplicityReport("not_simple", found[0], closed, depth, tree)
-    if closed and complete[0]:
+    if closed:
         return SimplicityReport("simple", None, closed, depth, tree)
     return SimplicityReport("unknown", None, closed, depth, tree)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +137,28 @@ def test_bt_json_of_a_600_level_tree():
     assert res.stdout.endswith('\n  "semantics": "bt"\n}\n')
     assert res.stdout.count('"kind": "hnf"') == 600
     assert res.stdout.count('"reason": "depth"') == 1
+
+
+def _limit_address_space():
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))
+
+
+@pytest.mark.parametrize("term", [r"(\x. x x x)(\x. x x x)", "B Y0 (S I) I"])
+def test_bt_of_a_growing_term_at_the_default_fuel_fits_in_2_gb(term):
+    # K1: the head reducts of both terms grow at every step.  Keeping
+    # them, or rebuilding each one's spine, ran a fresh interpreter
+    # limited to a 2 GB address space out of memory before the default
+    # fuel was spent.
+    src = str(Path(lamclock.__file__).parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "lamclock.cli", "bt", term],
+        capture_output=True, text=True, encoding="utf-8",
+        env=os.environ | {"PYTHONPATH": src},
+        preexec_fn=_limit_address_space, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout == "? (fuel)\n"
 
 
 PINNED_PAYLOADS = [

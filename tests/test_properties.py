@@ -25,7 +25,6 @@ from lamclock.reduction import (
     FUEL_EXHAUSTED,
     PROVEN_DIVERGENT,
     RESOLVED,
-    HeadOutcome,
     _canonical_core_key,
     contract_at,
     gross_knuth,
@@ -279,12 +278,13 @@ def test_one_step_reducts_match_contraction_at_each_redex(t):
     assert [pretty(r) for r in got] == [pretty(r) for r in want]
 
 
-# -- the O(spine) head step against contraction at a looked-up position -------
+# -- the machine's head steps against contraction at a looked-up position --
 
 
 def _head_reduce_reference(t, target, fuel):
     """``head_reduce`` as a position lookup: each step is ``contract_at``
     at the head redex's position, and the hnf search keys every visited
+    term.  Returns the status, the steps, the result and every visited
     term.  Reads ``reduction.TRACE_CAP`` when called."""
     cap = reduction.TRACE_CAP
     left = [fuel]
@@ -303,32 +303,31 @@ def _head_reduce_reference(t, target, fuel):
         steps, trace, seen = [], [t], {}
         while True:
             if target == "whnf" and type(t) is Lam:
-                return HeadOutcome(RESOLVED, steps, t, trace)
+                return RESOLVED, steps, t, trace
             pos = position(t, target == "hnf")
             if target in ("hnf", "whnf"):
                 if pos is None:
-                    return HeadOutcome(RESOLVED, steps, t, trace)
+                    return RESOLVED, steps, t, trace
             else:
                 if type(t) is not App:
-                    return HeadOutcome(RESOLVED, steps, t, trace)
-                probe = run(t.fn, "whnf")
-                if probe.status == FUEL_EXHAUSTED:
-                    return HeadOutcome(FUEL_EXHAUSTED, steps, None, trace)
-                if probe.status == PROVEN_DIVERGENT or type(probe.result) is not Lam:
-                    return HeadOutcome(RESOLVED, steps, t, trace)
+                    return RESOLVED, steps, t, trace
+                probe, _, probed, _ = run(t.fn, "whnf")
+                if probe == FUEL_EXHAUSTED:
+                    return FUEL_EXHAUSTED, steps, None, trace
+                if probe == PROVEN_DIVERGENT or type(probed) is not Lam:
+                    return RESOLVED, steps, t, trace
                 pos = position(t, False)
             if len(seen) < cap:
                 k = _canonical_core_key(t) if target == "hnf" else t
                 if k in seen:
-                    return HeadOutcome(PROVEN_DIVERGENT, steps, None, trace)
+                    return PROVEN_DIVERGENT, steps, None, trace
                 seen[k] = len(steps)
             if left[0] <= 0:
-                return HeadOutcome(FUEL_EXHAUSTED, steps, None, trace)
+                return FUEL_EXHAUSTED, steps, None, trace
             left[0] -= 1
             t = contract_at(t, pos)
             steps.append(pos)
-            if len(trace) < cap:
-                trace.append(t)
+            trace.append(t)
 
     return run(t, target)
 
@@ -346,16 +345,35 @@ def _hints(t):
     return out
 
 
-def _observed(out):
-    result = None if out.result is None else (out.result, _hints(out.result))
-    return out.status, out.steps, result, [(u, _hints(u)) for u in out.trace]
+def _with_hints(t):
+    return None if t is None else (t, _hints(t))
+
+
+def _observed(t, target, fuel):
+    """``head_reduce`` with an ``on_step`` callback: the status, steps and
+    result, and the term each step's thunk builds.  The thunks are called
+    only after the run, so a state that a later step changed in place
+    would show; each callback's index, redex and size are checked
+    against the term its thunk builds."""
+    calls = []
+    out = head_reduce(t, target, fuel, on_step=lambda *a: calls.append(a))
+    built = []
+    for n, (i, pos, lam, arg, size, build) in enumerate(calls):
+        u = build()
+        redex = subterm_at(u, pos)
+        assert (i, pos) == (n, out.steps[n])
+        assert _with_hints(redex) == _with_hints(App(lam, arg))
+        assert size == u.size
+        built.append(_with_hints(u))
+    assert len(built) == out.step_count
+    return out.status, out.steps, _with_hints(out.result), built
 
 
 def _same_head_runs(t, fuel):
     for target in ("hnf", "whnf", "root_stable"):
-        got = head_reduce(t, target, fuel)
-        want = _head_reduce_reference(t, target, fuel)
-        assert _observed(got) == _observed(want), target
+        status, steps, result, trace = _head_reduce_reference(t, target, fuel)
+        want = status, steps, _with_hints(result), [_with_hints(u) for u in trace[:-1]]
+        assert _observed(t, target, fuel) == want, target
 
 
 @settings(**SETTINGS)

@@ -1,6 +1,7 @@
 """Reduction machinery: head steps, developments, classification, normalization."""
 
 import sys
+import tracemalloc
 
 import pytest
 
@@ -93,6 +94,20 @@ def test_growing_spine_at_the_default_recursion_limit(target, steps):
     assert (out.status, out.step_count) == (FUEL_EXHAUSTED, steps)
 
 
+def test_growing_term_memory_stays_small():
+    # K1: a reducer that kept every reduct, each with its spine rebuilt,
+    # peaked at 73 MB here; the step positions now take most of the 4 MB.
+    t = parse(r"(\x.x x x)(\x.x x x)")
+    tracemalloc.start()
+    try:
+        out = head_reduce(t, "hnf", 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.status, out.step_count) == (FUEL_EXHAUSTED, 1000)
+    assert peak < 16 * 2**20
+
+
 def test_root_stable_target(defs):
     out = head_reduce(parse(f"x ({OMEGA})"), "root_stable", 100)
     assert out.status == RESOLVED
@@ -168,7 +183,10 @@ def test_reducing_fpc_order(defs):
 
 def test_head_step_agrees_with_trace(defs):
     t = parse("eta eta delta x", defs)
-    out = head_reduce(t, "hnf", 100)
+    calls = []
+    out = head_reduce(t, "hnf", 100, on_step=lambda *a: calls.append(a))
     p = head_redex_position(t)
     assert out.steps[0] == p
-    assert out.trace[1] == contract_at(t, p)
+    i, pos, lam, arg, size, build = calls[1]
+    assert (i, pos) == (1, out.steps[1])
+    assert build() == contract_at(t, p)

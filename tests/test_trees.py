@@ -2,8 +2,10 @@
 
 import pytest
 
+from lamclock import reduction
 from lamclock.compare import Relation, holds_eventually
 from lamclock.parser import parse
+from lamclock.reduction import classify_redex, head_redex_position
 from lamclock.render import render_dot, render_text
 from lamclock.terms import App, Free, pos_str
 from lamclock.trees import (
@@ -318,6 +320,20 @@ def test_duplicator_not_simple(defs):
     assert report.status == "not_simple"
     assert report.witness is not None
     assert not report.witness.redex_class.simple
+
+
+def test_simplicity_witness_is_the_term_at_its_step(defs):
+    w = check_simple(parse(r"Y1 (\z.f z z)", defs)).witness
+    assert head_redex_position(w.term) == w.position
+    assert classify_redex(w.term, w.position) == w.redex_class
+
+
+def test_check_simple_classifies_steps_past_the_recurrence_cap(defs, monkeypatch):
+    # Every head step is classified as it is made.  When only the first
+    # TRACE_CAP terms of a reduction were kept, a node with more steps
+    # than that left the report "unknown".
+    monkeypatch.setattr(reduction, "TRACE_CAP", 3)
+    assert check_simple(parse("eta eta delta x", defs)).status == "simple"
 
 
 def test_duplicating_growth_refuted_despite_open_tree(defs):
