@@ -39,6 +39,8 @@ from .reduction import DEFAULT_FUEL
 _EXIT_INCONCLUSIVE = 1
 _EXIT_USAGE = 2
 _EXIT_EXHAUSTED = 3
+# depth, fuel and the reduct limit are counts: a negative one is a usage error
+_BUDGET = click.IntRange(min=0)
 
 
 def _fail(msg: str, code: int) -> None:
@@ -106,8 +108,8 @@ def _emit_json(obj) -> None:
 def _tree_options(f):
     for opt in reversed(
         [
-            click.option("--depth", type=int, default=DEFAULT_DEPTH, show_default=True),
-            click.option("--fuel", type=int, default=DEFAULT_FUEL, show_default=True),
+            click.option("--depth", type=_BUDGET, default=DEFAULT_DEPTH, show_default=True),
+            click.option("--fuel", type=_BUDGET, default=DEFAULT_FUEL, show_default=True),
             click.option("--atomic", is_flag=True, help="Annotate with step positions."),
             click.option("--defs", "defs_file", type=str, default=None,
                          help="Extra definitions file (name = term; ...)."),
@@ -166,12 +168,12 @@ for _sem, _help in (
 @main.command("compare")
 @click.argument("left")
 @click.argument("right")
-@click.option("--depth", type=int, default=DEFAULT_DEPTH, show_default=True)
-@click.option("--fuel", type=int, default=DEFAULT_FUEL, show_default=True)
+@click.option("--depth", type=_BUDGET, default=DEFAULT_DEPTH, show_default=True)
+@click.option("--fuel", type=_BUDGET, default=DEFAULT_FUEL, show_default=True)
 @click.option("--atomic", is_flag=True, help="Compare step-position lists.")
 @click.option("--defs", "defs_file", type=str, default=None)
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--reduct-limit", type=int, default=2000, show_default=True,
+@click.option("--reduct-limit", type=_BUDGET, default=2000, show_default=True,
               help="Bound for the reduct search phase.")
 def compare_cmd(left, right, depth, fuel, atomic, defs_file, as_json, reduct_limit):
     """Try to certify that LEFT and RIGHT are not interconvertible."""
@@ -229,8 +231,8 @@ def catalog_cmd(name, params, defs_file, as_json):
 
 @main.command("check-simple")
 @click.argument("term")
-@click.option("--depth", type=int, default=DEFAULT_DEPTH, show_default=True)
-@click.option("--fuel", type=int, default=DEFAULT_FUEL, show_default=True)
+@click.option("--depth", type=_BUDGET, default=DEFAULT_DEPTH, show_default=True)
+@click.option("--fuel", type=_BUDGET, default=DEFAULT_FUEL, show_default=True)
 @click.option("--defs", "defs_file", type=str, default=None)
 @click.option("--json", "as_json", is_flag=True)
 def check_simple_cmd(term, depth, fuel, defs_file, as_json):

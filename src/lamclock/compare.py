@@ -18,9 +18,8 @@ three bases:
 * a simple term whose closed tree provably does not improve eventually
   on the other side's tree.
 
-Anything weaker yields ``inconclusive`` together with the evidence
-gathered (an improving reduct when one was found, or the search
-bounds).
+Anything weaker yields ``inconclusive``, with evidence saying which
+sides had a simple term or simple reduct within the search bounds.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .trees import (
     SimplicityReport,
     check_simple,
     child_step,
-    compact_cyclic,
     node_at,
     walk,
 )
@@ -378,12 +376,6 @@ def enumerate_reducts(
     return out
 
 
-def _closed(pool: list[Term]) -> bool:
-    """Is every one-step reduct of every member, of any size, a member?"""
-    members = set(pool)
-    return all(s in members for r in pool for s in one_step_reducts(r))
-
-
 def bounded_joinable(
     a: Term, b: Term, limit: int = 2000, size_limit: int = 500
 ) -> Term | None:
@@ -479,7 +471,6 @@ class DiscriminationConfig:
     reduct_limit: int = 2000
     size_limit: int = 500
     simple_check_limit: int = 200
-    global_check_limit: int = 60
 
 
 def discriminate(
@@ -492,11 +483,12 @@ def discriminate(
     sides have simple reducts (a simple term is its own), a certified
     failure of eventual matching of their closed trees is definitive;
     (3) when one side has a simple reduct, a certified failure of that
-    side improving eventually on the other is definitive; (4) otherwise
-    enumerate reducts of ``m`` looking for one improving globally on
-    ``n``.  Step (4) never certifies: its verdict is inconclusive, with
-    evidence saying whether an improving reduct was found and, if not,
-    whether the enumeration was exhaustive.
+    side improving eventually on the other is definitive.  Otherwise the
+    verdict is inconclusive, and its evidence's ``simple_reduct`` says
+    for each side whether a simple term or simple reduct was found
+    within ``reduct_limit`` and ``simple_check_limit``: a ``False``
+    names a side whose search ran out, and two ``True`` mean both closed
+    trees agree eventually.
     """
     cfg = config or DiscriminationConfig()
     eq_rel = Relation.LIST_EQ if cfg.atomic else Relation.EQ
@@ -564,26 +556,8 @@ def discriminate(
                 },
             )
 
-    # (4) reducts of m vs the tree of n
-    pool = enumerate_reducts(m, cfg.reduct_limit, cfg.size_limit)
-    if any(
-        holds_globally(compact_cyclic(r, cfg.depth, cfg.fuel), tn, le_rel)
-        for r in pool[: cfg.global_check_limit]
-    ):
-        return Verdict(
-            INCONCLUSIVE,
-            "none",
-            base | {"improving_reduct": True, "reducts_enumerated": len(pool)},
-        )
-    # size pruning can leave a pool short of the limit yet open
     return Verdict(
         INCONCLUSIVE,
         "none",
-        base
-        | {
-            "improving_reduct": False,
-            "reducts_enumerated": len(pool),
-            "reducts_checked": min(len(pool), cfg.global_check_limit),
-            "exhaustive": len(pool) < cfg.reduct_limit and _closed(pool),
-        },
+        base | {"simple_reduct": [sm is not None, sn is not None]},
     )

@@ -171,8 +171,7 @@ PINNED_PAYLOADS = [
             "fuel": 10000,
             "atomic": False,
             "closed": [True, True],
-            "improving_reduct": True,
-            "reducts_enumerated": 2000,
+            "simple_reduct": [True, True],
         },
     },
     {"status": "not_simple", "closed": False, "depth": 4,
@@ -235,6 +234,28 @@ def test_parse_error_is_usage_error(run):
     res = run("bt", "(((")
     assert res.exit_code == 2
     assert "cannot parse" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [cmd, *terms, opt, "-1"]
+        for cmd, terms in (
+            ("bt", ["Y0"]),
+            ("llt", ["Y0"]),
+            ("bet", ["Y0"]),
+            ("check-simple", ["Y0"]),
+            ("compare", ["Y0", "Y1"]),
+        )
+        for opt in ("--depth", "--fuel")
+    ]
+    + [["compare", "Y0", "Y1", "--reduct-limit", "-1"]],
+    ids=" ".join,
+)
+def test_negative_budget_is_usage_error(run, args):
+    res = run(*args)
+    assert res.exit_code == 2
+    assert "Invalid value" in res.output
 
 
 def test_defs_file(run, tmp_path):

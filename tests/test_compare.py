@@ -185,13 +185,14 @@ def test_bounded_joinable_negative(defs):
 
 
 def test_size_pruned_pool_is_not_exhaustive():
-    # Every reduct of scott_seq(1) is larger than 30, so the pool holds the
-    # term alone: short of the limit, but not closed under reduction.
+    # Every reduct of scott_seq(1) is larger than 30, so its pool holds the
+    # term alone: short of the limit, but not closed under reduction; with
+    # no check past the terms themselves, neither side finds a simple term.
+    assert len(enumerate_reducts(scott_seq(1), size_limit=30)) == 1
     cfg = DiscriminationConfig(size_limit=30, simple_check_limit=0)
     v = discriminate(scott_seq(1), scott_seq(0), cfg)
     assert v.conclusion == INCONCLUSIVE
-    assert v.evidence["reducts_enumerated"] == 1
-    assert v.evidence["exhaustive"] is False
+    assert v.evidence["simple_reduct"] == [False, False]
 
 
 def test_size_pruned_pool_never_certifies_a_convertible_pair(defs):
@@ -202,21 +203,19 @@ def test_size_pruned_pool_never_certifies_a_convertible_pair(defs):
     assert len(enumerate_reducts(m, size_limit=60)) == 47
     v = discriminate(m, n, DiscriminationConfig(size_limit=60))
     assert v.conclusion == INCONCLUSIVE
-    assert v.evidence["reducts_enumerated"] == 47
-    assert v.evidence["exhaustive"] is False
+    # Y0 f is simple; the search from n runs out without a simple reduct
+    assert v.evidence["simple_reduct"] == [True, False]
 
 
 def test_no_caller_certificate_for_unimproved_pools():
-    # Step (4) never certifies, so there is no hook to make it.
+    # No pool certifies, so there is no hook to make it.
     with pytest.raises(TypeError):
         DiscriminationConfig(certify_all_reducts=lambda pool, exh: True)  # type: ignore[call-arg]
 
 
-def test_discriminate_enumerates_each_side_at_most_once(defs, monkeypatch):
-    # Plain clocks leave this pair to step (4); the simple-reduct search
-    # enumerates no pool, so only step (4) enumerates m's reducts.
-    m = parse("Y0 delta delta", defs)
-    n = parse("Y0 (S S) I", defs)
+def test_discriminate_enumerates_no_reducts(defs, monkeypatch):
+    # Each pair has a simple closed tree on both sides whose clocks agree
+    # eventually: the verdict is left open without enumerating a pool.
     enumerated = []
     original = compare.enumerate_reducts
 
@@ -225,20 +224,24 @@ def test_discriminate_enumerates_each_side_at_most_once(defs, monkeypatch):
         return original(t, *args, **kwargs)
 
     monkeypatch.setattr(compare, "enumerate_reducts", counting)
-    v = discriminate(m, n, DiscriminationConfig())
-    assert enumerated == [m]
-    assert v.to_dict() == {
-        "conclusion": INCONCLUSIVE,
-        "justification": "none",
-        "evidence": {
-            "depth": 12,
-            "fuel": 10000,
-            "atomic": False,
-            "closed": [True, True],
-            "improving_reduct": True,
-            "reducts_enumerated": 2000,
-        },
-    }
+    for m, n in (
+        (parse("Y0", defs), parse("Y0", defs)),
+        (E1, E2),
+        (parse("Y0 delta delta", defs), parse("Y0 (S S) I", defs)),
+    ):
+        v = discriminate(m, n, DiscriminationConfig())
+        assert v.to_dict() == {
+            "conclusion": INCONCLUSIVE,
+            "justification": "none",
+            "evidence": {
+                "depth": 12,
+                "fuel": 10000,
+                "atomic": False,
+                "closed": [True, True],
+                "simple_reduct": [True, True],
+            },
+        }
+    assert enumerated == []
 
 
 def test_find_simple_reduct():
@@ -357,8 +360,6 @@ def test_discriminate_convertible_pair_stays_inconclusive():
     assert not bool(v)
     assert v.conclusion == INCONCLUSIVE
     assert v.justification == "none"
-    # the search even noticed a reduct of one side matching the other's clock
-    assert v.evidence["improving_reduct"] is True
 
 
 def test_discriminate_same_term(defs):

@@ -13,7 +13,6 @@ import lamclock.combinators as C
 from lamclock.compare import (
     INCONVERTIBLE,
     DiscriminationConfig,
-    _closed,
     _Product,
     discriminate,
     enumerate_reducts,
@@ -439,27 +438,18 @@ def test_replace_at_matches_the_recursive_reference(t, pick, tail):
     assert attempt(replace_at) == attempt(_replace_at_reference)
 
 
-def _closed_reference(pool):
-    members = set(pool)
-    return all(contract_at(r, p) in members for r in pool for p in redex_positions(r))
-
-
 @pytest.mark.parametrize(
-    "pool, size, closed",
+    "pool, size",
     [
-        (lambda: enumerate_reducts(C.scott_seq(1), limit=300), 300, False),
-        (lambda: enumerate_reducts(parse("Y0 f", DEFS), size_limit=60), 47, False),
+        (lambda: enumerate_reducts(C.scott_seq(1), limit=300), 300),
+        (lambda: enumerate_reducts(parse("Y0 f", DEFS), size_limit=60), 47),
         # omega reduces to itself, and the whole term to \y.y
-        (lambda: enumerate_reducts(parse(r"(\x y. y) ((\x. x x) (\x. x x))")), 2, True),
-        # open only at the second redex of the first member: (\x. z) w is missing
-        (lambda: [parse(r"(\x. z) ((\y. y) w)"), Free("z")], 2, False),
+        (lambda: enumerate_reducts(parse(r"(\x y. y) ((\x. x x) (\x. x x))")), 2),
     ],
-    ids=["scott_seq(1)", "Y0 f, size_limit=60", "K* omega", "second redex"],
+    ids=["scott_seq(1)", "Y0 f, size_limit=60", "K* omega"],
 )
-def test_closed_matches_the_reference_check(pool, size, closed):
-    pool = pool()
-    assert len(pool) == size
-    assert _closed(pool) == _closed_reference(pool) == closed
+def test_enumerate_reducts_pool_size(pool, size):
+    assert len(pool()) == size
 
 
 # -- the product graph's peel -------------------------------------------------
@@ -577,7 +567,6 @@ def test_no_false_separation_on_convertible_corpus(defs):
         reduct_limit=100,
         size_limit=200,
         simple_check_limit=20,
-        global_check_limit=10,
     )
     handpicked = [
         (parse("Y0", defs), gross_knuth(gross_knuth(parse("Y0", defs)))),

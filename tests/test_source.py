@@ -1,5 +1,6 @@
-"""Source hygiene: every package module uses each name it imports, and
-every module-level private helper is read somewhere in the package."""
+"""Source hygiene: every package module uses each name it imports,
+every module-level private helper is read somewhere in the package, and
+``compare.py`` reads every ``DiscriminationConfig`` setting."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,34 @@ def test_no_unread_private_defs():
     package = Path(lamclock.__file__).parent
     sources = [p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))]
     assert _unread_private_defs(sources) == []
+
+
+def _unread_fields(source: str, cls: str) -> list[str]:
+    """Annotated fields of class ``cls`` that the module never reads as
+    an attribute (``x.field`` in a load context)."""
+    tree = ast.parse(source)
+    (node,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    fields = {
+        s.target.id
+        for s in node.body
+        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+    }
+    reads = {
+        n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted(fields - reads)
+
+
+def test_the_check_finds_unread_fields():
+    source = (
+        "class Config:\n    a: int = 1\n    b: int = 2\n    c: int = 3\n"
+        "def f(cfg):\n    cfg.b = 5\n    return cfg.a\n"
+    )
+    assert _unread_fields(source, "Config") == ["b", "c"]
+
+
+def test_every_discrimination_setting_is_read():
+    source = (Path(lamclock.__file__).parent / "compare.py").read_text(encoding="utf-8")
+    assert _unread_fields(source, "DiscriminationConfig") == []
