@@ -129,18 +129,12 @@ class _Side:
             order.append(n)
             path.append(n)
             children[id(n)] = []
-            r = getattr(n, "head_ref", None)
-            if r is None:
-                r = getattr(n, "ref", None)
+            r = n.head_ref
             if r is not None and r[0] == "b":
                 refid[id(n)] = ("x", id(path[depth - r[1]]), r[2])
             else:
                 refid[id(n)] = r
-            if n.kind == "hnf":
-                arity = len(n.binders)  # type: ignore[attr-defined]
-            else:
-                arity = 1 if n.kind == "lam" else 0
-            blocks[id(n)] = tuple(("x", id(n), i) for i in range(arity))
+            blocks[id(n)] = tuple(("x", id(n), i) for i in range(len(n.binders)))
 
         # Which identities from above can a node's whole (cyclic)
         # subtree still reference?  Fixpoint over the graph.

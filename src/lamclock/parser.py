@@ -76,9 +76,6 @@ class DefinitionTable:
     def __getitem__(self, name: str) -> Term:
         return self._defs[name]
 
-    def names(self) -> list[str]:
-        return list(self._defs)
-
     def define(self, name: str, term: Term | str) -> None:
         if not IDENT_RE.fullmatch(name):
             raise ParseError(f"bad definition name {name!r}", name, 0)
@@ -123,11 +120,6 @@ class DefinitionTable:
                 raise ParseError(str(e), text, pos) from None
             i = j + 1
         return table
-
-    @classmethod
-    def from_file(cls, path: str, base: "DefinitionTable | None" = None) -> "DefinitionTable":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read(), base)
 
 
 def _parse_tokens(

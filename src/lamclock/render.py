@@ -28,17 +28,13 @@ def _label(n: Node, atomic: bool) -> str:
     ann = clock_str(n, atomic)
     pre = ann + " " if ann else ""
     match n.kind:
-        case "hnf":
+        case "hnf" | "head" | "var":
             binders = "λ" + " ".join(n.binders) + ". " if n.binders else ""
             return f"{pre}{binders}{n.head}"
         case "lam":
-            return f"{pre}λ{n.binder}"
-        case "head":
-            return f"{pre}{n.head}"
+            return f"{pre}λ{n.binders[0]}"
         case "app":
             return f"{pre}@"
-        case "var":
-            return f"{pre}{n.name}"
         case "bottom":
             return "⊥"
         case "unknown":

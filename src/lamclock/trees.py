@@ -57,116 +57,64 @@ _TARGET = {"bt": "hnf", "llt": "whnf", "bet": "root_stable"}
 
 
 class Node:
+    """A tree node: its clock, the head steps that produced it.
+
+    ``count`` is ``len(steps)``; both are None for the markers (Bottom,
+    Unknown, BackEdge, SharedRef) and for a stripped layer.  The class
+    defaults give every marker a layer's read-only shape: no binders,
+    no head and no children.
+    """
+
     kind = "?"
+    binders: tuple[str, ...] = ()
+    head: str | None = None
+    head_ref: tuple | None = None
+    children: tuple["Node", ...] = ()
     __slots__ = ("count", "steps")
 
-    count: int | None
-    steps: tuple[Position, ...] | None
+    def __init__(self, steps: tuple[Position, ...] | None = None):
+        self.steps = steps
+        self.count = None if steps is None else len(steps)
 
     def clock(self, atomic: bool = False):
         if atomic:
             return None if self.steps is None else [pos_str(p) for p in self.steps]
         return self.count
 
-    @property
-    def children(self) -> tuple["Node", ...]:
-        return ()
 
+class Layer(Node):
+    """A resolved layer: binders, a head and subtrees, under its clock.
 
-class HnfNode(Node):
-    """``bt`` node: binder block, head variable, argument subtrees."""
+    ``kind`` is one of
 
-    kind = "hnf"
-    __slots__ = ("binders", "head", "head_ref", "_children")
+    * ``hnf``  (``bt``): the binder block, the head variable, one subtree
+      per argument;
+    * ``lam``  (``llt``, ``bet``): one binder, the body as the only child;
+    * ``head`` (``llt``): a variable-headed spine, no binders entered;
+    * ``var``  (``bet``): a bare variable, no children;
+    * ``app``  (``bet``): a root-stable application, children ``(fn, arg)``.
 
-    def __init__(self, count, steps, binders, head, head_ref, children):
-        self.count = count
-        self.steps = steps
+    ``head_ref`` says what the head names: ``("f", name)`` for a free
+    variable, ``("b", up, i)`` for binder ``i`` of the layer ``up``
+    levels above (0: this one).
+    """
+
+    __slots__ = ("kind", "binders", "head", "head_ref", "children")
+
+    def __init__(self, kind, steps, binders=(), head=None, head_ref=None, children=()):
+        super().__init__(steps)
+        self.kind = kind
         self.binders = binders
         self.head = head
         self.head_ref = head_ref
-        self._children = children
-
-    @property
-    def children(self):
-        return self._children
-
-
-class LamNode(Node):
-    """Single lambda layer (``llt`` and ``bet``)."""
-
-    kind = "lam"
-    __slots__ = ("binder", "body")
-
-    def __init__(self, count, steps, binder, body):
-        self.count = count
-        self.steps = steps
-        self.binder = binder
-        self.body = body
-
-    @property
-    def children(self):
-        return (self.body,)
-
-
-class HeadNode(Node):
-    """``llt`` node: a variable-headed spine, binders not entered."""
-
-    kind = "head"
-    __slots__ = ("head", "head_ref", "_children")
-
-    def __init__(self, count, steps, head, head_ref, children):
-        self.count = count
-        self.steps = steps
-        self.head = head
-        self.head_ref = head_ref
-        self._children = children
-
-    @property
-    def children(self):
-        return self._children
-
-
-class VarNode(Node):
-    """``bet`` leaf: a bare variable."""
-
-    kind = "var"
-    __slots__ = ("name", "ref")
-
-    def __init__(self, count, steps, name, ref):
-        self.count = count
-        self.steps = steps
-        self.name = name
-        self.ref = ref
-
-
-class AppNode(Node):
-    """``bet`` node: a root-stable application."""
-
-    kind = "app"
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, count, steps, fn, arg):
-        self.count = count
-        self.steps = steps
-        self.fn = fn
-        self.arg = arg
-
-    @property
-    def children(self):
-        return (self.fn, self.arg)
+        self.children = children
 
 
 class Bottom(Node):
     """Proven divergence: the target form is never reached."""
 
     kind = "bottom"
-    __slots__ = ("steps_seen",)
-
-    def __init__(self, steps_seen: int = 0):
-        self.count = None
-        self.steps = None
-        self.steps_seen = steps_seen
+    __slots__ = ()
 
 
 class Unknown(Node):
@@ -176,8 +124,7 @@ class Unknown(Node):
     __slots__ = ("reason",)
 
     def __init__(self, reason: str):
-        self.count = None
-        self.steps = None
+        super().__init__()
         self.reason = reason
 
 
@@ -188,8 +135,7 @@ class BackEdge(Node):
     __slots__ = ("delta",)
 
     def __init__(self, delta: int):
-        self.count = None
-        self.steps = None
+        super().__init__()
         self.delta = delta
 
 
@@ -205,8 +151,7 @@ class SharedRef(Node):
     __slots__ = ("target",)
 
     def __init__(self, target: Node):
-        self.count = None
-        self.steps = None
+        super().__init__()
         self.target = target
 
 
@@ -278,6 +223,7 @@ def _build(
     depth: int,
     fuel: int,
     cyclic: bool,
+    atomic: bool,
     hook=None,
 ) -> ClockTree:
     if semantics not in _SEMANTICS:
@@ -349,12 +295,12 @@ def _build(
             term, target, fuel, on_step=None if hook is None else partial(hook, path)
         )
         if out.status == PROVEN_DIVERGENT:
-            return Bottom(out.step_count), INF, True
+            return Bottom(), INF, True
         if out.status == FUEL_EXHAUSTED:
             return Unknown("fuel"), INF, False
         r = out.result
         assert r is not None
-        count, steps = out.step_count, tuple(out.steps)
+        steps = tuple(out.steps)
         escape = INF
         complete = True
 
@@ -363,7 +309,7 @@ def _build(
             body, escape, complete = build(
                 opened, level + 1, anc, env2, taken2, path + (0,)
             )
-            node = LamNode(count, steps, shown[0], body)
+            node = Layer("lam", steps, shown, children=(body,))
 
         elif semantics != "bet":  # a head normal form, or (llt) a variable-headed spine
             nb = 0
@@ -380,55 +326,47 @@ def _build(
                 kids.append(c)
                 escape = min(escape, esc)
                 complete = complete and cm
-            if semantics == "bt":
-                node = HnfNode(count, steps, shown, name, ref, tuple(kids))
-            else:
-                node = HeadNode(count, steps, name, ref, tuple(kids))
+            kind = "hnf" if semantics == "bt" else "head"
+            node = Layer(kind, steps, shown, name, ref, tuple(kids))
 
         elif type(r) is App:  # bet
             fn, e1, c1 = build(r.fn, level + 1, anc, env, taken, path + (0,))
             arg, e2, c2 = build(r.arg, level + 1, anc, env, taken, path + (1,))
             escape = min(e1, e2)
             complete = c1 and c2
-            node = AppNode(count, steps, fn, arg)
+            node = Layer("app", steps, children=(fn, arg))
 
         else:  # bet: a variable
             name, ref = head_info(r, env, level)
-            node = VarNode(count, steps, name, ref)
+            node = Layer("var", steps, (), name, ref)
 
         if cyclic and complete and level <= escape < INF:
             memo.setdefault(term, node)
         return node, escape, complete
 
     root, _, _ = build(t0, 0, (), {}, frozenset(t0.names), ())
-    return ClockTree(root, semantics, False, depth, fuel, cyclic)
+    return ClockTree(root, semantics, atomic, depth, fuel, cyclic)
 
 
 def clocked_bt(
     t: Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL, atomic: bool = False
 ) -> ClockTree:
     """Depth-limited clocked tree of head normal forms (no back edges)."""
-    tree = _build(t, "bt", depth, fuel, cyclic=False)
-    tree.atomic = atomic
-    return tree
+    return _build(t, "bt", depth, fuel, cyclic=False, atomic=atomic)
 
 
 def clocked_llt(
     t: Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL, atomic: bool = False
 ) -> ClockTree:
     """Depth-limited clocked tree of weak head normal forms."""
-    tree = _build(t, "llt", depth, fuel, cyclic=False)
-    tree.atomic = atomic
-    return tree
+    return _build(t, "llt", depth, fuel, cyclic=False, atomic=atomic)
 
 
 def clocked_bet(
     t: Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL, atomic: bool = False
 ) -> ClockTree:
     """Depth-limited clocked tree of root-stable layers."""
-    tree = _build(t, "bet", depth, fuel, cyclic=False)
-    tree.atomic = atomic
-    return tree
+    return _build(t, "bet", depth, fuel, cyclic=False, atomic=atomic)
 
 
 def compact_cyclic(
@@ -451,52 +389,33 @@ def compact_cyclic(
     ``hook``, when given, sees every head step of every node's reduction
     as ``hook(path, ...)`` with ``head_reduce``'s ``on_step`` arguments.
     """
-    tree = _build(t, semantics, depth, fuel, cyclic=True, hook=hook)
-    tree.atomic = atomic
-    return tree
+    return _build(t, semantics, depth, fuel, cyclic=True, atomic=atomic, hook=hook)
 
 
 def strip(tree: ClockTree) -> ClockTree:
-    """The same tree with every clock annotation removed."""
+    """The same tree with every clock annotation removed.
+
+    Post-order with an explicit stack, so a tree of any depth is fine.
+    Markers carry no clock and are kept; a shared reference is remapped
+    to the copy of its target, which post-order has already made (the
+    target was finished before the reference was built).
+    """
     done: dict[int, Node] = {}
-
-    def go(n: Node) -> Node:
-        match n.kind:
-            case "hnf":
-                assert isinstance(n, HnfNode)
-                out = HnfNode(None, None, n.binders, n.head, n.head_ref,
-                              tuple(go(c) for c in n.children))
-            case "lam":
-                assert isinstance(n, LamNode)
-                out = LamNode(None, None, n.binder, go(n.body))
-            case "head":
-                assert isinstance(n, HeadNode)
-                out = HeadNode(None, None, n.head, n.head_ref,
-                               tuple(go(c) for c in n.children))
-            case "var":
-                assert isinstance(n, VarNode)
-                out = VarNode(None, None, n.name, n.ref)
-            case "app":
-                assert isinstance(n, AppNode)
-                out = AppNode(None, None, go(n.fn), go(n.arg))
-            case "bottom":
-                out = Bottom()
-            case "unknown":
-                assert isinstance(n, Unknown)
-                out = Unknown(n.reason)
-            case "backedge":
-                assert isinstance(n, BackEdge)
-                out = BackEdge(n.delta)
-            case "shared":
-                assert isinstance(n, SharedRef)
-                # the defining site precedes every reference in preorder
-                out = SharedRef(done[id(n.target)])
-            case _:
-                raise TypeError(n.kind)
-        done[id(n)] = out
-        return out
-
-    return ClockTree(go(tree.root), tree.semantics, tree.atomic,
+    stack: list[tuple[Node, bool]] = [(tree.root, False)]
+    while stack:
+        n, ready = stack.pop()
+        if not ready and n.children:
+            stack.append((n, True))
+            stack.extend((c, False) for c in reversed(n.children))
+        elif isinstance(n, Layer):
+            done[id(n)] = Layer(n.kind, None, n.binders, n.head, n.head_ref,
+                                tuple(done[id(c)] for c in n.children))
+        elif n.kind == "shared":
+            assert isinstance(n, SharedRef)
+            done[id(n)] = SharedRef(done[id(n.target)])
+        else:
+            done[id(n)] = n
+    return ClockTree(done[id(tree.root)], tree.semantics, tree.atomic,
                      tree.depth, tree.fuel, tree.cyclic)
 
 
@@ -506,15 +425,12 @@ def strip(tree: ClockTree) -> ClockTree:
 
 def child_step(node: Node, i: int) -> Position:
     """Applicative position step from ``node`` down to child slot ``i``."""
-    m = len(node.children)
     match node.kind:
-        case "hnf":
-            assert isinstance(node, HnfNode)
+        case "hnf" | "head":
+            m = len(node.children)
             return (0,) * len(node.binders) + (1,) * (m - 1 - i) + (2,)
         case "lam":
             return (0,)
-        case "head":
-            return (1,) * (m - 1 - i) + (2,)
         case "app":
             return (1,) if i == 0 else (2,)
     raise TermError(f"{node.kind} node has no children")
@@ -592,23 +508,12 @@ def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
             continue
         if n.count is not None:
             d["clock"] = n.clock(atomic)
-        match n.kind:
-            case "hnf":
-                assert isinstance(n, HnfNode)
-                d["binders"] = list(n.binders)
-                d["head"] = n.head
-            case "head":
-                assert isinstance(n, HeadNode)
-                d["head"] = n.head
-            case "lam":
-                assert isinstance(n, LamNode)
-                d["binders"] = [n.binder]
-            case "var":
-                assert isinstance(n, VarNode)
-                d["head"] = n.name
-            case "unknown":
-                assert isinstance(n, Unknown)
-                d["reason"] = n.reason
+        if n.kind in ("hnf", "lam"):
+            d["binders"] = list(n.binders)
+        if n.head is not None:
+            d["head"] = n.head
+        if isinstance(n, Unknown):
+            d["reason"] = n.reason
         if n.children:
             d["children"] = []
         path.append(d)

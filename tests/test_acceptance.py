@@ -274,7 +274,7 @@ def test_criterion_09_erasers(defs):
         lp.closed
         and lp.root.kind == "lam"
         and lp.root.count == 1
-        and lp.root.binder == "y"
+        and lp.root.binders == ("y",)
         and lp.root.children[0].kind == "backedge"
         and lp.root.children[0].delta == 1
     ):

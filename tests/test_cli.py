@@ -120,6 +120,47 @@ def test_bt_json_two_loops(run):
     assert res.output == expected + "\n"
 
 
+def _tree_json(semantics, root, depth=12, closed=True):
+    loops = {"closed": closed, "fully_periodic": closed, "loops": []}
+    return {"atomic": False, "closed": closed, "depth": depth, "fuel": 10000,
+            "periodicity": loops, "root": root, "semantics": semantics}
+
+
+# One pin per layer kind, and each marker a child of one: ``lam`` and
+# ``head`` with and without children, ``app``, ``var``, ``bottom``, and
+# ``unknown`` with its reason (``hnf`` and ``backedge`` are pinned above).
+LAYER_KIND_JSON = [
+    (["llt", r"\x. x (\y. y x)"], _tree_json("llt", {
+        "binders": ["x"], "clock": 0, "id": "n0", "kind": "lam", "children": [
+            {"clock": 0, "head": "x", "id": "n1", "kind": "head", "children": [
+                {"binders": ["y"], "clock": 0, "id": "n2", "kind": "lam", "children": [
+                    {"clock": 0, "head": "y", "id": "n3", "kind": "head", "children": [
+                        {"clock": 0, "head": "x", "id": "n4", "kind": "head"},
+                    ]},
+                ]},
+            ]},
+        ]})),
+    (["bet", r"\x. x ((\y. y y)(\y. y y))"], _tree_json("bet", {
+        "binders": ["x"], "clock": 0, "id": "n0", "kind": "lam", "children": [
+            {"clock": 0, "id": "n1", "kind": "app", "children": [
+                {"clock": 0, "head": "x", "id": "n2", "kind": "var"},
+                {"id": "n3", "kind": "bottom"},
+            ]},
+        ]})),
+    (["bt", "Y0 f", "--depth", "1"], _tree_json("bt", {
+        "binders": [], "clock": 2, "head": "f", "id": "n0", "kind": "hnf", "children": [
+            {"id": "n1", "kind": "unknown", "reason": "depth"},
+        ]}, depth=1, closed=False)),
+]
+
+
+@pytest.mark.parametrize("args, payload", LAYER_KIND_JSON, ids=["llt", "bet", "bt"])
+def test_json_of_every_layer_kind(run, args, payload):
+    res = run(*args, "--json")
+    assert res.exit_code == 0
+    assert res.output == json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
 def test_bt_json_of_a_600_level_tree():
     # The standard encoder recurses about twice per tree level and fails
     # here.  A fresh interpreter keeps the default recursion limit, which

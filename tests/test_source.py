@@ -1,6 +1,7 @@
 """Source hygiene: every package module uses each name it imports,
-every module-level private helper is read somewhere in the package, and
-``compare.py`` reads every ``DiscriminationConfig`` setting."""
+every module-level private helper and every ``__slots__`` name is read
+somewhere in the package, and ``compare.py`` reads every
+``DiscriminationConfig`` setting."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,38 @@ def test_the_check_finds_unread_fields():
 def test_every_discrimination_setting_is_read():
     source = (Path(lamclock.__file__).parent / "compare.py").read_text(encoding="utf-8")
     assert _unread_fields(source, "DiscriminationConfig") == []
+
+
+def _unread_slots(sources: list[str]) -> list[str]:
+    """``Class.slot`` for every name in a class's ``__slots__`` that no
+    module reads as an attribute (``x.slot`` in a load context)."""
+    slots: list[str] = []
+    reads: set[str] = set()
+    for source in sources:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                reads.add(n.attr)
+            elif isinstance(n, ast.ClassDef):
+                for s in n.body:
+                    if (
+                        isinstance(s, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in s.targets)
+                    ):
+                        slots += [f"{n.name}.{name}" for name in ast.literal_eval(s.value)]
+    return sorted(s for s in slots if s.split(".", 1)[1] not in reads)
+
+
+def test_the_check_finds_unread_slots():
+    a = (
+        "class Box:\n    __slots__ = ('kept', 'dead')\n"
+        "    def __init__(self):\n        self.kept = self.dead = 0\n"
+        "class Empty:\n    __slots__ = ()\n"
+    )
+    b = "def f(box):\n    return box.kept\n"
+    assert _unread_slots([a, b]) == ["Box.dead"]
+
+
+def test_no_unread_slots():
+    package = Path(lamclock.__file__).parent
+    sources = [p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))]
+    assert _unread_slots(sources) == []

@@ -11,7 +11,7 @@ from lamclock.terms import App, Free, pos_str
 from lamclock.trees import (
     BackEdge,
     ClockTree,
-    HnfNode,
+    Layer,
     check_simple,
     child_step,
     clocked_bet,
@@ -228,6 +228,14 @@ def test_cyclic_third_enumerator_with_sharing(defs):
     assert shared[0].target.count == 1
 
 
+def test_strip_points_shared_refs_into_the_stripped_tree(defs):
+    bare = strip(compact_cyclic(parse("E3", defs)))
+    nodes = {id(n) for n, *_ in walk(bare)}
+    (ref,) = [n for n, *_ in walk(bare) if n.kind == "shared"]
+    assert id(ref.target) in nodes
+    assert ref.target.count is None
+
+
 def test_cyclic_two_loop_self_application():
     # M = \z.z M M, realized as a self-application
     m = parse(r"(\w z.z (w w) (w w)) (\w z.z (w w) (w w))")
@@ -296,7 +304,7 @@ def test_walks_over_a_deep_tree_do_not_recurse():
     # the interpreter's recursion limit, and built without any reduction
     node = BackEdge(1)
     for _ in range(3000):
-        node = HnfNode(1, ((2,),), (), "f", ("f", "f"), (node,))
+        node = Layer("hnf", ((2,),), (), "f", ("f", "f"), (node,))
     tree = ClockTree(node, "bt", False, 3001, 10, True)
     assert render_text(tree).count("\n") == 3001
     assert render_dot(tree).count(" -> ") == 3000
@@ -304,6 +312,9 @@ def test_walks_over_a_deep_tree_do_not_recurse():
     (loop,) = periodicity_report(tree)["loops"]
     assert (loop["delta"], loop["period"]) == (1, "2")
     assert holds_eventually(tree, tree, Relation.EQ).holds
+    bare = strip(tree)
+    assert bare.root.count is None
+    assert render_text(bare).count("\n") == 3001
 
 
 # ---------------------------------------------------------------------------
