@@ -212,10 +212,22 @@ def _drive(
     status with the final head and stack.  The bottom ``base`` arguments
     are not part of the term driven: ``root_stable`` probes its function
     side with ``base`` 1.  Positions are appended to ``steps`` unless it
-    is None, as it is for the probe, whose steps nobody reads."""
+    is None, as it is for the probe, whose steps nobody reads.
+
+    ``root_stable`` probes once per trajectory, not at every step.  A
+    probe that reaches an abstraction in k steps has made the k head
+    steps that the run makes next, so from each of those states a new
+    probe would reach the same abstraction in the steps left
+    (``ahead``), spending that much fuel.  It could not stop at a repeat
+    instead: its states are a suffix of the first probe's, which has no
+    two equal states, or, head reduction being deterministic, it would
+    have looped forever.  That holds past ``TRACE_CAP`` too.  So the run
+    charges ``ahead`` fuel instead of probing, or, when less is left,
+    spends it all and reports ``fuel_exhausted``, as the probe would."""
     hnf = target == "hnf"
     table = _Recurrences(hnf)
     recorded = 0
+    ahead = 0
     while True:
         if target == "root_stable":
             # abstractions and variables are stable as given; an
@@ -223,11 +235,19 @@ def _drive(
             # never becomes an abstraction.
             if not stack[2]:
                 return RESOLVED, head, stack
-            probe, fn_head, _ = _drive(hints, head, stack, "whnf", budget, 1, None, None)
-            if probe == FUEL_EXHAUSTED:
-                return FUEL_EXHAUSTED, head, stack
-            if probe == PROVEN_DIVERGENT or type(fn_head) is not Lam:
-                return RESOLVED, head, stack
+            if ahead:
+                if budget.left < ahead:
+                    budget.left = 0
+                    return FUEL_EXHAUSTED, head, stack
+                budget.left -= ahead
+            else:
+                left = budget.left
+                probe, fn_head, _ = _drive(hints, head, stack, "whnf", budget, 1, None, None)
+                if probe == FUEL_EXHAUSTED:
+                    return FUEL_EXHAUSTED, head, stack
+                if probe == PROVEN_DIVERGENT or type(fn_head) is not Lam:
+                    return RESOLVED, head, stack
+                ahead = left - budget.left
         if type(head) is not Lam or stack[2] <= base:
             return RESOLVED, head, stack
         if recorded < TRACE_CAP:
@@ -242,6 +262,8 @@ def _drive(
                 on_step(len(steps), pos, head, stack[0], len(hints) + head.size + stack[3],
                         partial(_term, hints, len(hints), head, stack))
             steps.append(pos)
+        if ahead:
+            ahead -= 1
         head, stack = _unwind(instantiate(head.body, stack[0]), stack[1], hints if hnf else None)
 
 
@@ -290,16 +312,22 @@ class RedexClass:
 
 
 def _count_index(t: Term, k: int) -> int:
-    if t.open_n <= k:
-        return 0
-    match t:
-        case Var(i):
-            return 1 if i == k else 0
-        case Lam(_, b):
-            return _count_index(b, k + 1)
-        case App(f, a):
-            return _count_index(f, k) + _count_index(a, k)
-    return 0
+    """Occurrences of index ``k`` in ``t``, with an explicit stack;
+    subterms that cannot reach binder ``k`` are skipped."""
+    n = 0
+    stack = [(t, k)]
+    while stack:
+        u, k = stack.pop()
+        if u.open_n <= k:
+            continue
+        if type(u) is Var:
+            n += u.index == k
+        elif type(u) is Lam:
+            stack.append((u.body, k + 1))
+        else:
+            stack.append((u.arg, k))
+            stack.append((u.fn, k))
+    return n
 
 
 def _redex_class(body: Term, arg: Term) -> RedexClass:

@@ -34,6 +34,7 @@ from .reduction import (
     DEFAULT_FUEL,
     FUEL_EXHAUSTED,
     PROVEN_DIVERGENT,
+    RESOLVED,
     RedexClass,
     _redex_class,
     head_reduce,
@@ -226,6 +227,20 @@ def _build(
     atomic: bool,
     hook=None,
 ) -> ClockTree:
+    """The tree of ``t0``; ``hook`` is ``compact_cyclic``'s.
+
+    Each generating term *object* is head-reduced once per build.  A
+    step substitutes one argument object at every occurrence, so
+    self-similar trees meet the same object again and again
+    (``plotkin_B(Y1)`` unfolds to ``f M M`` with one ``M`` at every
+    level, so its depth-12 tree takes 78 reductions for 4095 nodes).
+    Reusing the outcome is exact, since target and fuel are fixed for
+    the build and head reduction is deterministic.  Equal terms that are
+    different objects are reduced apart: ``==`` ignores binder hints,
+    and the displayed binder names come from the result's hints.  Only
+    what a node reads is kept: the status, and for a resolved term its
+    steps and result, so the step positions of a term that ran out of
+    fuel are freed as soon as it is reduced, however many there are."""
     if semantics not in _SEMANTICS:
         raise ValueError(f"unknown tree semantics {semantics!r}")
     if t0.open_n:
@@ -235,6 +250,9 @@ def _build(
     display: dict[str, str] = {}
     INF = float("inf")
     memo: dict[Term, Node] = {}
+    # (term, status, steps, result); keeping the term alive means that
+    # its id is never reused in the build
+    reduced: dict[int, tuple[Term, str, tuple[Position, ...], Term | None]] = {}
 
     def open_binders(t: Term, k: int, level: int, env, taken):
         """Open the first ``k`` binders of ``t`` with fresh internal names."""
@@ -291,16 +309,19 @@ def _build(
             anc = ancestors
         if level >= depth:
             return Unknown("depth"), INF, False
-        out = head_reduce(
-            term, target, fuel, on_step=None if hook is None else partial(hook, path)
-        )
-        if out.status == PROVEN_DIVERGENT:
+        known = reduced.get(id(term))
+        if known is None:
+            out = head_reduce(
+                term, target, fuel, on_step=None if hook is None else partial(hook, path)
+            )
+            kept = tuple(out.steps) if out.status == RESOLVED else ()
+            known = reduced[id(term)] = (term, out.status, kept, out.result)
+        _, status, steps, r = known
+        if status == PROVEN_DIVERGENT:
             return Bottom(), INF, True
-        if out.status == FUEL_EXHAUSTED:
+        if status == FUEL_EXHAUSTED:
             return Unknown("fuel"), INF, False
-        r = out.result
         assert r is not None
-        steps = tuple(out.steps)
         escape = INF
         complete = True
 
@@ -386,8 +407,11 @@ def compact_cyclic(
     so the tree stays a finite closed graph even when the repetition is
     between siblings rather than between ancestor and descendant.
 
-    ``hook``, when given, sees every head step of every node's reduction
-    as ``hook(path, ...)`` with ``head_reduce``'s ``on_step`` arguments.
+    ``hook``, when given, sees every head step of every reduction as
+    ``hook(path, ...)`` with ``head_reduce``'s ``on_step`` arguments.
+    Each term object is reduced once per build, so a node whose term is
+    the same object as an earlier node's shows no steps to the hook:
+    they are the steps it already saw.
     """
     return _build(t, semantics, depth, fuel, cyclic=True, atomic=atomic, hook=hook)
 

@@ -368,8 +368,8 @@ def _observed(t, target, fuel):
     return out.status, out.steps, _with_hints(out.result), built
 
 
-def _same_head_runs(t, fuel):
-    for target in ("hnf", "whnf", "root_stable"):
+def _same_head_runs(t, fuel, targets=("hnf", "whnf", "root_stable")):
+    for target in targets:
         status, steps, result, trace = _head_reduce_reference(t, target, fuel)
         want = status, steps, _with_hints(result), [_with_hints(u) for u in trace[:-1]]
         assert _observed(t, target, fuel) == want, target
@@ -397,6 +397,30 @@ _LOOP6 = r"\x.(\a.(\b.(\c.(\d.(\e. x x) I) I) I) I) I"
 def test_head_reduce_matches_the_reference_run_on_the_catalog(source, cap, monkeypatch):
     monkeypatch.setattr(reduction, "TRACE_CAP", cap)
     _same_head_runs(parse(source, DEFS), 300)
+
+
+# The function side of this term reaches an abstraction in two head
+# steps, and the root_stable run repeats a state inside such a probe's
+# trajectory: W W -> I (I W) W -> I W W, first met from (\z. I W) c W.
+_W = r"(\x. I (I x) x)"
+_REPEAT_IN_PROBE = rf"(\z. I {_W}) c {_W}"
+
+
+@pytest.mark.parametrize("cap", [reduction.TRACE_CAP, 5])
+@pytest.mark.parametrize(
+    "term",
+    [App(C.bohm_seq(40), Free("x")), App(C.bohm_seq(5), Free("x")), parse("Y0 x", DEFS),
+     parse(_REPEAT_IN_PROBE, DEFS)],
+    ids=["bohm_seq(40) x", "bohm_seq(5) x", "Y0 x", "repeat in probe"],
+)
+def test_root_stable_probe_reuse_matches_the_reference_run(term, cap, monkeypatch):
+    # The machine reuses a probe's trajectory; the reference probes at
+    # every step.  The fuels run out at every point of a reused
+    # trajectory: bohm_seq(5) x probes 9 steps, bohm_seq(40) x 79, both
+    # more than the cap of 5.
+    monkeypatch.setattr(reduction, "TRACE_CAP", cap)
+    for fuel in [*range(61), *range(61, 330, 7)]:
+        _same_head_runs(term, fuel, ("root_stable",))
 
 
 def _replace_at_reference(t, pos, new):

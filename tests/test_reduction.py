@@ -20,7 +20,7 @@ from lamclock.reduction import (
     redex_positions,
     reducing_fpc_order,
 )
-from lamclock.terms import App, Free, TermError, alpha_eq, app, iterate
+from lamclock.terms import App, Free, Lam, TermError, alpha_eq, app, iterate
 
 OMEGA = r"(\x.x x) (\x.x x)"
 
@@ -147,6 +147,21 @@ def test_classify_redex():
     # duplicating a redex-containing argument: not simple either way
     rc = classify_redex(parse(rf"(\z.f z z) ((\x.x) a)"), ())
     assert not rc.simple
+
+
+@pytest.mark.parametrize("bottom, linear", [("x", True), ("x x", False)])
+def test_classify_redex_of_a_deep_body_at_the_default_recursion_limit(bottom, linear):
+    # (\x. f (f (... bottom))) y, 5000 deep: counting the bound variable
+    # recursed once per level and raised RecursionError (K1)
+    body = iterate("right", Free("f"), parse(rf"\x. {bottom}").body, 5000)
+    t = App(Lam("x", body), Free("y"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        rc = classify_redex(t)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (rc.linear, rc.call_by_value) == (linear, True)
 
 
 def test_classify_redex_rejects_non_redex():

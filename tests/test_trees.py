@@ -1,13 +1,17 @@
 """Clocked trees: construction, annotations, cycles, sharing, simplicity."""
 
+import tracemalloc
+from functools import partial
+
 import pytest
 
-from lamclock import reduction
+import lamclock.combinators as C
+from lamclock import reduction, trees
 from lamclock.compare import Relation, holds_eventually
-from lamclock.parser import parse
-from lamclock.reduction import classify_redex, head_redex_position
+from lamclock.parser import parse, pretty
+from lamclock.reduction import HeadOutcome, classify_redex, head_redex_position
 from lamclock.render import render_dot, render_text
-from lamclock.terms import App, Free, pos_str
+from lamclock.terms import App, Free, Lam, Var, pos_str
 from lamclock.trees import (
     BackEdge,
     ClockTree,
@@ -315,6 +319,119 @@ def test_walks_over_a_deep_tree_do_not_recurse():
     bare = strip(tree)
     assert bare.root.count is None
     assert render_text(bare).count("\n") == 3001
+
+
+# ---------------------------------------------------------------------------
+# one head reduction per generating term object
+
+
+def _copy(t):
+    """A fresh structural copy of ``t``, binder hints kept."""
+    match t:
+        case Lam(h, b):
+            return Lam(h, _copy(b))
+        case App(f, a):
+            return App(_copy(f), _copy(a))
+        case Var(i):
+            return Var(i)
+    return Free(t.name)
+
+
+def _unshared_head_reduce(t, target, fuel, **kw):
+    # The result is copied too: a step substitutes one argument object at
+    # every occurrence, so the result's spine could share a subterm again.
+    out = reduction.head_reduce(_copy(t), target, fuel, **kw)
+    return HeadOutcome(out.status, out.steps, out.result and _copy(out.result))
+
+
+_BUILDS = [clocked_bt, clocked_llt, clocked_bet,
+           *(partial(compact_cyclic, semantics=s) for s in ("bt", "llt", "bet"))]
+
+
+@pytest.mark.parametrize(
+    "term",
+    [C.plotkin_B(C.Y1), App(C.bohm_seq(5), Free("x")), C.E1],
+    ids=["plotkin_B(Y1)", "bohm_seq(5) x", "E1"],
+)
+def test_reusing_head_reductions_changes_no_tree(term, monkeypatch):
+    built = [build(term, 8) for build in _BUILDS]
+    monkeypatch.setattr(trees, "head_reduce", _unshared_head_reduce)
+    for build, tree in zip(_BUILDS, built):
+        want = build(term, 8)
+        assert tree_to_dict(tree, True) == tree_to_dict(want, True)
+        assert render_text(tree) == render_text(want)
+
+
+def test_each_shared_subterm_is_reduced_once(monkeypatch):
+    # plotkin_B(Y1) unfolds to f M M with both M one object, at every
+    # level: reducing each copy made 2^12 - 1 = 4095 head_reduce calls
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args[0])
+        return reduction.head_reduce(*args, **kw)
+
+    monkeypatch.setattr(trees, "head_reduce", counting)
+    clocked_bt(C.plotkin_B(C.Y1), 12)
+    assert len(calls) <= 100
+
+
+def _report(t, depth):
+    r = check_simple(t, depth, 300)
+    w = r.witness
+    if w is not None:
+        w = w.path, w.step, w.position, w.redex_class, pretty(w.term)
+    return r.status, r.closed, w, tree_to_dict(r.tree, True), render_text(r.tree)
+
+
+def _check_simple_inputs():
+    dup = parse(r"\z. f z z")
+    for name in C.catalog_names():
+        t = C.catalog(name, 3) if name.endswith("-seq") else C.catalog(name)
+        yield name, App(t, Free("f"))
+        yield f"dup {name}", App(dup, App(t, Free("g")))
+
+
+@pytest.mark.parametrize("name,term", list(_check_simple_inputs()))
+@pytest.mark.parametrize("depth", [3, 8])
+def test_reusing_head_reductions_changes_no_simplicity_report(name, term, depth, monkeypatch):
+    # the hook sees a term object's steps once; a later node with the
+    # same object has the same steps, so the first non-simple step and
+    # everything else in the report stay as when every node is reduced
+    got = _report(term, depth)
+    monkeypatch.setattr(trees, "head_reduce", _unshared_head_reduce)
+    assert got == _report(term, depth)
+
+
+def test_check_simple_reduces_each_shared_subterm_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args[0])
+        return reduction.head_reduce(*args, **kw)
+
+    monkeypatch.setattr(trees, "head_reduce", counting)
+    check_simple(App(parse(r"\z. f z z"), App(C.catalog("theta"), Free("g"))), 8, 300)
+    assert len(calls) == len({id(t) for t in calls}) == 9  # 13 with a copy per node
+
+
+def _build_peak(source, fuel):
+    tracemalloc.start()
+    try:
+        clocked_bt(parse(source), 3, fuel)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unresolved_leaves_free_their_steps():
+    # A growing term's step positions are quadratic in the fuel.  The
+    # tree keeps none of them for a leaf that runs out, so four such
+    # leaves peak no higher than one.
+    leaf = r"((\x.x x x)(\x.x x x))"
+    one = _build_peak(f"f {leaf}", 1000)
+    four = _build_peak(f"f {leaf} {leaf} {leaf} {leaf}", 1000)
+    assert four < 1.5 * one
 
 
 # ---------------------------------------------------------------------------
