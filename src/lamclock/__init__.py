@@ -23,7 +23,6 @@ from .terms import (
     instantiate,
     iterate,
     lam,
-    parse_pos,
     pos_str,
     positions,
     subst_free,
@@ -73,7 +72,6 @@ __all__ = [
     "lam",
     "normalize",
     "parse",
-    "parse_pos",
     "pos_str",
     "positions",
     "pretty",

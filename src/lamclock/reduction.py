@@ -456,8 +456,8 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeOutcome:
     seen: set[Term] = set()
     n = 0
     while True:
-        redexes = redex_positions(t)
-        if not redexes:
+        reduct = next(one_step_reducts(t), None)
+        if reduct is None:
             return NormalizeOutcome(RESOLVED, n, t)
         if len(seen) < TRACE_CAP:
             if t in seen:
@@ -465,7 +465,7 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeOutcome:
             seen.add(t)
         if n >= fuel:
             return NormalizeOutcome(FUEL_EXHAUSTED, n, None)
-        t = contract_at(t, redexes[0])
+        t = reduct
         n += 1
 
 

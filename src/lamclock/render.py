@@ -42,10 +42,8 @@ def _label(n: Node, atomic: bool) -> str:
     return f"{pre}{n.kind}"
 
 
-def render_text(tree: ClockTree, atomic: bool | None = None) -> str:
+def render_text(tree: ClockTree) -> str:
     """Indented outline of the tree, deterministic for equal inputs."""
-    if atomic is None:
-        atomic = tree.atomic
     lines: list[str] = []
     for n, pos, depth, _, tpos in walk(tree):
         pad = "  " * depth
@@ -57,15 +55,13 @@ def render_text(tree: ClockTree, atomic: bool | None = None) -> str:
         elif n.kind == "shared":
             lines.append(f"{pad}→ shared subtree at {pos_str(tpos)}")
         else:
-            lines.append(pad + _label(n, atomic))
+            lines.append(pad + _label(n, tree.atomic))
     return "\n".join(lines) + "\n"
 
 
-def render_dot(tree: ClockTree, atomic: bool | None = None) -> str:
+def render_dot(tree: ClockTree) -> str:
     """DOT digraph; dashed arrows are loop pointers labeled with their
     (phase, period) decomposition, dotted arrows reuse shared subtrees."""
-    if atomic is None:
-        atomic = tree.atomic
     ids: dict[int, str] = {}
     nodes: list[str] = []
     edges: list[str] = []
@@ -92,7 +88,7 @@ def render_dot(tree: ClockTree, atomic: bool | None = None) -> str:
         else:
             nid = f"n{len(ids)}"
             ids[id(n)] = nid
-            nodes.append(f"  {nid} [label={quote(_label(n, atomic))}];")
+            nodes.append(f"  {nid} [label={quote(_label(n, tree.atomic))}];")
             if path:
                 pending.append((depth, f"  {path[-1]} -> {nid};"))
             path.append(nid)

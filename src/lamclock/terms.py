@@ -328,11 +328,3 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
 def pos_str(p: Position) -> str:
     """Render a position; the empty position prints as ``e``."""
     return "".join(map(str, p)) if p else "e"
-
-
-def parse_pos(s: str) -> Position:
-    if s in ("e", ""):
-        return ()
-    if not all(c in "012" for c in s):
-        raise PositionError(f"bad position string {s!r}")
-    return tuple(int(c) for c in s)

@@ -63,7 +63,8 @@ class Node:
     ``count`` is ``len(steps)``; both are None for the markers (Bottom,
     Unknown, BackEdge, SharedRef) and for a stripped layer.  The class
     defaults give every marker a layer's read-only shape: no binders,
-    no head and no children.
+    no head and no children; ``target`` is set only on the two
+    references, to the node they stand for.
     """
 
     kind = "?"
@@ -71,6 +72,7 @@ class Node:
     head: str | None = None
     head_ref: tuple | None = None
     children: tuple["Node", ...] = ()
+    target: "Node | None" = None
     __slots__ = ("count", "steps")
 
     def __init__(self, steps: tuple[Position, ...] | None = None):
@@ -130,13 +132,15 @@ class Unknown(Node):
 
 
 class BackEdge(Node):
-    """Pointer ``delta`` node levels up to an equal-unfolding ancestor."""
+    """Pointer to ``target``, the equal-unfolding ancestor ``delta``
+    node levels up."""
 
     kind = "backedge"
-    __slots__ = ("delta",)
+    __slots__ = ("target", "delta")
 
-    def __init__(self, delta: int):
+    def __init__(self, target: Node, delta: int):
         super().__init__()
+        self.target = target
         self.delta = delta
 
 
@@ -165,7 +169,6 @@ class ClockTree:
     atomic: bool
     depth: int
     fuel: int
-    cyclic: bool
 
     @property
     def closed(self) -> bool:
@@ -186,29 +189,21 @@ def walk(
     back edge and shared reference; ``pos`` is the applicative position
     and ``depth`` the number of tree edges from the root.  ``target`` and
     ``target_pos`` are set only for back edges and shared references: the
-    real node stood for and where it sits (``None`` and ``()`` for a back
-    edge pointing above the root).  References are not entered, and a
-    node's ancestors are the nodes last yielded at each smaller depth.
+    node stood for and where it sits.  References are not entered, and
+    both kinds resolve the same way: a back edge's target is an ancestor
+    and a shared ref's was finished before the ref was built, so either
+    is yielded before the reference.
     """
-    ancestors: list[tuple[Node, Position]] = []
     defined: dict[int, Position] = {}
     stack: list[tuple[Node, Position, int]] = [(tree.root, (), 0)]
     while stack:
         n, pos, depth = stack.pop()
-        del ancestors[depth:]
-        if n.kind == "backedge":
-            assert isinstance(n, BackEdge)
-            i = depth - n.delta
-            target, tpos = ancestors[i] if i >= 0 else (None, ())
-            yield n, pos, depth, target, tpos
-        elif n.kind == "shared":
-            assert isinstance(n, SharedRef)
-            # the defining site precedes every reference in preorder
-            yield n, pos, depth, n.target, defined.get(id(n.target), ())
+        target = n.target
+        if target is not None:
+            yield n, pos, depth, target, defined[id(target)]
         else:
-            defined.setdefault(id(n), pos)
+            defined[id(n)] = pos
             yield n, pos, depth, None, None
-            ancestors.append((n, pos))
             kids = n.children
             for i in range(len(kids) - 1, -1, -1):
                 stack.append((kids[i], pos + child_step(n, i), depth + 1))
@@ -229,6 +224,10 @@ def _build(
 ) -> ClockTree:
     """The tree of ``t0``; ``hook`` is ``compact_cyclic``'s.
 
+    Each node is made right after its head reduction, and one loop then
+    builds its children whatever the semantics, so a back edge can hold
+    the ancestor node it returns to, as a shared ref holds its target.
+
     Each generating term *object* is head-reduced once per build.  A
     step substitutes one argument object at every occurrence, so
     self-similar trees meet the same object again and again
@@ -247,16 +246,17 @@ def _build(
         raise TermError("tree construction needs a term with no unbound indices")
     target = _TARGET[semantics]
     counter = itertools.count()
-    display: dict[str, str] = {}
+    # internal binder name -> (display name, level, index in its block);
+    # internal names are unique within the build
+    opened: dict[str, tuple[str, int, int]] = {}
     INF = float("inf")
     memo: dict[Term, Node] = {}
     # (term, status, steps, result); keeping the term alive means that
     # its id is never reused in the build
     reduced: dict[int, tuple[Term, str, tuple[Position, ...], Term | None]] = {}
 
-    def open_binders(t: Term, k: int, level: int, env, taken):
+    def open_binders(t: Term, k: int, level: int, taken):
         """Open the first ``k`` binders of ``t`` with fresh internal names."""
-        names: list[str] = []
         shown: list[str] = []
         taken = set(taken)
         for i in range(k):
@@ -264,25 +264,22 @@ def _build(
             internal = f"%{next(counter)}"
             disp = _pick_name(t.hint, taken)
             taken.add(disp)
-            display[internal] = disp
-            names.append(internal)
+            opened[internal] = (disp, level, i)
             shown.append(disp)
             t = instantiate(t.body, Free(internal))
-        env = dict(env)
-        for i, nm in enumerate(names):
-            env[nm] = (level, i)
-        return t, tuple(shown), env, frozenset(taken)
+        return t, tuple(shown), frozenset(taken)
 
-    def head_info(h: Term, env, level):
+    def head_info(h: Term, level):
         if type(h) is not Free:
             raise TermError(f"unexpected head {h!r}")
-        at = env.get(h.name)
+        at = opened.get(h.name)
         if at is None:
             return h.name, ("f", h.name)
-        return display[h.name], ("b", level - at[0], at[1])
+        disp, alvl, i = at
+        return disp, ("b", level - alvl, i)
 
-    def build(term: Term, level: int, ancestors, env, taken, path):
-        """Build one node.
+    def build(term: Term, level: int, ancestors, taken, path):
+        """Build one node, then its children.
 
         Returns ``(node, escape, complete)``: ``escape`` is the lowest
         ancestor level targeted by any back edge inside the subtree
@@ -296,17 +293,16 @@ def _build(
         one up to renaming of binders, with every free variable naming
         the same binder on the path (opened binders carry unique
         internal names, so plain term equality checks exactly that).
+        The node exists before its children are built, so a back edge
+        holds the ancestor ``(term, level, node)`` it repeats.
         """
         if cyclic:
-            for aterm, alvl in reversed(ancestors):
-                if level - alvl >= 1 and aterm == term:
-                    return BackEdge(level - alvl), alvl, True
+            for aterm, alvl, anode in reversed(ancestors):
+                if aterm == term:
+                    return BackEdge(anode, level - alvl), alvl, True
             hit = memo.get(term)
             if hit is not None:
                 return SharedRef(hit), INF, True
-            anc = ancestors + ((term, level),)
-        else:
-            anc = ancestors
         if level >= depth:
             return Unknown("depth"), INF, False
         known = reduced.get(id(term))
@@ -322,51 +318,47 @@ def _build(
         if status == FUEL_EXHAUSTED:
             return Unknown("fuel"), INF, False
         assert r is not None
-        escape = INF
-        complete = True
 
+        kids: list[Term]  # the children's generating terms, in slot order
         if type(r) is Lam and semantics != "bt":  # llt and bet: one lambda layer
-            opened, shown, env2, taken2 = open_binders(r, 1, level, env, taken)
-            body, escape, complete = build(
-                opened, level + 1, anc, env2, taken2, path + (0,)
-            )
-            node = Layer("lam", steps, shown, children=(body,))
-
+            body, shown, taken = open_binders(r, 1, level, taken)
+            node = Layer("lam", steps, shown)
+            kids = [body]
         elif semantics != "bet":  # a head normal form, or (llt) a variable-headed spine
             nb = 0
             u = r
             while type(u) is Lam:
                 u = u.body
                 nb += 1
-            opened, shown, env2, taken2 = open_binders(r, nb, level, env, taken)
-            head, args = spine(opened)
-            name, ref = head_info(head, env2, level)
-            kids = []
-            for i, a in enumerate(args):
-                c, esc, cm = build(a, level + 1, anc, env2, taken2, path + (i,))
-                kids.append(c)
-                escape = min(escape, esc)
-                complete = complete and cm
-            kind = "hnf" if semantics == "bt" else "head"
-            node = Layer(kind, steps, shown, name, ref, tuple(kids))
-
+            u, shown, taken = open_binders(r, nb, level, taken)
+            head, kids = spine(u)
+            name, ref = head_info(head, level)
+            node = Layer("hnf" if semantics == "bt" else "head", steps, shown, name, ref)
         elif type(r) is App:  # bet
-            fn, e1, c1 = build(r.fn, level + 1, anc, env, taken, path + (0,))
-            arg, e2, c2 = build(r.arg, level + 1, anc, env, taken, path + (1,))
-            escape = min(e1, e2)
-            complete = c1 and c2
-            node = Layer("app", steps, children=(fn, arg))
-
+            node = Layer("app", steps)
+            kids = [r.fn, r.arg]
         else:  # bet: a variable
-            name, ref = head_info(r, env, level)
+            name, ref = head_info(r, level)
             node = Layer("var", steps, (), name, ref)
+            kids = []
 
+        if cyclic:
+            ancestors = ancestors + ((term, level, node),)
+        escape = INF
+        complete = True
+        children = []
+        for i, a in enumerate(kids):
+            c, esc, cm = build(a, level + 1, ancestors, taken, path + (i,))
+            children.append(c)
+            escape = min(escape, esc)
+            complete = complete and cm
+        node.children = tuple(children)
         if cyclic and complete and level <= escape < INF:
             memo.setdefault(term, node)
         return node, escape, complete
 
-    root, _, _ = build(t0, 0, (), {}, frozenset(t0.names), ())
-    return ClockTree(root, semantics, atomic, depth, fuel, cyclic)
+    root, _, _ = build(t0, 0, (), frozenset(t0.names), ())
+    return ClockTree(root, semantics, atomic, depth, fuel)
 
 
 def clocked_bt(
@@ -419,28 +411,30 @@ def compact_cyclic(
 def strip(tree: ClockTree) -> ClockTree:
     """The same tree with every clock annotation removed.
 
-    Post-order with an explicit stack, so a tree of any depth is fine.
-    Markers carry no clock and are kept; a shared reference is remapped
-    to the copy of its target, which post-order has already made (the
-    target was finished before the reference was built).
+    One preorder pass over ``walk``, so a tree of any depth is fine.
+    Bottom and Unknown carry no clock and are kept; a back edge or
+    shared reference is remapped to the copy of its target, which
+    preorder has already made.
     """
-    done: dict[int, Node] = {}
-    stack: list[tuple[Node, bool]] = [(tree.root, False)]
-    while stack:
-        n, ready = stack.pop()
-        if not ready and n.children:
-            stack.append((n, True))
-            stack.extend((c, False) for c in reversed(n.children))
+    copies: dict[int, Node] = {}
+    path: list = []  # the copies of the current node's ancestors
+    for n, _, depth, target, _ in walk(tree):
+        if isinstance(n, BackEdge):
+            c: Node = BackEdge(copies[id(target)], n.delta)
+        elif target is not None:
+            c = SharedRef(copies[id(target)])
         elif isinstance(n, Layer):
-            done[id(n)] = Layer(n.kind, None, n.binders, n.head, n.head_ref,
-                                tuple(done[id(c)] for c in n.children))
-        elif n.kind == "shared":
-            assert isinstance(n, SharedRef)
-            done[id(n)] = SharedRef(done[id(n.target)])
+            # children gathered in a list, made a tuple once below
+            c = copies[id(n)] = Layer(n.kind, None, n.binders, n.head, n.head_ref, [])
         else:
-            done[id(n)] = n
-    return ClockTree(done[id(tree.root)], tree.semantics, tree.atomic,
-                     tree.depth, tree.fuel, tree.cyclic)
+            c = n
+        del path[depth:]
+        if path:
+            path[-1].children.append(c)
+        path.append(c)
+    for c in copies.values():
+        c.children = tuple(c.children)
+    return ClockTree(path[0], tree.semantics, tree.atomic, tree.depth, tree.fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -463,25 +457,16 @@ def child_step(node: Node, i: int) -> Position:
 def node_at(tree: ClockTree, pos: Position) -> Node | None:
     """Node of the *unfolded* tree at applicative position ``pos``.
 
-    Back edges are followed, so positions arbitrarily deep resolve on a
-    closed tree.  Returns None when the position does not exist (or runs
-    into Bottom/Unknown before being consumed).
+    Back edges and shared refs are followed to their targets, so
+    positions arbitrarily deep resolve on a closed tree.  Returns None
+    when the position does not exist (or runs into Bottom/Unknown before
+    being consumed).
     """
-    stack: list[Node] = [tree.root]
+    n = tree.root
     pos = tuple(pos)
     while True:
-        n = stack[-1]
-        if n.kind == "backedge":
-            assert isinstance(n, BackEdge)
-            target_idx = len(stack) - 1 - n.delta
-            if target_idx < 0:
-                return None
-            del stack[target_idx + 1 :]
-            continue
-        if n.kind == "shared":
-            assert isinstance(n, SharedRef)
-            stack[-1] = n.target
-            continue
+        if n.target is not None:  # a back edge or a shared ref
+            n = n.target
         if not pos:
             return n
         hit = None
@@ -494,7 +479,7 @@ def node_at(tree: ClockTree, pos: Position) -> Node | None:
             return None
         i, k = hit
         pos = pos[k:]
-        stack.append(n.children[i])
+        n = n.children[i]
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +504,14 @@ def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
             root = d
         if n.kind == "backedge":
             d["backedge"] = {
-                "target": ids.get(id(target), "?"),
+                "target": ids[id(target)],
                 "phase": pos_str(tpos),
                 "period": pos_str(pos[len(tpos) :]),
             }
             continue
         if n.kind == "shared":
             d["shared"] = {
-                "target": ids.get(id(target), "?"),
+                "target": ids[id(target)],
                 "defined_at": pos_str(tpos),
             }
             continue

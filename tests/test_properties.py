@@ -1,8 +1,9 @@
 """Randomized law checks: clock acceleration, annotation drift bounds,
-subsequence-order laws, printer/parser round trips, the head step and
-``replace_at`` against their lookup and recursive references, the
-product graph's peel against brute force, balance preservation, and
-soundness of the discrimination verdict on convertible pairs."""
+subsequence-order laws, printer/parser round trips, the head step,
+``normalize`` and ``replace_at`` against their lookup and recursive
+references, the product graph's peel against brute force, balance
+preservation, and soundness of the discrimination verdict on
+convertible pairs."""
 
 import random
 
@@ -24,11 +25,13 @@ from lamclock.reduction import (
     FUEL_EXHAUSTED,
     PROVEN_DIVERGENT,
     RESOLVED,
+    NormalizeOutcome,
     _canonical_core_key,
     contract_at,
     gross_knuth,
     head_reduce,
     is_redex,
+    normalize,
     one_step_reducts,
     redex_positions,
 )
@@ -275,6 +278,35 @@ def test_one_step_reducts_match_contraction_at_each_redex(t):
     # ``==`` ignores binder hints; printing shows them
     assert got == want
     assert [pretty(r) for r in got] == [pretty(r) for r in want]
+
+
+def _normalize_reference(t, fuel):
+    """``normalize`` as it was written first: look up every redex
+    position, then contract the leftmost-outermost one from the root."""
+    seen = set()
+    n = 0
+    while True:
+        redexes = redex_positions(t)
+        if not redexes:
+            return NormalizeOutcome(RESOLVED, n, t)
+        if len(seen) < reduction.TRACE_CAP:
+            if t in seen:
+                return NormalizeOutcome(PROVEN_DIVERGENT, n, None)
+            seen.add(t)
+        if n >= fuel:
+            return NormalizeOutcome(FUEL_EXHAUSTED, n, None)
+        t = contract_at(t, redexes[0])
+        n += 1
+
+
+@settings(**SETTINGS)
+@given(t=random_terms, fuel=st.integers(0, 50))
+def test_normalize_matches_the_reference_loop(t, fuel):
+    got = normalize(t, fuel)
+    want = _normalize_reference(t, fuel)
+    assert (got.status, got.steps, got.result) == (want.status, want.steps, want.result)
+    if got.result is not None:
+        assert pretty(got.result) == pretty(want.result)
 
 
 # -- the machine's head steps against contraction at a looked-up position --

@@ -1,6 +1,7 @@
 """Source hygiene: every package module uses each name it imports,
 every module-level private helper and every ``__slots__`` name is read
-somewhere in the package, and ``compare.py`` reads every
+somewhere in the package, every public one somewhere in the package,
+the tests or the benchmark, and ``compare.py`` reads every
 ``DiscriminationConfig`` setting."""
 
 import ast
@@ -83,6 +84,71 @@ def test_no_unread_private_defs():
     package = Path(lamclock.__file__).parent
     sources = [p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))]
     assert _unread_private_defs(sources) == []
+
+
+def _unread_public_defs(sources: list[str], readers: list[str]) -> list[str]:
+    """Undecorated public top-level functions and classes of the package
+    ``sources`` that no other of their top-level statements reads, as a
+    name or an attribute, and that no ``readers`` file reads, as a name,
+    an attribute or a string equal to it (the benchmark's tracer looks
+    functions up by name).  An ``__init__`` re-export is not a read, so
+    its source is not among ``sources``."""
+    defs: list[ast.stmt] = []
+    reads: list[tuple[ast.stmt, set[str]]] = []
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            names = set()
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    names.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    names.add(n.attr)
+            reads.append((stmt, names))
+            if (
+                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_")
+                and not stmt.decorator_list
+            ):
+                defs.append(stmt)
+    outside: set[str] = set()
+    for source in readers:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                outside.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                outside.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                outside.add(n.value)
+    return sorted(
+        stmt.name
+        for stmt in defs
+        if stmt.name not in outside
+        and not any(stmt.name in names for other, names in reads if other is not stmt)
+    )
+
+
+def test_the_check_finds_unread_public_defs():
+    a = (
+        "def dead(n):\n    return dead(n - 1)\n"
+        "def used():\n    pass\n"
+        "class Gone:\n    pass\n"
+        "@command\ndef cli():\n    pass\n"
+        "def tested():\n    pass\n"
+        "def traced():\n    pass\n"
+        "def _private():\n    return used()\n"
+    )
+    tests = "from pkg.a import tested\n\ndef test_it():\n    tested()\n"
+    bench = "LAYERS = [('a', 'traced')]\n"
+    assert _unread_public_defs([a], [tests, bench]) == ["Gone", "dead"]
+
+
+def test_no_unread_public_defs():
+    tests = Path(__file__).parent
+    readers = sorted(tests.glob("*.py")) + sorted((tests.parent / "perfbench").glob("*.py"))
+    assert _unread_public_defs(
+        [p.read_text(encoding="utf-8") for p in MODULES],
+        [p.read_text(encoding="utf-8") for p in readers],
+    ) == []
 
 
 def _unread_fields(source: str, cls: str) -> list[str]:

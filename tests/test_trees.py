@@ -1,5 +1,6 @@
 """Clocked trees: construction, annotations, cycles, sharing, simplicity."""
 
+import itertools
 import tracemalloc
 from functools import partial
 
@@ -240,6 +241,20 @@ def test_strip_points_shared_refs_into_the_stripped_tree(defs):
     assert ref.target.count is None
 
 
+@pytest.mark.parametrize("text", ["Y0 f", "E1"])
+def test_strip_points_back_edges_into_the_stripped_tree(defs, text):
+    tree = compact_cyclic(parse(text, defs))
+    bare = strip(tree)
+    nodes = {id(n) for n, *_ in walk(bare)}
+    edges = [n for n, *_ in walk(bare) if n.kind == "backedge"]
+    assert edges
+    for edge in edges:
+        assert id(edge.target) in nodes
+        assert edge.target.count is None
+    # each copy returns to the position its original returns to
+    assert [tpos for *_, tpos in walk(bare)] == [tpos for *_, tpos in walk(tree)]
+
+
 def test_cyclic_two_loop_self_application():
     # M = \z.z M M, realized as a self-application
     m = parse(r"(\w z.z (w w) (w w)) (\w z.z (w w) (w w))")
@@ -263,10 +278,16 @@ def test_acyclic_tree_has_no_loops(defs):
 
 
 def test_cyclic_matches_unfolded_approximations(defs):
-    for text in ("Y0 f", "Y1 f", "E1", "E3"):
-        t = parse(text, defs)
-        plain = clocked_bt(t, 5)
-        cyclic = compact_cyclic(t, 12)
+    terms = [parse(text, defs) for text in ("Y0 f", "Y1 f", "E1", "E3")]
+    terms += [
+        C.plotkin_B(C.Y1),
+        App(C.bohm_seq(3), Free("x")),
+        parse(r"(\x y. x x) (\x y. x x)"),
+    ]
+    builders = {"bt": clocked_bt, "llt": clocked_llt, "bet": clocked_bet}
+    for (semantics, build), t in itertools.product(builders.items(), terms):
+        plain = build(t, 5)
+        cyclic = compact_cyclic(t, 12, semantics=semantics)
 
         def shape(n, depth):
             if depth == 0 or n.kind == "unknown":
@@ -286,7 +307,7 @@ def test_cyclic_matches_unfolded_approximations(defs):
 
             return go((), depth)
 
-        assert shape(plain.root, 4) == unfold(cyclic, 4)
+        assert shape(plain.root, 4) == unfold(cyclic, 4), (semantics, pretty(t))
 
 
 def test_tree_to_dict_schema(defs):
@@ -306,10 +327,11 @@ def test_tree_to_dict_atomic_clock_strings(defs):
 def test_walks_over_a_deep_tree_do_not_recurse():
     # 3000 hnf layers closed by a loop to the last one: far deeper than
     # the interpreter's recursion limit, and built without any reduction
-    node = BackEdge(1)
-    for _ in range(3000):
+    node = Layer("hnf", ((2,),), (), "f", ("f", "f"))
+    node.children = (BackEdge(node, 1),)
+    for _ in range(2999):
         node = Layer("hnf", ((2,),), (), "f", ("f", "f"), (node,))
-    tree = ClockTree(node, "bt", False, 3001, 10, True)
+    tree = ClockTree(node, "bt", False, 3001, 10)
     assert render_text(tree).count("\n") == 3001
     assert render_dot(tree).count(" -> ") == 3000
     assert tree_to_dict(tree)["closed"] is True
