@@ -8,8 +8,10 @@ constructions; ``check-simple`` classifies a term's head steps;
 
 Exit codes: 0 on success (including an Inconvertible verdict), 1 when
 ``compare`` ends Inconclusive, 2 on usage errors, 3 when fuel or depth
-ran out before the requested output could be produced (or a ``repro``
-diff is nonzero).
+ran out before the requested output could be produced, when a term is
+nested too deeply for the interpreter's recursion limit (parsing and
+tree building still recurse once per nesting level), or when a
+``repro`` diff is nonzero.
 """
 
 from __future__ import annotations
@@ -123,7 +125,18 @@ def _tree_options(f):
     return f
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends any command on a too deeply nested term with exit code 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except RecursionError:
+            _fail("term nested too deeply for the interpreter's recursion limit",
+                  _EXIT_EXHAUSTED)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Clocked-tree calculator for lambda terms."""
 

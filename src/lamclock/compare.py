@@ -8,6 +8,11 @@ exactly: annotations repeat along cycles, so a violation matters iff it
 is reachable from a cycle, and otherwise the minimal level is one more
 than the deepest violation along the acyclic part.
 
+Both forms unfold the two built graphs in lockstep.  Binders are told
+apart by the build's internal names, which each layer keeps in
+``block`` and a bound head names in ``head_ref``: two heads match when
+they name the same free variable or binders opened at paired layers.
+
 ``discriminate`` turns these checks into verdicts.  It never claims
 convertibility; an ``inconvertible`` verdict always rests on one of
 three bases:
@@ -99,65 +104,27 @@ def subseq_le(q, p) -> bool:
 # product-graph machinery
 
 
-class _Side:
-    """One tree preprocessed for paired unfolding.
-
-    Back edges and shared references are resolved to their target
-    nodes, every node's head (or variable) reference is turned into a
-    *binder identity* — the node that opened the binder plus the index
-    within its block — and each node gets the set of binder identities
-    its subtree can still mention from above.  Identities are stable
-    across repeated occurrences of a node precisely because repetition
-    is literal: a back edge or shared reference reuses the generating
-    term verbatim, free variables and all.
-    """
-
-    __slots__ = ("children", "refid", "blocks", "relevant")
-
-    def __init__(self, tree: ClockTree):
-        children: dict[int, list[Node]] = {}
-        refid: dict[int, tuple | None] = {}
-        blocks: dict[int, tuple] = {}
-        order: list[Node] = []
-        path: list[Node] = []  # the current node's ancestors
-        for n, _, depth, target, _ in walk(tree):
-            del path[depth:]
-            if path:
-                children[id(path[-1])].append(n if target is None else target)
-            if target is not None:
-                continue
-            order.append(n)
-            path.append(n)
-            children[id(n)] = []
+def _relevant(tree: ClockTree) -> dict[int, frozenset[str]]:
+    """For each node of ``tree`` (by ``id``), the binders opened above it
+    that its cyclic subtree can still name: its bound head and its
+    children's (a reference's being its target's), less its own block.
+    A least fixpoint over ``walk``."""
+    nodes = [n for n, _, _, target, _ in walk(tree) if target is None]
+    relevant: dict[int, frozenset[str]] = {id(n): frozenset() for n in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for n in reversed(nodes):
             r = n.head_ref
-            if r is not None and r[0] == "b":
-                refid[id(n)] = ("x", id(path[depth - r[1]]), r[2])
-            else:
-                refid[id(n)] = r
-            blocks[id(n)] = tuple(("x", id(n), i) for i in range(len(n.binders)))
-
-        # Which identities from above can a node's whole (cyclic)
-        # subtree still reference?  Fixpoint over the graph.
-        relevant: dict[int, frozenset] = {id(n): frozenset() for n in order}
-        changed = True
-        while changed:
-            changed = False
-            for n in reversed(order):
-                s: set = set()
-                r = refid[id(n)]
-                if r is not None and r[0] == "x":
-                    s.add(r)
-                for c in children[id(n)]:
-                    s.update(relevant[id(c)])
-                s.difference_update(blocks[id(n)])
-                fs = frozenset(s)
-                if fs != relevant[id(n)]:
-                    relevant[id(n)] = fs
-                    changed = True
-        self.children = children
-        self.refid = refid
-        self.blocks = blocks
-        self.relevant = relevant
+            s = {r[1]} if r is not None and r[0] == "b" else set()
+            for c in n.children:
+                s.update(relevant[id(c.target or c)])
+            s.difference_update(n.block)
+            fs = frozenset(s)
+            if fs != relevant[id(n)]:
+                relevant[id(n)] = fs
+                changed = True
+    return relevant
 
 
 @dataclass
@@ -202,11 +169,19 @@ class _Product:
 
 
 def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
+    """Pair the unfoldings of ``t1`` and ``t2``, breadth-first.
+
+    A state is the two nodes plus the binder pairing in force there:
+    pairs ``(x, y)`` of internal names from the layers' ``block``,
+    restricted to the binders side 1 can still mention below its node.
+    References are followed to their targets, so a finite graph gives
+    finitely many states.
+    """
     if t1.semantics != t2.semantics:
         raise ValueError(
             f"cannot compare {t1.semantics!r} tree with {t2.semantics!r} tree"
         )
-    s1, s2 = _Side(t1), _Side(t2)
+    relevant = _relevant(t1)
 
     a0, b0 = t1.root, t2.root
     states: list[tuple[Node, Node, frozenset]] = [(a0, b0, frozenset())]
@@ -223,8 +198,8 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
             unknown = True
             i += 1
             continue
-        ba, bb = s1.blocks[id(a)], s2.blocks[id(b)]
-        ca, cb = s1.children[id(a)], s2.children[id(b)]
+        ba, bb = a.block, b.block
+        ca, cb = a.children, b.children
         ok = a.kind == b.kind and len(ba) == len(bb) and len(ca) == len(cb)
         pairing = rho
         if ok and ba:
@@ -235,14 +210,11 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
                 (x, y) for x, y in rho if y not in fresh
             ) | frozenset(zip(ba, bb))
         if ok:
-            ra, rb = s1.refid[id(a)], s2.refid[id(b)]
-            if (ra is None) != (rb is None):
-                ok = False
-            elif ra is not None:
-                if ra[0] == "f" or rb[0] == "f":
-                    ok = ra == rb
-                else:
-                    ok = (ra, rb) in pairing
+            ra, rb = a.head_ref, b.head_ref
+            if ra is None or rb is None or "f" in (ra[0], rb[0]):
+                ok = ra == rb
+            else:  # two bound heads; the trees number their binders apart
+                ok = (ra[1], rb[1]) in pairing
         if not ok:
             if shape_bad is None:
                 shape_bad = i
@@ -254,7 +226,8 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
         kid_edges = []
         for slot in range(len(ca)):
             na, nb = ca[slot], cb[slot]
-            keep = s1.relevant[id(na)]
+            na, nb = na.target or na, nb.target or nb  # references resolved
+            keep = relevant[id(na)]
             rho_c = frozenset((x, y) for x, y in pairing if x in keep)
             k = (id(na), id(nb), rho_c)
             j = key.get(k)

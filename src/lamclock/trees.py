@@ -63,12 +63,13 @@ class Node:
     ``count`` is ``len(steps)``; both are None for the markers (Bottom,
     Unknown, BackEdge, SharedRef) and for a stripped layer.  The class
     defaults give every marker a layer's read-only shape: no binders,
-    no head and no children; ``target`` is set only on the two
-    references, to the node they stand for.
+    no binder block, no head and no children; ``target`` is set only on
+    the two references, to the node they stand for.
     """
 
     kind = "?"
     binders: tuple[str, ...] = ()
+    block: tuple[str, ...] = ()
     head: str | None = None
     head_ref: tuple | None = None
     children: tuple["Node", ...] = ()
@@ -97,20 +98,24 @@ class Layer(Node):
     * ``var``  (``bet``): a bare variable, no children;
     * ``app``  (``bet``): a root-stable application, children ``(fn, arg)``.
 
-    ``head_ref`` says what the head names: ``("f", name)`` for a free
-    variable, ``("b", up, i)`` for binder ``i`` of the layer ``up``
-    levels above (0: this one).
+    ``block`` holds the build's internal names of the binders this layer
+    opens, one per entry of ``binders`` (which are display names, and
+    may repeat across layers); the internal names are unique within the
+    build.  ``head_ref`` says what the head names: ``("f", name)`` for a
+    free variable, ``("b", internal)`` for the binder opened under that
+    internal name by this layer or one above it.
     """
 
-    __slots__ = ("kind", "binders", "head", "head_ref", "children")
+    __slots__ = ("kind", "binders", "head", "head_ref", "children", "block")
 
-    def __init__(self, kind, steps, binders=(), head=None, head_ref=None, children=()):
+    def __init__(self, kind, steps, binders=(), head=None, head_ref=None, children=(), block=()):
         super().__init__(steps)
         self.kind = kind
         self.binders = binders
         self.head = head
         self.head_ref = head_ref
         self.children = children
+        self.block = block
 
 
 class Bottom(Node):
@@ -246,37 +251,37 @@ def _build(
         raise TermError("tree construction needs a term with no unbound indices")
     target = _TARGET[semantics]
     counter = itertools.count()
-    # internal binder name -> (display name, level, index in its block);
-    # internal names are unique within the build
-    opened: dict[str, tuple[str, int, int]] = {}
+    # internal binder name -> display name; internal names are unique
+    # within the build, so they are the binder identities a head names
+    opened: dict[str, str] = {}
     INF = float("inf")
     memo: dict[Term, Node] = {}
     # (term, status, steps, result); keeping the term alive means that
     # its id is never reused in the build
     reduced: dict[int, tuple[Term, str, tuple[Position, ...], Term | None]] = {}
 
-    def open_binders(t: Term, k: int, level: int, taken):
-        """Open the first ``k`` binders of ``t`` with fresh internal names."""
+    def open_binders(t: Term, k: int, taken):
+        """Open the first ``k`` binders of ``t`` with fresh internal names:
+        the body, the display and internal names, and ``taken`` grown."""
         shown: list[str] = []
+        block: list[str] = []
         taken = set(taken)
-        for i in range(k):
+        for _ in range(k):
             assert type(t) is Lam
             internal = f"%{next(counter)}"
-            disp = _pick_name(t.hint, taken)
+            disp = opened[internal] = _pick_name(t.hint, taken)
             taken.add(disp)
-            opened[internal] = (disp, level, i)
             shown.append(disp)
+            block.append(internal)
             t = instantiate(t.body, Free(internal))
-        return t, tuple(shown), frozenset(taken)
+        return t, tuple(shown), tuple(block), frozenset(taken)
 
-    def head_info(h: Term, level):
+    def head_info(h: Term):
         if type(h) is not Free:
             raise TermError(f"unexpected head {h!r}")
-        at = opened.get(h.name)
-        if at is None:
-            return h.name, ("f", h.name)
-        disp, alvl, i = at
-        return disp, ("b", level - alvl, i)
+        if h.name in opened:
+            return opened[h.name], ("b", h.name)
+        return h.name, ("f", h.name)
 
     def build(term: Term, level: int, ancestors, taken, path):
         """Build one node, then its children.
@@ -321,8 +326,8 @@ def _build(
 
         kids: list[Term]  # the children's generating terms, in slot order
         if type(r) is Lam and semantics != "bt":  # llt and bet: one lambda layer
-            body, shown, taken = open_binders(r, 1, level, taken)
-            node = Layer("lam", steps, shown)
+            body, shown, block, taken = open_binders(r, 1, taken)
+            node = Layer("lam", steps, shown, block=block)
             kids = [body]
         elif semantics != "bet":  # a head normal form, or (llt) a variable-headed spine
             nb = 0
@@ -330,15 +335,16 @@ def _build(
             while type(u) is Lam:
                 u = u.body
                 nb += 1
-            u, shown, taken = open_binders(r, nb, level, taken)
+            u, shown, block, taken = open_binders(r, nb, taken)
             head, kids = spine(u)
-            name, ref = head_info(head, level)
-            node = Layer("hnf" if semantics == "bt" else "head", steps, shown, name, ref)
+            name, ref = head_info(head)
+            node = Layer("hnf" if semantics == "bt" else "head", steps, shown, name, ref,
+                         block=block)
         elif type(r) is App:  # bet
             node = Layer("app", steps)
             kids = [r.fn, r.arg]
         else:  # bet: a variable
-            name, ref = head_info(r, level)
+            name, ref = head_info(r)
             node = Layer("var", steps, (), name, ref)
             kids = []
 
@@ -425,7 +431,8 @@ def strip(tree: ClockTree) -> ClockTree:
             c = SharedRef(copies[id(target)])
         elif isinstance(n, Layer):
             # children gathered in a list, made a tuple once below
-            c = copies[id(n)] = Layer(n.kind, None, n.binders, n.head, n.head_ref, [])
+            c = copies[id(n)] = Layer(
+                n.kind, None, n.binders, n.head, n.head_ref, [], n.block)
         else:
             c = n
         del path[depth:]

@@ -180,6 +180,33 @@ def test_bt_json_of_a_600_level_tree():
     assert res.stdout.count('"reason": "depth"') == 1
 
 
+_DEEP = "f (" * 1500 + "x" + ")" * 1500
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["bt", _DEEP], ["compare", _DEEP, "x"],
+     ["bt", r"Y1 (\g x. f (g (s x))) z", "--depth", "1500"]],
+    ids=["bt-parse", "compare-parse", "bt-build"],
+)
+def test_too_deeply_nested_a_term_exits_3_without_a_traceback(args):
+    # The parser and the tree builder recurse once per nesting level, so
+    # a fresh interpreter, with the default recursion limit, cannot take
+    # these; the error is reported, with the exit code for a budget that
+    # ran out, not raised.
+    src = str(Path(lamclock.__file__).parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "lamclock.cli", *args],
+        capture_output=True, text=True, encoding="utf-8",
+        env=os.environ | {"PYTHONPATH": src},
+    )
+    assert res.returncode == 3, res.stderr[-2000:]
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: term nested too deeply for the interpreter's recursion limit\n"
+    )
+
+
 def _limit_address_space():
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, hard))

@@ -32,7 +32,7 @@ from lamclock.compare import (
 from lamclock.parser import parse, pretty
 from lamclock.reduction import gross_knuth
 from lamclock.terms import Free, alpha_eq, iterate
-from lamclock.trees import compact_cyclic
+from lamclock.trees import compact_cyclic, strip
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +164,73 @@ def test_eventually_atomic_refutations(atomic_pair):
     # the plain counts agree everywhere, so the non-atomic view cannot separate them
     res = holds_eventually(a, b, Relation.EQ)
     assert (res.holds, res.level, res.certified) == (True, 0, True)
+
+
+# -- the product graph -------------------------------------------------------
+
+
+def _summary(prod):
+    bad = prod.shape_bad
+    depth = None if bad is None else prod.depth[bad]
+    return len(prod.states), bad, depth, len(prod.ann_bad), prod.unknown
+
+
+# (states, shape_bad, its depth, len(ann_bad), unknown) of the cyclic trees
+# under Relation.EQ; each state count is that of the pairing restricted
+# to the binders the first side can still mention
+_PRODUCTS = {
+    ("bt", "E1", "E2"): (5, None, None, 2, False),
+    ("bt", "E1", "E3"): (9, None, None, 7, False),
+    ("bt", "E2", "E3"): (9, None, None, 7, False),
+    ("llt", "E1", "E2"): (9, None, None, 2, False),
+    ("llt", "E1", "E3"): (22, None, None, 7, True),
+    ("llt", "E2", "E3"): (22, None, None, 7, True),
+    ("bet", "E1", "E2"): (15, None, None, 3, False),
+    ("bet", "E1", "E3"): (27, None, None, 7, True),
+    ("bet", "E2", "E3"): (27, None, None, 6, True),
+}
+
+
+@pytest.mark.parametrize("key", list(_PRODUCTS), ids="-".join)
+def test_product_graph_of_the_enumerators(key):
+    sem, a, b = key
+    terms = {"E1": E1, "E2": E2, "E3": E3}
+    ta = compact_cyclic(terms[a], semantics=sem)
+    tb = compact_cyclic(terms[b], semantics=sem)
+    expected = _PRODUCTS[key]
+    assert _summary(compare._explore(ta, tb, Relation.EQ)) == expected
+    # stripped trees pair the same layers and binders, with no clock to fail
+    stripped = _summary(compare._explore(strip(ta), strip(tb), Relation.EQ))
+    assert stripped == expected[:3] + (0,) + expected[4:]
+
+
+# -- binder pairing ----------------------------------------------------------
+
+_CYCLIC_BINDER_PAIR = (r"Y0 (\f x y. x (f y x))", r"Y0 (\f x y. x (f x y))")
+
+
+@pytest.mark.parametrize(
+    "m, n, depth",
+    [
+        (r"\x y. x", r"\x y. y", 0),
+        (r"\x. x (\y. y)", r"\x. x (\y. x)", 2),
+        (*_CYCLIC_BINDER_PAIR, 3),
+    ],
+)
+def test_discriminate_tells_binders_apart(defs, m, n, depth):
+    # the layers agree in shape and clock; only the binder each head
+    # names differs
+    v = discriminate(parse(m, defs), parse(n, defs), DiscriminationConfig())
+    assert (v.conclusion, v.justification) == (INCONVERTIBLE, "different-bt")
+    assert v.evidence["position_depth"] == depth
+
+
+@pytest.mark.parametrize("semantics", ["llt", "bet"])
+def test_globally_tells_binders_apart_on_cyclic_trees(defs, semantics):
+    m, n = (compact_cyclic(parse(t, defs), semantics=semantics)
+            for t in _CYCLIC_BINDER_PAIR)
+    assert m.closed and n.closed
+    assert holds_globally(m, n, Relation.EQ) is False
 
 
 # -- reduct enumeration and joinability -------------------------------------
