@@ -42,6 +42,7 @@ from .trees import (
     ClockTree,
     Node,
     SimplicityReport,
+    _simple_report,
     check_simple,
     child_step,
     node_at,
@@ -383,7 +384,8 @@ def find_simple_reduct(
     one that is not simple.  At most ``limit`` terms are made, ``t``
     included, and at most ``check_limit`` are checked after ``t``.
     ``report``, when given, is ``check_simple(t, depth, fuel)``, made
-    by the caller and not made again.
+    by the caller and not made again.  A candidate's check stops at its
+    first non-simple step, since the search needs no more of its tree.
     """
     seen = {t}
     heap = [(t.size, 0, t)]
@@ -391,10 +393,10 @@ def find_simple_reduct(
     while heap and checks <= check_limit:
         cur = heappop(heap)[2]
         if cur is t and report is not None:
-            rep = report
+            rep = report if report.status == "simple" else None
         else:
-            rep = check_simple(cur, depth, fuel)
-        if rep.status == "simple":
+            rep = _simple_report(cur, depth, fuel)
+        if rep is not None:
             return cur, rep
         checks += 1
         room = max(limit - len(seen), 0)

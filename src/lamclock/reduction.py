@@ -21,6 +21,7 @@ from .terms import (
     TermError,
     Var,
     instantiate,
+    pos_str,
     replace_at,
     subterm_at,
     subterms,
@@ -71,7 +72,7 @@ def contract_at(t: Term, pos: Position) -> Term:
     """Contract the beta redex at ``pos``."""
     sub = subterm_at(t, pos)
     if not is_redex(sub):
-        raise TermError(f"no redex at position {''.join(map(str, pos)) or 'e'}")
+        raise TermError(f"no redex at position {pos_str(pos)}")
     assert isinstance(sub, App) and isinstance(sub.fn, Lam)
     return replace_at(t, pos, instantiate(sub.fn.body, sub.arg))
 
@@ -338,7 +339,7 @@ def _redex_class(body: Term, arg: Term) -> RedexClass:
 def classify_redex(t: Term, pos: Position = ()) -> RedexClass:
     sub = subterm_at(t, pos)
     if not is_redex(sub):
-        raise TermError(f"no redex at position {''.join(map(str, pos)) or 'e'}")
+        raise TermError(f"no redex at position {pos_str(pos)}")
     assert isinstance(sub, App) and isinstance(sub.fn, Lam)
     return _redex_class(sub.fn.body, sub.arg)
 
@@ -409,9 +410,7 @@ def develop(t: Term, marks: set[Position] | list[Position]) -> Term:
     markset = {tuple(p) for p in marks}
     for p in markset:
         if not is_redex(subterm_at(t, p)):
-            raise TermError(
-                f"development mark {''.join(map(str, p)) or 'e'} is not a redex"
-            )
+            raise TermError(f"development mark {pos_str(p)} is not a redex")
 
     def go(u: Term, ms: set[Position]) -> Term:
         if not ms:

@@ -325,6 +325,20 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
+# byte k -> the digit k for k < 10, and a non-digit for every other byte
+_DIGITS = b"0123456789" + b"?" * 246
+
+
 def pos_str(p: Position) -> str:
-    """Render a position; the empty position prints as ``e``."""
-    return "".join(map(str, p)) if p else "e"
+    """Render a position; the empty position prints as ``e``.
+
+    A step is 0, 1 or 2, so one byte translation makes the digits in C.
+    A path with an entry of 10 or more (a child path) is joined instead.
+    """
+    if not p:
+        return "e"
+    try:
+        s = bytes(p).translate(_DIGITS)
+    except ValueError:  # an entry that does not fit in a byte
+        return "".join(map(str, p))
+    return s.decode() if s.isdigit() else "".join(map(str, p))

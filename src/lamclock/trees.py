@@ -187,31 +187,47 @@ class ClockTree:
 
 def walk(
     tree: ClockTree,
-) -> Iterator[tuple[Node, Position, int, Node | None, Position | None]]:
+) -> Iterator[tuple[Node, Position | None, int, Node | None, Position | None]]:
     """Preorder over the built graph, with an explicit stack.
 
     Yields ``(node, pos, depth, target, target_pos)`` for every node,
-    back edge and shared reference; ``pos`` is the applicative position
-    and ``depth`` the number of tree edges from the root.  ``target`` and
-    ``target_pos`` are set only for back edges and shared references: the
-    node stood for and where it sits.  References are not entered, and
-    both kinds resolve the same way: a back edge's target is an ancestor
-    and a shared ref's was finished before the ref was built, so either
-    is yielded before the reference.
+    back edge and shared reference; ``depth`` is the number of tree
+    edges from the root.  Only back edges and shared references carry
+    positions: ``pos`` is the reference's applicative position,
+    ``target`` the node it stands for and ``target_pos`` where that node
+    sits.  Every other node yields None in those three entries.
+    References are not entered, and both kinds resolve the same way: a
+    back edge's target is an ancestor and a shared ref's was finished
+    before the ref was built, so either is yielded before the reference.
+
+    A stack frame is ``(node, parent frame, slot, depth)``, a zipper
+    (Huet, "The Zipper", JFP 7(5), 1997): a position is made from the
+    parent links, and only when a reference is yielded.
     """
-    defined: dict[int, Position] = {}
-    stack: list[tuple[Node, Position, int]] = [(tree.root, (), 0)]
+    defined: dict[int, tuple] = {}  # id(node) -> the frame it was yielded from
+    stack: list[tuple] = [(tree.root, None, 0, 0)]
     while stack:
-        n, pos, depth = stack.pop()
+        frame = stack.pop()
+        n, _, _, depth = frame
         target = n.target
         if target is not None:
-            yield n, pos, depth, target, defined[id(target)]
+            yield n, _frame_pos(frame), depth, target, _frame_pos(defined[id(target)])
         else:
-            defined[id(n)] = pos
-            yield n, pos, depth, None, None
+            defined[id(n)] = frame
+            yield n, None, depth, None, None
             kids = n.children
             for i in range(len(kids) - 1, -1, -1):
-                stack.append((kids[i], pos + child_step(n, i), depth + 1))
+                stack.append((kids[i], frame, i, depth + 1))
+
+
+def _frame_pos(frame: tuple) -> Position:
+    """The applicative position of a ``walk`` frame's node."""
+    steps = []
+    _, parent, slot, _ = frame
+    while parent is not None:
+        steps.append(child_step(parent[0], slot))
+        _, parent, slot, _ = parent
+    return tuple(itertools.chain.from_iterable(reversed(steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +279,8 @@ def _build(
     def open_binders(t: Term, k: int, taken):
         """Open the first ``k`` binders of ``t`` with fresh internal names:
         the body, the display and internal names, and ``taken`` grown."""
+        if not k:
+            return t, (), (), taken
         shown: list[str] = []
         block: list[str] = []
         taken = set(taken)
@@ -299,7 +317,8 @@ def _build(
         the same binder on the path (opened binders carry unique
         internal names, so plain term equality checks exactly that).
         The node exists before its children are built, so a back edge
-        holds the ancestor ``(term, level, node)`` it repeats.
+        holds the ancestor ``(term, level, node)`` it repeats.  ``path``,
+        the child slots from the root, is made only for a ``hook``.
         """
         if cyclic:
             for aterm, alvl, anode in reversed(ancestors):
@@ -354,10 +373,13 @@ def _build(
         complete = True
         children = []
         for i, a in enumerate(kids):
-            c, esc, cm = build(a, level + 1, ancestors, taken, path + (i,))
+            c, esc, cm = build(a, level + 1, ancestors, taken,
+                               None if hook is None else path + (i,))
             children.append(c)
-            escape = min(escape, esc)
-            complete = complete and cm
+            if esc < escape:
+                escape = esc
+            if not cm:
+                complete = False
         node.children = tuple(children)
         if cyclic and complete and level <= escape < INF:
             memo.setdefault(term, node)
@@ -500,6 +522,7 @@ def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
     ids: dict[int, str] = {}
     path: list[dict] = []
     root: dict = {}
+    closed = True  # ``tree.closed``, found in this pass
     for k, (n, pos, depth, target, tpos) in enumerate(walk(tree)):
         nid = f"n{k}"
         ids[id(n)] = nid
@@ -530,6 +553,7 @@ def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
             d["head"] = n.head
         if isinstance(n, Unknown):
             d["reason"] = n.reason
+            closed = False
         if n.children:
             d["children"] = []
         path.append(d)
@@ -539,7 +563,7 @@ def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
         "atomic": atomic,
         "depth": tree.depth,
         "fuel": tree.fuel,
-        "closed": tree.closed,
+        "closed": closed,
         "root": root,
     }
 
@@ -608,3 +632,29 @@ def check_simple(t: Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL) 
     if closed:
         return SimplicityReport("simple", None, closed, depth, tree)
     return SimplicityReport("unknown", None, closed, depth, tree)
+
+
+class _NotSimple(Exception):
+    """Raised from a reduction hook to stop a build at a non-simple step."""
+
+
+def _simple_report(t: Term, depth: int, fuel: int) -> SimplicityReport | None:
+    """``check_simple(t, depth, fuel)`` when its status is ``simple``,
+    else None.
+
+    The build stops at the first non-simple step, since no later step
+    can make the term simple: a reduct search that only asks *whether*
+    a candidate is simple then spends nothing on the rest of its tree.
+    """
+
+    def hook(path, i, pos, lam, arg, size, build):
+        if not _redex_class(lam.body, arg).simple:
+            raise _NotSimple
+
+    try:
+        tree = compact_cyclic(t, depth, fuel, "bt", hook=hook)
+    except _NotSimple:
+        return None
+    if not tree.closed:
+        return None
+    return SimplicityReport("simple", None, True, depth, tree)

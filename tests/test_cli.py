@@ -1,5 +1,6 @@
 """Command-line interface, exercised through click's test runner."""
 
+import hashlib
 import json
 import os
 import resource
@@ -229,6 +230,22 @@ def test_bt_of_a_growing_term_at_the_default_fuel_fits_in_2_gb(term):
     assert res.stdout == "? (fuel)\n"
 
 
+def test_compare_with_a_growing_term_ends_within_a_minute():
+    # K5: the reduct search of B Y0 (S I) I checks up to 200 candidates,
+    # and most show a non-simple step within their first few steps.  A
+    # check that ran each candidate to the default fuel did not end
+    # within two minutes; the search now stops each at that step.
+    src = str(Path(lamclock.__file__).parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "lamclock.cli", "compare", "x", "B Y0 (S I) I"],
+        capture_output=True, text=True, encoding="utf-8",
+        env=os.environ | {"PYTHONPATH": src},
+        preexec_fn=_limit_address_space, timeout=60,
+    )
+    assert res.returncode == 1, res.stderr[-2000:]
+    assert res.stdout.startswith("inconclusive (none)\n")
+
+
 PINNED_PAYLOADS = [
     TWO_LOOPS_JSON,
     {
@@ -278,6 +295,42 @@ def test_bt_dot_lists_a_tree_edge_after_its_subtree(run):
         "  n0 -> n1;",
         "}",
     ]
+
+
+_SWAP_LOOP = r"Y0 (\f x y. x (f y x))"
+
+
+# Catalog terms whose trees have back edges; E3's bt tree also has a
+# shared ref, and its llt and bet trees end in Unknown.  Each digest
+# covers the exit code and output of text, --json and --dot, plain and
+# --atomic, and pins those bytes.
+@pytest.mark.parametrize(("semantics", "term", "digest"), [
+    ("bt", "E1", "eede489ca974b190870104c71eb52756cfac4056ace9c5f9ca7a35c339ea63ac"),
+    ("bt", "E3", "2e735aa91cf6811c2c15293ef426167b2f613297914c1944d2edbcf0bb2fb323"),
+    ("bt", "Y1 f", "ace63631a3c3655d81f2a967a3881b8a9d7763153dc32693e907d56908dc9064"),
+    ("bt", TWO_LOOPS, "b1b5a4f5c4daeb0cd60250657915b17d8ad3ee9a3933bb8e9f75315bb3d9d6f1"),
+    ("bt", _SWAP_LOOP, "b46093b5169cc1f3e99edf264629158b1c47e8c3c88dd4ff35adb12571eb7369"),
+    ("bt", "eta eta delta x", "dcfa7637f7f46212ec52cef7f56e74bee0afc511e066a111a9afbeb289d94ed6"),
+    ("llt", "E1", "e8f0433e25ae9638800449567277855310f21d4a39b77a102962bace1ccc3e53"),
+    ("llt", "E3", "50a2e1e4a19fa8cb846eb3c490c77838bdc4771907adbbd411ffc00b04a8150d"),
+    ("llt", "Y1 f", "c2f46a53f00ccccd4fd6920aafc0123c62d6999e00b47020f88c6e7acd65dacc"),
+    ("llt", TWO_LOOPS, "cee99f61c93877d850268c5848bc522935076e7fc9353ccba1837fb58b6a602b"),
+    ("llt", _SWAP_LOOP, "cf458dbfcd55a532de152e1f11c4a51321384da24be3d1c070390f89a3311b7a"),
+    ("llt", "eta eta delta x", "1ef09a665806e26d2cfffc74155779e55f1fb83f3576c9de8cc088eb62942626"),
+    ("bet", "E1", "9adcb1184cffe383b0f76fd447a97cf542d04bf12bc850ab4a76a8621f871dc6"),
+    ("bet", "E3", "1510d65664df5f4a97dd914daa4dba5ed7e3cfecb1cebf0065b3676f7d9cb445"),
+    ("bet", "Y1 f", "77ea4ca52222d5e5603b75aeb39de784a7929b126da24540aa118d923737bd45"),
+    ("bet", TWO_LOOPS, "005012bb9b2739752f2c1f5ea6fedde29f151068f82823c1b574bb777752fdc8"),
+    ("bet", _SWAP_LOOP, "17aec8fd50d06128266a3faab8fdd6e8e6055956066d8b6c24b795ad749acae2"),
+    ("bet", "eta eta delta x", "af0e225638b1fe0dc12893729fbeb5011ed423ff1af19a52f337a5b180b4abc0"),
+])
+def test_tree_output_bytes_are_pinned(run, semantics, term, digest):
+    h = hashlib.sha256()
+    for form in ((), ("--json",), ("--dot",)):
+        for atomic in ((), ("--atomic",)):
+            res = run(semantics, term, *form, *atomic)
+            h.update(f"{res.exit_code}\n{res.output}\0".encode())
+    assert h.hexdigest() == digest
 
 
 def test_llt_whnf_layers(run):

@@ -339,14 +339,19 @@ def test_find_simple_reduct_beyond_breadth_first(term):
 
 
 def _count_checks(monkeypatch):
+    # the whole-tree checks and the reduct search's, which stop at the
+    # first non-simple step
     checked = []
-    original = compare.check_simple
 
-    def counting(t, *args, **kwargs):
-        checked.append(t)
-        return original(t, *args, **kwargs)
+    def counting(original):
+        def go(t, *args, **kwargs):
+            checked.append(t)
+            return original(t, *args, **kwargs)
 
-    monkeypatch.setattr(compare, "check_simple", counting)
+        return go
+
+    for name in ("check_simple", "_simple_report"):
+        monkeypatch.setattr(compare, name, counting(getattr(compare, name)))
     return checked
 
 

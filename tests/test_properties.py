@@ -8,7 +8,7 @@ convertible pairs."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import lamclock.combinators as C
 from lamclock.compare import (
@@ -44,6 +44,7 @@ from lamclock.terms import (
     alpha_eq,
     app,
     lam,
+    pos_str,
     positions,
     replace_at,
     subterm_at,
@@ -208,6 +209,26 @@ def test_subseq_antisymmetric(a, b):
 def test_subseq_transitive(a, b, c):
     if subseq_le(a, b) and subseq_le(b, c):
         assert subseq_le(a, c)
+
+
+# -- the position printer ----------------------------------------------------
+
+# head steps (0-2), child slots (10 and more) and entries past a byte
+_entries = st.lists(
+    st.one_of(st.integers(0, 2), st.integers(0, 300), st.integers(256, 10**9)),
+    max_size=12,
+)
+
+
+@settings(**SETTINGS)
+@given(p=_entries, as_tuple=st.booleans())
+@example(p=[], as_tuple=True)
+@example(p=[0, 1, 2], as_tuple=False)
+@example(p=[12, 0], as_tuple=True)
+@example(p=[2, 256], as_tuple=True)
+def test_pos_str_matches_the_joined_digits(p, as_tuple):
+    p = tuple(p) if as_tuple else p
+    assert pos_str(p) == ("".join(map(str, p)) or "e")
 
 
 # -- printer / parser round trip ---------------------------------------------

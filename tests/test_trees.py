@@ -182,10 +182,28 @@ def test_cyclic_curry(defs):
     assert edge.kind == "backedge" and edge.delta == 1
 
 
+def _reference_walk(tree):
+    """``walk`` as it was when every entry carried its position: the
+    reference for the positions ``walk`` now makes for references only."""
+    defined = {}
+    stack = [(tree.root, (), 0)]
+    while stack:
+        n, pos, depth = stack.pop()
+        target = n.target
+        if target is not None:
+            yield n, pos, depth, target, defined[id(target)]
+        else:
+            defined[id(n)] = pos
+            yield n, pos, depth, None, None
+            kids = n.children
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((kids[i], pos + child_step(n, i), depth + 1))
+
+
 def _node_summary(tree):
     """Preorder (applicative position, kind, count, extra) rows."""
     out = []
-    for node, pos, *_ in walk(tree):
+    for node, pos, *_ in _reference_walk(tree):
         entry = (pos_str(pos), node.kind, node.count)
         if node.kind == "hnf":
             entry += (node.head,)
@@ -322,6 +340,33 @@ def test_tree_to_dict_schema(defs):
 def test_tree_to_dict_atomic_clock_strings(defs):
     d = tree_to_dict(compact_cyclic(parse("Y1 f", defs), atomic=True))
     assert d["root"]["clock"] == ["1", "e"]
+
+
+# catalog terms whose cyclic trees have back edges; E3's bt tree also
+# has a shared ref, and its llt and bet trees do not close (the bet
+# tree ends in Unknown before any loop)
+_LOOPING = ["Y0 f", "Y1 f", "E1", "E2", "E3", "eta eta delta x",
+            r"Y0 (\f x y. x (f y x))", r"(\w z.z (w w) (w w)) (\w z.z (w w) (w w))"]
+
+
+@pytest.mark.parametrize("semantics", ["bt", "llt", "bet"])
+@pytest.mark.parametrize("text", _LOOPING)
+def test_walk_positions_match_the_reference_walk(defs, text, semantics):
+    tree = compact_cyclic(parse(text, defs), semantics=semantics)
+    got = list(walk(tree))
+    want = list(_reference_walk(tree))
+    assert [(n, depth, target) for n, _, depth, target, _ in got] == [
+        (n, depth, target) for n, _, depth, target, _ in want
+    ]
+    refs = 0
+    for (n, pos, _, target, tpos), (_, rpos, _, _, rtpos) in zip(got, want):
+        if target is None:
+            assert pos is None and tpos is None
+        else:
+            refs += 1
+            assert (pos, tpos) == (rpos, rtpos)
+    assert refs > 0 or (text, semantics) == ("E3", "bet")
+    assert tree_to_dict(tree)["closed"] == tree.closed
 
 
 def test_walks_over_a_deep_tree_do_not_recurse():
