@@ -183,8 +183,8 @@ def test_cyclic_curry(defs):
 
 
 def _reference_walk(tree):
-    """``walk`` as it was when every entry carried its position: the
-    reference for the positions ``walk`` now makes for references only."""
+    """A preorder walk that carries every entry's position: the
+    reference for the positions ``walk`` makes for references only."""
     defined = {}
     stack = [(tree.root, (), 0)]
     while stack:
