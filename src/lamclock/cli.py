@@ -234,7 +234,7 @@ def catalog_cmd(name, params, defs_file, as_json):
             args.append(_parse_term(p, defs))
     try:
         term = catalog(name, *args)
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         _fail(str(e), _EXIT_USAGE)
     if as_json:
         _emit_json({"name": name, "term": pretty(term)})
@@ -253,7 +253,8 @@ def check_simple_cmd(term, depth, fuel, defs_file, as_json):
     defs = _defs_from(defs_file)
     t = _parse_term(term, defs)
     report = check_simple(t, depth, fuel)
-    payload = {"status": report.status, "closed": report.closed, "depth": report.depth}
+    payload = {"status": report.status, "closed": report.tree.closed,
+               "depth": report.tree.depth}
     if report.witness is not None:
         rc = report.witness.redex_class
         payload["witness"] = {

@@ -488,73 +488,61 @@ def pulse_pattern_count(exponents) -> int:
 # the catalog
 
 
-_PLAIN = {
-    "i": lambda: I,
-    "k": lambda: K,
-    "s": lambda: S,
-    "b": lambda: B,
-    "delta": lambda: DELTA,
-    "y0": lambda: Y0,
-    "eta": lambda: ETA,
-    "y1": lambda: Y1,
-    "theta": lambda: THETA,
-    "omega-f": omega_of,
-    "e1": lambda: E1,
-    "e2": lambda: E2,
-    "e3": lambda: E3,
+# how many counts or terms an entry takes
+_NONE, _OPT, _ONE, _ANY = range(1), range(2), range(1, 2), range(1 << 30)
+_HOW = {_NONE: "no {}s", _OPT: "at most one {}", _ONE: "one {}", _ANY: "any number of {}s"}
+
+# name -> (constructor, the counts it takes, the terms it takes).  An
+# entry that takes terms gets them first, None standing for an omitted
+# combinator, then its counts.  An entry that takes neither is plain.
+_ENTRIES = {
+    "i": (lambda: I, _NONE, _NONE),
+    "k": (lambda: K, _NONE, _NONE),
+    "s": (lambda: S, _NONE, _NONE),
+    "b": (lambda: B, _NONE, _NONE),
+    "delta": (lambda: DELTA, _NONE, _NONE),
+    "y0": (lambda: Y0, _NONE, _NONE),
+    "eta": (lambda: ETA, _NONE, _NONE),
+    "y1": (lambda: Y1, _NONE, _NONE),
+    "theta": (lambda: THETA, _NONE, _NONE),
+    "omega-f": (omega_of, _NONE, _NONE),
+    "e1": (lambda: E1, _NONE, _NONE),
+    "e2": (lambda: E2, _NONE, _NONE),
+    "e3": (lambda: E3, _NONE, _NONE),
+    "bbb-scheme": (bbb_scheme, _OPT, _OPT),
+    "bohm-seq": (bohm_seq, _ONE, _NONE),
+    "dummy-scheme": (lambda y, *ps: dummy_scheme(y, ps), _NONE, _ANY),
+    "gvector": (gvector, _OPT, _OPT),
+    "plotkin-a": (plotkin_A, _NONE, _OPT),
+    "plotkin-b": (plotkin_B, _NONE, _OPT),
+    "plotkin-bprime": (plotkin_Bprime, _NONE, _OPT),
+    "scott-composite": (lambda *ns: scott_composite(ns), _ANY, _NONE),
+    "scott-seq": (scott_seq, _ONE, _NONE),
+    "wfpc-flipflop": (wfpc_flipflop, _OPT, _NONE),
 }
 
 
 def catalog_names() -> list[str]:
-    return sorted(_PLAIN) + [
-        "bbb-scheme",
-        "bohm-seq",
-        "dummy-scheme",
-        "gvector",
-        "plotkin-a",
-        "plotkin-b",
-        "plotkin-bprime",
-        "scott-composite",
-        "scott-seq",
-        "wfpc-flipflop",
-    ]
+    """The plain names, then the families, each sorted."""
+    return sorted(_ENTRIES, key=lambda k: (_ENTRIES[k][1:] != (_NONE, _NONE), k))
 
 
 def catalog(name: str, *params) -> Term:
     """Look up a named construction.
 
-    Numeric parameters follow the constructors above; entries taking a
-    combinator argument default to the standard choice when it is
-    omitted.
+    Counts (ints) and terms may come in any order, each kind keeping its
+    own.  An entry taking a combinator argument defaults to the standard
+    choice when it is omitted.  A parameter the entry does not take is a
+    ``ValueError``.
     """
     key = name.strip().lower().replace("_", "-")
-    if key in _PLAIN:
-        if params:
-            raise ValueError(f"{name} takes no parameters")
-        return _PLAIN[key]()
+    if key not in _ENTRIES:
+        raise ValueError(f"unknown catalog name {name!r}")
+    make, counts, terms = _ENTRIES[key]
     ints = [p for p in params if isinstance(p, int)]
-    terms = [p for p in params if isinstance(p, Term)]
-    match key:
-        case "bohm-seq":
-            return bohm_seq(*ints)
-        case "scott-seq":
-            return scott_seq(*ints)
-        case "gvector":
-            return gvector(terms[0] if terms else None, *ints)
-        case "bbb-scheme":
-            return bbb_scheme(terms[0] if terms else None, *ints)
-        case "dummy-scheme":
-            return dummy_scheme(terms[0] if terms else None, tuple(terms[1:]))
-        case "scott-composite":
-            if len(params) == 1 and isinstance(params[0], (list, tuple)):
-                return scott_composite(list(params[0]))
-            return scott_composite(ints)
-        case "plotkin-a":
-            return plotkin_A(terms[0] if terms else None)
-        case "plotkin-b":
-            return plotkin_B(terms[0] if terms else None)
-        case "plotkin-bprime":
-            return plotkin_Bprime(terms[0] if terms else None)
-        case "wfpc-flipflop":
-            return wfpc_flipflop(*ints)
-    raise ValueError(f"unknown catalog name {name!r}")
+    ts = [p for p in params if isinstance(p, Term)]
+    if len(ints) + len(ts) < len(params) or len(ints) not in counts or len(ts) not in terms:
+        raise ValueError(f"{name} takes {_HOW[counts].format('count')} and "
+                         f"{_HOW[terms].format('term')}; got {len(params)} parameter(s): "
+                         f"{len(ints)} count(s), {len(ts)} term(s)")
+    return make(*(ts or [None]), *ints) if terms != _NONE else make(*ints)

@@ -471,7 +471,7 @@ def discriminate(
         "depth": cfg.depth,
         "fuel": cfg.fuel,
         "atomic": cfg.atomic,
-        "closed": [rm.closed, rn.closed],
+        "closed": [tm.closed, tn.closed],
     }
 
     # (1) the trees themselves differ

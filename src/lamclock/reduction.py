@@ -60,8 +60,14 @@ def head_redex_position(t: Term) -> Position | None:
     hints: list[str] = []
     head, stack = _unwind(t, _EMPTY, hints)
     if type(head) is Lam and stack[2]:
-        return (0,) * len(hints) + (1,) * (stack[2] - 1)
+        return _head_pos(len(hints), stack[2])
     return None
+
+
+def _head_pos(a: int, b: int) -> Position:
+    """``0^a 1^(b-1)``: the head redex under ``a`` λ-prefix binders,
+    with ``b`` arguments on the spine."""
+    return (0,) * a + (1,) * (b - 1)
 
 
 def is_redex(t: Term) -> bool:
@@ -105,19 +111,6 @@ def _canonical_core_key(t: Term) -> tuple:
                 stack.append((a, d))
                 stack.append((f, d))
     return tuple(out)
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, fuel: int):
-        self.left = fuel
-
-    def spend(self) -> bool:
-        if self.left <= 0:
-            return False
-        self.left -= 1
-        return True
 
 
 # The head reducer is Krivine's machine (Krivine, "A call-by-name
@@ -204,16 +197,17 @@ def _drive(
     head: Term,
     stack: tuple,
     target: Target,
-    budget: _Budget,
+    fuel: int,
     base: int,
     steps: list[Position] | None,
     on_step,
-) -> tuple[str, Term, tuple]:
+) -> tuple[str, Term, tuple, int]:
     """Run the machine from a state toward ``target`` and return the
-    status with the final head and stack.  The bottom ``base`` arguments
-    are not part of the term driven: ``root_stable`` probes its function
-    side with ``base`` 1.  Positions are appended to ``steps`` unless it
-    is None, as it is for the probe, whose steps nobody reads.
+    status with the final head and stack, and the fuel left.  The bottom
+    ``base`` arguments are not part of the term driven: ``root_stable``
+    probes its function side with ``base`` 1.  Positions are appended to
+    ``steps`` unless it is None, as it is for the probe, whose steps
+    nobody reads.
 
     ``root_stable`` probes once per trajectory, not at every step.  A
     probe that reaches an abstraction in k steps has made the k head
@@ -235,32 +229,32 @@ def _drive(
             # application is stable once its function side provably
             # never becomes an abstraction.
             if not stack[2]:
-                return RESOLVED, head, stack
+                return RESOLVED, head, stack, fuel
             if ahead:
-                if budget.left < ahead:
-                    budget.left = 0
-                    return FUEL_EXHAUSTED, head, stack
-                budget.left -= ahead
+                if fuel < ahead:
+                    return FUEL_EXHAUSTED, head, stack, 0
+                fuel -= ahead
             else:
-                left = budget.left
-                probe, fn_head, _ = _drive(hints, head, stack, "whnf", budget, 1, None, None)
+                probe, fn_head, _, left = _drive(hints, head, stack, "whnf", fuel, 1, None, None)
                 if probe == FUEL_EXHAUSTED:
-                    return FUEL_EXHAUSTED, head, stack
+                    return FUEL_EXHAUSTED, head, stack, left
                 if probe == PROVEN_DIVERGENT or type(fn_head) is not Lam:
-                    return RESOLVED, head, stack
-                ahead = left - budget.left
+                    return RESOLVED, head, stack, left
+                ahead = fuel - left
+                fuel = left
         if type(head) is not Lam or stack[2] <= base:
-            return RESOLVED, head, stack
+            return RESOLVED, head, stack, fuel
         if recorded < TRACE_CAP:
             recorded += 1
             if table.repeats(head, stack):
-                return PROVEN_DIVERGENT, head, stack
-        if not budget.spend():
-            return FUEL_EXHAUSTED, head, stack
+                return PROVEN_DIVERGENT, head, stack, fuel
+        if fuel <= 0:
+            return FUEL_EXHAUSTED, head, stack, fuel
+        fuel -= 1
         if steps is not None:
-            pos = (0,) * len(hints) + (1,) * (stack[2] - 1)
+            pos = _head_pos(len(hints), stack[2])
             if on_step is not None:
-                on_step(len(steps), pos, head, stack[0], len(hints) + head.size + stack[3],
+                on_step(len(steps), pos, head, stack[0],
                         partial(_term, hints, len(hints), head, stack))
             steps.append(pos)
         if ahead:
@@ -275,17 +269,16 @@ def head_reduce(
 
     The fuel budget is shared with any stability probes the
     ``root_stable`` target performs on function sides.  ``on_step``, when
-    given, is called before each step as ``on_step(i, pos, lam, arg, size,
+    given, is called before each step as ``on_step(i, pos, lam, arg,
     build)``: the step's index and position, the redex's abstraction and
-    argument, the size of the whole term, and a thunk that builds the
-    whole term.
+    argument, and a thunk that builds the whole term.
     """
     if target not in ("hnf", "whnf", "root_stable"):
         raise ValueError(f"unknown target {target!r}")
     hints: list[str] = []
     head, stack = _unwind(t, _EMPTY, hints if target == "hnf" else None)
     steps: list[Position] = []
-    status, head, stack = _drive(hints, head, stack, target, _Budget(fuel), 0, steps, on_step)
+    status, head, stack, _ = _drive(hints, head, stack, target, fuel, 0, steps, on_step)
     if status != RESOLVED:
         return HeadOutcome(status, steps, None)
     return HeadOutcome(status, steps, _term(hints, len(hints), head, stack) if steps else t)

@@ -167,19 +167,17 @@ class SharedRef(Node):
 
 @dataclass
 class ClockTree:
-    """A built tree plus the parameters it was built with."""
+    """A built tree plus the parameters it was built with.
+
+    ``closed``, recorded by the build, says the tree has no Unknown
+    frontier: the finite structure describes the whole unfolding."""
 
     root: Node
     semantics: str
     atomic: bool
     depth: int
     fuel: int
-
-    @property
-    def closed(self) -> bool:
-        """No Unknown frontier: the finite structure describes the whole
-        unfolding (shared subtrees are inspected at their defining site)."""
-        return not any(n.kind == "unknown" for n, *_ in walk(self))
+    closed: bool
 
     def node_count(self) -> int:
         return sum(1 for _ in walk(self))
@@ -248,6 +246,7 @@ def _build(
     Each node is made right after its head reduction, and one loop then
     builds its children whatever the semantics, so a back edge can hold
     the ancestor node it returns to, as a shared ref holds its target.
+    The root's ``complete`` flag is the tree's ``closed``.
 
     Each generating term *object* is head-reduced once per build.  A
     step substitutes one argument object at every occurrence, so
@@ -271,7 +270,10 @@ def _build(
     # within the build, so they are the binder identities a head names
     opened: dict[str, str] = {}
     INF = float("inf")
-    memo: dict[Term, Node] = {}
+    # generating term -> (level, node) while the node's subtree is built,
+    # then (None, node) if the subtree can be shared; any other finished
+    # entry is deleted
+    seen: dict[Term, tuple[int | None, Node]] = {}
     # (term, status, steps, result); keeping the term alive means that
     # its id is never reused in the build
     reduced: dict[int, tuple[Term, str, tuple[Position, ...], Term | None]] = {}
@@ -301,7 +303,7 @@ def _build(
             return opened[h.name], ("b", h.name)
         return h.name, ("f", h.name)
 
-    def build(term: Term, level: int, ancestors, taken, path):
+    def build(term: Term, level: int, taken, path):
         """Build one node, then its children.
 
         Returns ``(node, escape, complete)``: ``escape`` is the lowest
@@ -317,16 +319,20 @@ def _build(
         the same binder on the path (opened binders carry unique
         internal names, so plain term equality checks exactly that).
         The node exists before its children are built, so a back edge
-        holds the ancestor ``(term, level, node)`` it repeats.  ``path``,
-        the child slots from the root, is made only for a ``hook``.
+        holds the ancestor node it repeats.  One ``seen`` entry per term
+        serves both references: a term is never on the path and shared
+        at once, since an equal term below it becomes a back edge and
+        one after a shareable subtree a shared ref, and neither is built
+        again.  ``path``, the child slots from the root, is made only
+        for a ``hook``.
         """
         if cyclic:
-            for aterm, alvl, anode in reversed(ancestors):
-                if aterm == term:
-                    return BackEdge(anode, level - alvl), alvl, True
-            hit = memo.get(term)
+            hit = seen.get(term)
             if hit is not None:
-                return SharedRef(hit), INF, True
+                alvl, anode = hit
+                if alvl is None:
+                    return SharedRef(anode), INF, True
+                return BackEdge(anode, level - alvl), alvl, True
         if level >= depth:
             return Unknown("depth"), INF, False
         known = reduced.get(id(term))
@@ -368,25 +374,27 @@ def _build(
             kids = []
 
         if cyclic:
-            ancestors = ancestors + ((term, level, node),)
+            seen[term] = (level, node)
         escape = INF
         complete = True
         children = []
         for i, a in enumerate(kids):
-            c, esc, cm = build(a, level + 1, ancestors, taken,
-                               None if hook is None else path + (i,))
+            c, esc, cm = build(a, level + 1, taken, None if hook is None else path + (i,))
             children.append(c)
             if esc < escape:
                 escape = esc
             if not cm:
                 complete = False
         node.children = tuple(children)
-        if cyclic and complete and level <= escape < INF:
-            memo.setdefault(term, node)
+        if cyclic:
+            if complete and level <= escape < INF:
+                seen[term] = (None, node)
+            else:
+                del seen[term]
         return node, escape, complete
 
-    root, _, _ = build(t0, 0, (), frozenset(t0.names), ())
-    return ClockTree(root, semantics, atomic, depth, fuel)
+    root, _, closed = build(t0, 0, frozenset(t0.names), ())
+    return ClockTree(root, semantics, atomic, depth, fuel, closed)
 
 
 def clocked_bt(
@@ -463,7 +471,7 @@ def strip(tree: ClockTree) -> ClockTree:
         path.append(c)
     for c in copies.values():
         c.children = tuple(c.children)
-    return ClockTree(path[0], tree.semantics, tree.atomic, tree.depth, tree.fuel)
+    return ClockTree(path[0], tree.semantics, tree.atomic, tree.depth, tree.fuel, tree.closed)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +530,6 @@ def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
     ids: dict[int, str] = {}
     path: list[dict] = []
     root: dict = {}
-    closed = True  # ``tree.closed``, found in this pass
     for k, (n, pos, depth, target, tpos) in enumerate(walk(tree)):
         nid = f"n{k}"
         ids[id(n)] = nid
@@ -553,7 +560,6 @@ def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
             d["head"] = n.head
         if isinstance(n, Unknown):
             d["reason"] = n.reason
-            closed = False
         if n.children:
             d["children"] = []
         path.append(d)
@@ -563,7 +569,7 @@ def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
         "atomic": atomic,
         "depth": tree.depth,
         "fuel": tree.fuel,
-        "closed": closed,
+        "closed": tree.closed,
         "root": root,
     }
 
@@ -581,8 +587,7 @@ def periodicity_report(tree: ClockTree) -> dict:
         for n, pos, _, _, tpos in walk(tree)
         if isinstance(n, BackEdge)
     ]
-    closed = tree.closed
-    return {"fully_periodic": closed, "closed": closed, "loops": loops}
+    return {"fully_periodic": tree.closed, "closed": tree.closed, "loops": loops}
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +607,6 @@ class SimplicityWitness:
 class SimplicityReport:
     status: str  # "simple" | "not_simple" | "unknown"
     witness: SimplicityWitness | None
-    closed: bool
-    depth: int
     tree: ClockTree  # the cyclic ``bt`` tree whose steps were classified
 
     def __bool__(self) -> bool:
@@ -619,19 +622,16 @@ def check_simple(t: Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL) 
     """
     found: list[SimplicityWitness] = []
 
-    def hook(path, i, pos, lam, arg, size, build):
+    def hook(path, i, pos, lam, arg, build):
         if not found:
             rc = _redex_class(lam.body, arg)
             if not rc.simple:
                 found.append(SimplicityWitness(path, i, pos, rc, build()))
 
     tree = compact_cyclic(t, depth, fuel, "bt", hook=hook)
-    closed = tree.closed
     if found:
-        return SimplicityReport("not_simple", found[0], closed, depth, tree)
-    if closed:
-        return SimplicityReport("simple", None, closed, depth, tree)
-    return SimplicityReport("unknown", None, closed, depth, tree)
+        return SimplicityReport("not_simple", found[0], tree)
+    return SimplicityReport("simple" if tree.closed else "unknown", None, tree)
 
 
 class _NotSimple(Exception):
@@ -647,7 +647,7 @@ def _simple_report(t: Term, depth: int, fuel: int) -> SimplicityReport | None:
     a candidate is simple then spends nothing on the rest of its tree.
     """
 
-    def hook(path, i, pos, lam, arg, size, build):
+    def hook(path, i, pos, lam, arg, build):
         if not _redex_class(lam.body, arg).simple:
             raise _NotSimple
 
@@ -655,6 +655,4 @@ def _simple_report(t: Term, depth: int, fuel: int) -> SimplicityReport | None:
         tree = compact_cyclic(t, depth, fuel, "bt", hook=hook)
     except _NotSimple:
         return None
-    if not tree.closed:
-        return None
-    return SimplicityReport("simple", None, True, depth, tree)
+    return SimplicityReport("simple", None, tree) if tree.closed else None

@@ -333,6 +333,55 @@ def test_tree_output_bytes_are_pinned(run, semantics, term, digest):
     assert h.hexdigest() == digest
 
 
+def _text_and_json_digest(run, *args):
+    h = hashlib.sha256()
+    for form in ((), ("--json",)):
+        res = run(*args, *form)
+        h.update(f"{res.exit_code}\n{res.output}\0".encode())
+    return h.hexdigest()
+
+
+# Each digest covers the exit code and output of text and --json; the
+# reports' ``closed`` and ``depth`` entries are read off the built trees.
+@pytest.mark.parametrize(("args", "digest"), [
+    # simple
+    (("eta eta delta x",), "aa7e312c79b0ab7b26124b2e15a534792c61ab589de67b835e98baa607898444"),
+    (("Y0 f", "--depth", "2"), "faca74cbbf83032a12390350e1c524bff71764f42e1a8e40e1fdbe451d5bc434"),
+    # not_simple with a witness, closed and open
+    ((r"Y1 (\z.f z z)",), "a1fcf8333e308b307ec85f4830c098520ba0de6d4479f269724a4372a6935035"),
+    (("delta delta (delta delta)", "--depth", "4", "--fuel", "200"),
+     "ba9ffb75eec7f68e13ed747a44a3479af47e74f7cb04b371ba751bbd9c135f94"),
+    # unknown
+    ((r"Y1 (\g x. f (g (x x)))", "--depth", "4", "--fuel", "300"),
+     "c30c4a2e4bd7f0e8f8aa5cda1192f0a294a5c256a4e07d75a8fa739047fd9074"),
+    (("x", "--depth", "0"), "ee75eda187005cbfbfc2183f8c43837354e46a3ebb31b6df834c74bc109e069d"),
+])
+def test_check_simple_output_bytes_are_pinned(run, args, digest):
+    assert _text_and_json_digest(run, "check-simple", *args) == digest
+
+
+# Every justification.  ``eta eta delta delta delta f`` is simple; the
+# other side of its pairs is not, and with no reduct made it has no
+# simple reduct.
+@pytest.mark.parametrize(("args", "digest"), [
+    (("I", r"\x. x x"), "0f8447ae72a15a2a919228e2e634adeeea1f99fee328abc44d61e6d7302c00ac"),
+    (("Y0", "Y1"), "09a35d69773e863015b8b72547ba674f7a82a0db36850e268301628fe5bb96b8"),
+    (("E1", "E3"), "a1786d52bf3b5f0b653a40fc6ea03047c5bcea06b29ae48718156ba28bce4e19"),
+    (("eta eta delta delta delta f", r"Y0 (\x. f (K x x))", "--reduct-limit", "1"),
+     "fec30b979526e759dc0a45b29ec93068f87db800c6d105089abb6db48e552912"),
+    ((r"Y0 (\x. f (K x x))", "eta eta delta delta delta f", "--reduct-limit", "1"),
+     "f151339652c3de068b5ed997da873723a3cdbd971804b8919a2b9b0c2763f280"),
+    (("Y0", "Y0"), "d15c29a872a086e7fd917498bf0b2a6ac614126dce46068874f420e09eab7551"),
+    ((r"Y1 (\z.f z z)", r"Y0 (\z.f z z)"),
+     "3cffaec3d542ff5b51b3c275188a74f26319960545f30bb988bbd02ae44c6137"),
+    (("eta eta delta", "Y0 (S S) I", "--atomic"),
+     "17814d6880099908c5c5e14723ddcb05929f6475938ccc3acbb74e8f9f7ba008"),
+    (("Y0", "Y1", "--depth", "0"), "a19f62bb0c977e7949f309202b376b2d8ebba54647d18147a67f1bd7de9dba5e"),
+])
+def test_compare_output_bytes_are_pinned(run, args, digest):
+    assert _text_and_json_digest(run, "compare", *args) == digest
+
+
 def test_llt_whnf_layers(run):
     res = run("llt", r"(\x y. x x)(\x y. x x)")
     assert res.exit_code == 0
@@ -445,6 +494,18 @@ def test_catalog_instantiation(run):
 def test_catalog_unknown_name(run):
     res = run("catalog", "nope")
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(("args", "entry"), [
+    (("plotkin-a", "5"), "plotkin-a"),
+    (("dummy-scheme", "3"), "dummy-scheme"),
+    (("wfpc-flipflop", "Y0"), "wfpc-flipflop"),
+    (("gvector", "Y0", "1", "2"), "gvector"),
+])
+def test_catalog_parameter_not_taken_is_usage_error(run, args, entry):
+    res = run("catalog", *args)
+    assert res.exit_code == 2
+    assert res.output.startswith(f"error: {entry} takes ")
 
 
 # -- check-simple ------------------------------------------------------------

@@ -193,3 +193,37 @@ def test_catalog_rejects_bad_requests():
         C.catalog("nope")
     with pytest.raises(ValueError):
         C.catalog("i", 1)
+
+
+@pytest.mark.parametrize("params", [
+    ("plotkin-a", 5),
+    ("dummy-scheme", 3),
+    ("wfpc-flipflop", C.Y0),
+    ("gvector", C.Y0, 1, 2),
+    ("gvector", C.Y0, C.Y1),
+    ("bohm-seq",),
+    ("bohm-seq", 2, C.Y0),
+    ("scott-composite", [1, 2]),
+])
+def test_catalog_rejects_a_parameter_not_taken(params):
+    with pytest.raises(ValueError, match=f"^{params[0]} takes "):
+        C.catalog(*params)
+
+
+def test_catalog_takes_each_parameter_in_its_place():
+    assert alpha_eq(C.catalog("gvector", 3, C.Y0), C.gvector(C.Y0, 3))
+    assert alpha_eq(C.catalog("gvector", 3), C.gvector(None, 3))
+    assert alpha_eq(C.catalog("bbb-scheme", C.Y1), C.bbb_scheme(C.Y1))
+    assert alpha_eq(C.catalog("dummy-scheme", C.Y1, C.I, C.K), C.dummy_scheme(C.Y1, (C.I, C.K)))
+    assert alpha_eq(C.catalog("dummy-scheme"), C.dummy_scheme())
+    assert alpha_eq(C.catalog("scott-composite", 1, 0), C.scott_composite([1, 0]))
+    assert alpha_eq(C.catalog("plotkin-bprime", C.Y0), C.plotkin_Bprime(C.Y0))
+    assert alpha_eq(C.catalog("wfpc-flipflop", 1), C.wfpc_flipflop(1))
+
+
+def test_catalog_names_are_the_plain_entries_then_the_families():
+    assert C.catalog_names() == [
+        "b", "delta", "e1", "e2", "e3", "eta", "i", "k", "omega-f", "s", "theta", "y0", "y1",
+        "bbb-scheme", "bohm-seq", "dummy-scheme", "gvector", "plotkin-a", "plotkin-b",
+        "plotkin-bprime", "scott-composite", "scott-seq", "wfpc-flipflop",
+    ]

@@ -405,17 +405,16 @@ def _observed(t, target, fuel):
     """``head_reduce`` with an ``on_step`` callback: the status, steps and
     result, and the term each step's thunk builds.  The thunks are called
     only after the run, so a state that a later step changed in place
-    would show; each callback's index, redex and size are checked
-    against the term its thunk builds."""
+    would show; each callback's index and redex are checked against
+    the term its thunk builds."""
     calls = []
     out = head_reduce(t, target, fuel, on_step=lambda *a: calls.append(a))
     built = []
-    for n, (i, pos, lam, arg, size, build) in enumerate(calls):
+    for n, (i, pos, lam, arg, build) in enumerate(calls):
         u = build()
         redex = subterm_at(u, pos)
         assert (i, pos) == (n, out.steps[n])
         assert _with_hints(redex) == _with_hints(App(lam, arg))
-        assert size == u.size
         built.append(_with_hints(u))
     assert len(built) == out.step_count
     return out.status, out.steps, _with_hints(out.result), built

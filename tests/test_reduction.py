@@ -202,6 +202,6 @@ def test_head_step_agrees_with_trace(defs):
     out = head_reduce(t, "hnf", 100, on_step=lambda *a: calls.append(a))
     p = head_redex_position(t)
     assert out.steps[0] == p
-    i, pos, lam, arg, size, build = calls[1]
+    i, pos, lam, arg, build = calls[1]
     assert (i, pos) == (1, out.steps[1])
     assert build() == contract_at(t, p)

@@ -1,8 +1,8 @@
 """Source hygiene: every package module uses each name it imports,
 every module-level private helper and every ``__slots__`` name is read
-somewhere in the package, every public one somewhere in the package,
-the tests or the benchmark, and ``compare.py`` reads every
-``DiscriminationConfig`` setting."""
+somewhere in the package, every public one and every dataclass field
+somewhere in the package, the tests or the benchmark, and ``compare.py``
+reads every ``DiscriminationConfig`` setting."""
 
 import ast
 from pathlib import Path
@@ -151,35 +151,59 @@ def test_no_unread_public_defs():
     ) == []
 
 
-def _unread_fields(source: str, cls: str) -> list[str]:
-    """Annotated fields of class ``cls`` that the module never reads as
-    an attribute (``x.field`` in a load context)."""
-    tree = ast.parse(source)
-    (node,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
-    fields = {
-        s.target.id
-        for s in node.body
-        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-    }
-    reads = {
-        n.attr
-        for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-    }
-    return sorted(fields - reads)
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _unread_fields(sources: list[str], readers: list[str]) -> list[str]:
+    """``Class.field`` for every annotated field of a dataclass in
+    ``sources`` that neither they nor the ``readers`` read as an
+    attribute (``x.field`` in a load context)."""
+    fields: list[str] = []
+    reads: set[str] = set()
+    for i, source in enumerate([*sources, *readers]):
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                reads.add(n.attr)
+            elif i < len(sources) and isinstance(n, ast.ClassDef) and _is_dataclass(n):
+                fields += [
+                    f"{n.name}.{s.target.id}"
+                    for s in n.body
+                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                ]
+    return sorted(f for f in fields if f.split(".", 1)[1] not in reads)
 
 
 def test_the_check_finds_unread_fields():
     source = (
-        "class Config:\n    a: int = 1\n    b: int = 2\n    c: int = 3\n"
+        "@dataclass\nclass Config:\n    a: int = 1\n    b: int = 2\n    c: int = 3\n"
+        "@dataclass(frozen=True)\nclass Pair:\n    left: int\n    right: int\n"
+        "class Plain:\n    unread: int\n"
         "def f(cfg):\n    cfg.b = 5\n    return cfg.a\n"
     )
-    assert _unread_fields(source, "Config") == ["b", "c"]
+    reader = "def g(pair):\n    return pair.left\n"
+    assert _unread_fields([source], [reader]) == ["Config.b", "Config.c", "Pair.right"]
 
 
 def test_every_discrimination_setting_is_read():
     source = (Path(lamclock.__file__).parent / "compare.py").read_text(encoding="utf-8")
-    assert _unread_fields(source, "DiscriminationConfig") == []
+    unread = _unread_fields([source], [])
+    assert [f for f in unread if f.startswith("DiscriminationConfig.")] == []
+
+
+def test_no_unread_dataclass_fields():
+    # a field nothing reads, such as a copy whose readers moved to the
+    # value it copied, shows here
+    tests = Path(__file__).parent
+    readers = sorted(tests.glob("*.py")) + sorted((tests.parent / "perfbench").glob("*.py"))
+    assert _unread_fields(
+        [p.read_text(encoding="utf-8") for p in MODULES],
+        [p.read_text(encoding="utf-8") for p in readers],
+    ) == []
 
 
 def _unread_slots(sources: list[str]) -> list[str]:

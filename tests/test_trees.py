@@ -182,6 +182,31 @@ def test_cyclic_curry(defs):
     assert edge.kind == "backedge" and edge.delta == 1
 
 
+def _closed_inputs():
+    for name in C.catalog_names():
+        t = C.catalog(name, 3) if name.endswith("-seq") else C.catalog(name)
+        yield t
+        yield App(t, Free("f"))
+    yield from (parse(r"(\x.x x x)(\x.x x x)"), parse(OMEGA), C.E1, C.E2, C.E3)
+
+
+_ACYCLIC = {"bt": clocked_bt, "llt": clocked_llt, "bet": clocked_bet}
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("semantics", ["bt", "llt", "bet"])
+def test_the_build_records_closed(semantics, cyclic):
+    # the build's flag against a walk for an Unknown frontier
+    for t, depth in itertools.product(_closed_inputs(), (2, 4, 8, 12)):
+        if cyclic:
+            tree = compact_cyclic(t, depth, 2000, semantics)
+        else:
+            tree = _ACYCLIC[semantics](t, depth, 2000)
+        want = not any(n.kind == "unknown" for n, *_ in walk(tree))
+        assert tree.closed == want, (pretty(t), depth)
+        assert strip(tree).closed == tree.closed
+
+
 def _reference_walk(tree):
     """A preorder walk that carries every entry's position: the
     reference for the positions ``walk`` makes for references only."""
@@ -376,7 +401,7 @@ def test_walks_over_a_deep_tree_do_not_recurse():
     node.children = (BackEdge(node, 1),)
     for _ in range(2999):
         node = Layer("hnf", ((2,),), (), "f", ("f", "f"), (node,))
-    tree = ClockTree(node, "bt", False, 3001, 10)
+    tree = ClockTree(node, "bt", False, 3001, 10, closed=True)
     assert render_text(tree).count("\n") == 3001
     assert render_dot(tree).count(" -> ") == 3000
     assert tree_to_dict(tree)["closed"] is True
@@ -448,7 +473,7 @@ def _report(t, depth):
     w = r.witness
     if w is not None:
         w = w.path, w.step, w.position, w.redex_class, pretty(w.term)
-    return r.status, r.closed, w, tree_to_dict(r.tree, True), render_text(r.tree)
+    return r.status, r.tree.closed, w, tree_to_dict(r.tree, True), render_text(r.tree)
 
 
 def _check_simple_inputs():
@@ -536,7 +561,7 @@ def test_duplicating_growth_refuted_despite_open_tree(defs):
     # so the refutation is definite even though the tree never closes
     report = check_simple(parse("delta delta (delta delta)", defs), depth=4, fuel=200)
     assert report.status == "not_simple"
-    assert not report.closed
+    assert not report.tree.closed
 
 
 def test_growing_term_simplicity_unknown(defs):
