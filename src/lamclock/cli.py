@@ -256,13 +256,10 @@ def check_simple_cmd(term, depth, fuel, defs_file, as_json):
     payload = {"status": report.status, "closed": report.tree.closed,
                "depth": report.tree.depth}
     if report.witness is not None:
-        rc = report.witness.redex_class
         payload["witness"] = {
             "path": "/".join(str(i) for i in report.witness.path) or "root",
             "step": report.witness.step,
-            "kind": "duplicating (argument not a normal form, variable used more than once)"
-            if not rc.simple
-            else ("linear" if rc.linear else "call-by-value"),
+            "kind": "duplicating (argument not a normal form, variable used more than once)",
         }
     if as_json:
         _emit_json(payload)

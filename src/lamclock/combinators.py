@@ -11,6 +11,7 @@ descendants spread through reducts.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .parser import DefinitionTable
@@ -26,9 +27,10 @@ from .terms import (
     free_vars,
     iterate,
     lam,
+    replace_at,
     subterms,
 )
-from .trees import DEFAULT_DEPTH, compact_cyclic, node_at
+from .trees import DEFAULT_DEPTH, clocked_bt, compact_cyclic, node_at
 
 _DEFS_TEXT = r"""
 I = \x.x;
@@ -252,10 +254,6 @@ def balanced_reducts(t: LabeledTerm, count: int, expand_cap: int = 400) -> list[
     duplicated argument of the label.  ``expand_cap`` bounds how many
     terms get expanded.
     """
-    from collections import deque
-
-    from .terms import replace_at
-
     out: list[Term] = []
     seen: set[Term] = {t.term}
     frontier: deque[Term] = deque()
@@ -304,13 +302,11 @@ def spine_evidence(
     the full requested depth behaves as a fixed-point builder as far
     as the bound can see.
     """
-    from .trees import clocked_bt
-
     tree = clocked_bt(App(t, Free(var)), depth, fuel)
     node = tree.root
     levels = 0
     while (
-        getattr(node, "kind", None) == "hnf"
+        node.kind == "hnf"
         and not node.binders
         and node.head_ref == ("f", var)
         and len(node.children) == 1

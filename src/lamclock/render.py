@@ -12,7 +12,7 @@ dotted ones.
 from __future__ import annotations
 
 from .terms import pos_str
-from .trees import BackEdge, ClockTree, Node, walk
+from .trees import ClockTree, Node, walk
 
 
 def clock_str(node: Node, atomic: bool) -> str:
@@ -47,7 +47,7 @@ def render_text(tree: ClockTree) -> str:
     lines: list[str] = []
     for n, pos, depth, _, tpos in walk(tree):
         pad = "  " * depth
-        if isinstance(n, BackEdge):
+        if n.kind == "backedge":
             lines.append(
                 f"{pad}↺ up {n.delta} "
                 f"(phase {pos_str(tpos)}, period {pos_str(pos[len(tpos):])})"

@@ -50,28 +50,27 @@ def fig3() -> str:
     return _cyclic_block("y0 f", _fx(Y0)) + _cyclic_block("y1 f", _fx(Y1))
 
 
-def ex4_19() -> str:
+def _steps_per_level(terms) -> str:
+    """One line per ``(n, term)``: the root's head steps and the simplicity
+    status, both read off the one cyclic ``bt`` tree ``check_simple`` builds."""
     lines = []
-    for n in range(2, 7):
-        t = _fx(bohm_seq(n), "x")
-        tree = compact_cyclic(t)
+    for n, t in terms:
         report = check_simple(t)
         lines.append(
-            f"n={n}: head-steps-per-level {tree.root.count}, {report.status}"
+            f"n={n}: head-steps-per-level {report.tree.root.count}, {report.status}"
         )
     return "\n".join(lines) + "\n"
+
+
+def ex4_19() -> str:
+    return _steps_per_level((n, _fx(bohm_seq(n), "x")) for n in range(2, 7))
 
 
 def ex4_20() -> str:
-    lines = []
-    for n in range(2, 7):
-        t = App(app(iterate("left", App(THETA, THETA), S, n - 2), I), Free("x"))
-        tree = compact_cyclic(t)
-        report = check_simple(t)
-        lines.append(
-            f"n={n}: head-steps-per-level {tree.root.count}, {report.status}"
-        )
-    return "\n".join(lines) + "\n"
+    return _steps_per_level(
+        (n, App(app(iterate("left", App(THETA, THETA), S, n - 2), I), Free("x")))
+        for n in range(2, 7)
+    )
 
 
 def fig4() -> str:

@@ -11,15 +11,16 @@ supported:
   an application whose function side provably never becomes an
   abstraction).
 
-``Bottom`` marks *proven* divergence, ``Unknown`` an exhausted depth or
-fuel budget.  With ``cyclic`` construction, a node whose generating term
-literally repeats an ancestor's (equal up to binder renaming, free
-variables naming the same binders) becomes a ``BackEdge``, and one
-that repeats an already finished
-self-contained cyclic subtree elsewhere in the tree becomes a
-``SharedRef`` to it; a tree whose every unfinished frontier is a back
-edge, shared reference or Bottom is *closed* and fully describes the
-infinite unfolding.
+Every node is one ``Node`` class, told apart by its ``kind``.  A
+``bottom`` node marks *proven* divergence, an ``unknown`` one an
+exhausted depth or fuel budget.  With ``cyclic`` construction, a node
+whose generating term literally repeats an ancestor's (equal up to
+binder renaming, free variables naming the same binders) becomes a
+``backedge``, and one that repeats an already finished self-contained
+cyclic subtree elsewhere in the tree becomes a ``shared`` reference to
+it; a tree whose every unfinished frontier is a back edge, shared
+reference or ``bottom`` is *closed* and fully describes the infinite
+unfolding.
 """
 
 from __future__ import annotations
@@ -58,36 +59,8 @@ _TARGET = {"bt": "hnf", "llt": "whnf", "bet": "root_stable"}
 
 
 class Node:
-    """A tree node: its clock, the head steps that produced it.
-
-    ``count`` is ``len(steps)``; both are None for the markers (Bottom,
-    Unknown, BackEdge, SharedRef) and for a stripped layer.  The class
-    defaults give every marker a layer's read-only shape: no binders,
-    no binder block, no head and no children; ``target`` is set only on
-    the two references, to the node they stand for.
-    """
-
-    kind = "?"
-    binders: tuple[str, ...] = ()
-    block: tuple[str, ...] = ()
-    head: str | None = None
-    head_ref: tuple | None = None
-    children: tuple["Node", ...] = ()
-    target: "Node | None" = None
-    __slots__ = ("count", "steps")
-
-    def __init__(self, steps: tuple[Position, ...] | None = None):
-        self.steps = steps
-        self.count = None if steps is None else len(steps)
-
-    def clock(self, atomic: bool = False):
-        if atomic:
-            return None if self.steps is None else [pos_str(p) for p in self.steps]
-        return self.count
-
-
-class Layer(Node):
-    """A resolved layer: binders, a head and subtrees, under its clock.
+    """A tree node: its ``kind``, the head steps that produced it, and
+    the fields its kind uses.
 
     ``kind`` is one of
 
@@ -96,80 +69,60 @@ class Layer(Node):
     * ``lam``  (``llt``, ``bet``): one binder, the body as the only child;
     * ``head`` (``llt``): a variable-headed spine, no binders entered;
     * ``var``  (``bet``): a bare variable, no children;
-    * ``app``  (``bet``): a root-stable application, children ``(fn, arg)``.
+    * ``app``  (``bet``): a root-stable application, children ``(fn, arg)``;
+    * ``bottom``: proven divergence, the target form is never reached;
+    * ``unknown``: a budget ran out, ``reason`` says which (``"depth"``
+      or ``"fuel"``); nothing is claimed about this subtree;
+    * ``backedge``: a pointer to ``target``, the ancestor with the same
+      unfolding ``delta`` node levels up;
+    * ``shared``: a cross link to ``target``, an already built subtree
+      with the same unfolding.  Only *self-contained* subtrees (no
+      internal back edge pointing above their root) are ever shared, so
+      the target reads the same from any position that references it.
 
-    ``block`` holds the build's internal names of the binders this layer
-    opens, one per entry of ``binders`` (which are display names, and
-    may repeat across layers); the internal names are unique within the
-    build.  ``head_ref`` says what the head names: ``("f", name)`` for a
-    free variable, ``("b", internal)`` for the binder opened under that
-    internal name by this layer or one above it.
+    The first five kinds are the layers.  A layer's ``steps`` are its
+    clock and ``count`` is ``len(steps)``; both are None on the other
+    four kinds and on a stripped layer.  ``block`` holds the build's
+    internal names of the binders a layer opens, one per entry of
+    ``binders`` (which are display names, and may repeat across layers);
+    the internal names are unique within the build.  ``head_ref`` says
+    what the head names: ``("f", name)`` for a free variable,
+    ``("b", internal)`` for the binder opened under that internal name
+    by this layer or one above it.  ``target`` is set only on the two
+    references.
     """
 
-    __slots__ = ("kind", "binders", "head", "head_ref", "children", "block")
+    __slots__ = ("kind", "steps", "count", "binders", "head", "head_ref", "children",
+                 "block", "target", "delta", "reason")
 
-    def __init__(self, kind, steps, binders=(), head=None, head_ref=None, children=(), block=()):
-        super().__init__(steps)
+    def __init__(self, kind: str, steps: tuple[Position, ...] | None = None,
+                 binders: tuple[str, ...] = (), head: str | None = None,
+                 head_ref: tuple | None = None, children: tuple["Node", ...] = (),
+                 block: tuple[str, ...] = (), target: "Node | None" = None,
+                 delta: int | None = None, reason: str | None = None):
         self.kind = kind
+        self.steps = steps
+        self.count = None if steps is None else len(steps)
         self.binders = binders
         self.head = head
         self.head_ref = head_ref
         self.children = children
         self.block = block
-
-
-class Bottom(Node):
-    """Proven divergence: the target form is never reached."""
-
-    kind = "bottom"
-    __slots__ = ()
-
-
-class Unknown(Node):
-    """Budget ran out; nothing is claimed about this subtree."""
-
-    kind = "unknown"
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str):
-        super().__init__()
-        self.reason = reason
-
-
-class BackEdge(Node):
-    """Pointer to ``target``, the equal-unfolding ancestor ``delta``
-    node levels up."""
-
-    kind = "backedge"
-    __slots__ = ("target", "delta")
-
-    def __init__(self, target: Node, delta: int):
-        super().__init__()
         self.target = target
         self.delta = delta
+        self.reason = reason
 
-
-class SharedRef(Node):
-    """Cross link to an already built subtree with the same unfolding.
-
-    Only *self-contained* subtrees (no internal back edge pointing above
-    their root) are ever shared, so the target reads the same from any
-    position that references it.
-    """
-
-    kind = "shared"
-    __slots__ = ("target",)
-
-    def __init__(self, target: Node):
-        super().__init__()
-        self.target = target
+    def clock(self, atomic: bool = False):
+        if atomic:
+            return None if self.steps is None else [pos_str(p) for p in self.steps]
+        return self.count
 
 
 @dataclass
 class ClockTree:
     """A built tree plus the parameters it was built with.
 
-    ``closed``, recorded by the build, says the tree has no Unknown
+    ``closed``, recorded by the build, says the tree has no ``unknown``
     frontier: the finite structure describes the whole unfolding."""
 
     root: Node
@@ -309,9 +262,9 @@ def _build(
         Returns ``(node, escape, complete)``: ``escape`` is the lowest
         ancestor level targeted by any back edge inside the subtree
         (INF when the subtree is acyclic), ``complete`` says the
-        subtree contains no Unknown.  A subtree is remembered for
-        cross-branch reuse only when it is complete and its cycles are
-        self-contained (``level <= escape < INF``); finite acyclic
+        subtree contains no ``unknown`` node.  A subtree is remembered
+        for cross-branch reuse only when it is complete and its cycles
+        are self-contained (``level <= escape < INF``); finite acyclic
         pieces are cheap to rebuild and stay separate nodes.
 
         Recurrence is *literal*: the generating term equals an earlier
@@ -331,10 +284,10 @@ def _build(
             if hit is not None:
                 alvl, anode = hit
                 if alvl is None:
-                    return SharedRef(anode), INF, True
-                return BackEdge(anode, level - alvl), alvl, True
+                    return Node("shared", target=anode), INF, True
+                return Node("backedge", target=anode, delta=level - alvl), alvl, True
         if level >= depth:
-            return Unknown("depth"), INF, False
+            return Node("unknown", reason="depth"), INF, False
         known = reduced.get(id(term))
         if known is None:
             out = head_reduce(
@@ -344,15 +297,15 @@ def _build(
             known = reduced[id(term)] = (term, out.status, kept, out.result)
         _, status, steps, r = known
         if status == PROVEN_DIVERGENT:
-            return Bottom(), INF, True
+            return Node("bottom"), INF, True
         if status == FUEL_EXHAUSTED:
-            return Unknown("fuel"), INF, False
+            return Node("unknown", reason="fuel"), INF, False
         assert r is not None
 
         kids: list[Term]  # the children's generating terms, in slot order
         if type(r) is Lam and semantics != "bt":  # llt and bet: one lambda layer
             body, shown, block, taken = open_binders(r, 1, taken)
-            node = Layer("lam", steps, shown, block=block)
+            node = Node("lam", steps, shown, block=block)
             kids = [body]
         elif semantics != "bet":  # a head normal form, or (llt) a variable-headed spine
             nb = 0
@@ -363,14 +316,14 @@ def _build(
             u, shown, block, taken = open_binders(r, nb, taken)
             head, kids = spine(u)
             name, ref = head_info(head)
-            node = Layer("hnf" if semantics == "bt" else "head", steps, shown, name, ref,
-                         block=block)
+            node = Node("hnf" if semantics == "bt" else "head", steps, shown, name, ref,
+                        block=block)
         elif type(r) is App:  # bet
-            node = Layer("app", steps)
+            node = Node("app", steps)
             kids = [r.fn, r.arg]
         else:  # bet: a variable
             name, ref = head_info(r)
-            node = Layer("var", steps, (), name, ref)
+            node = Node("var", steps, (), name, ref)
             kids = []
 
         if cyclic:
@@ -431,9 +384,10 @@ def compact_cyclic(
     Completed self-contained cyclic subtrees are additionally reused
     across branches: a later node with the same generating term (equal
     up to binder renaming, free variables naming the same binders)
-    becomes a ``SharedRef`` to the first occurrence instead of a copy,
-    so the tree stays a finite closed graph even when the repetition is
-    between siblings rather than between ancestor and descendant.
+    becomes a ``shared`` reference to the first occurrence instead of a
+    copy, so the tree stays a finite closed graph even when the
+    repetition is between siblings rather than between ancestor and
+    descendant.
 
     ``hook``, when given, sees every head step of every reduction as
     ``hook(path, ...)`` with ``head_reduce``'s ``on_step`` arguments.
@@ -448,23 +402,18 @@ def strip(tree: ClockTree) -> ClockTree:
     """The same tree with every clock annotation removed.
 
     One preorder pass over ``walk``, so a tree of any depth is fine.
-    Bottom and Unknown carry no clock and are kept; a back edge or
-    shared reference is remapped to the copy of its target, which
-    preorder has already made.
+    A back edge or shared reference is remapped to the copy of its
+    target, which preorder has already made.
     """
     copies: dict[int, Node] = {}
     path: list = []  # the copies of the current node's ancestors
     for n, _, depth, target, _ in walk(tree):
-        if isinstance(n, BackEdge):
-            c: Node = BackEdge(copies[id(target)], n.delta)
-        elif target is not None:
-            c = SharedRef(copies[id(target)])
-        elif isinstance(n, Layer):
-            # children gathered in a list, made a tuple once below
-            c = copies[id(n)] = Layer(
-                n.kind, None, n.binders, n.head, n.head_ref, [], n.block)
+        if target is not None:
+            c = Node(n.kind, target=copies[id(target)], delta=n.delta)
         else:
-            c = n
+            # children gathered in a list, made a tuple once below
+            c = copies[id(n)] = Node(n.kind, None, n.binders, n.head, n.head_ref, [],
+                                     n.block, reason=n.reason)
         del path[depth:]
         if path:
             path[-1].children.append(c)
@@ -496,8 +445,8 @@ def node_at(tree: ClockTree, pos: Position) -> Node | None:
 
     Back edges and shared refs are followed to their targets, so
     positions arbitrarily deep resolve on a closed tree.  Returns None
-    when the position does not exist (or runs into Bottom/Unknown before
-    being consumed).
+    when the position does not exist (or runs into a ``bottom`` or
+    ``unknown`` node before being consumed).
     """
     n = tree.root
     pos = tuple(pos)
@@ -558,7 +507,7 @@ def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
             d["binders"] = list(n.binders)
         if n.head is not None:
             d["head"] = n.head
-        if isinstance(n, Unknown):
+        if n.reason is not None:
             d["reason"] = n.reason
         if n.children:
             d["children"] = []
@@ -585,7 +534,7 @@ def periodicity_report(tree: ClockTree) -> dict:
             "delta": n.delta,
         }
         for n, pos, _, _, tpos in walk(tree)
-        if isinstance(n, BackEdge)
+        if n.kind == "backedge"
     ]
     return {"fully_periodic": tree.closed, "closed": tree.closed, "loops": loops}
 

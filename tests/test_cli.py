@@ -301,7 +301,7 @@ _SWAP_LOOP = r"Y0 (\f x y. x (f y x))"
 
 
 # Catalog terms whose trees have back edges; E3's bt tree also has a
-# shared ref, and its llt and bet trees end in Unknown.  Each digest
+# shared ref, and its llt and bet trees end in unknown nodes.  Each digest
 # covers the exit code and output of text, --json and --dot, plain and
 # --atomic, and pins those bytes.
 @pytest.mark.parametrize(("semantics", "term", "digest"), [

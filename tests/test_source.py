@@ -1,8 +1,9 @@
-"""Source hygiene: every package module uses each name it imports,
-every module-level private helper and every ``__slots__`` name is read
-somewhere in the package, every public one and every dataclass field
-somewhere in the package, the tests or the benchmark, and ``compare.py``
-reads every ``DiscriminationConfig`` setting."""
+"""Source hygiene: every package module uses each name it imports, and
+imports inside a function only from modules it does not import from at
+top level; every module-level private helper and every ``__slots__``
+name is read somewhere in the package, every public one and every
+dataclass field somewhere in the package, the tests or the benchmark,
+and ``compare.py`` reads every ``DiscriminationConfig`` setting."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,52 @@ def test_the_check_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _import_sources(node: ast.stmt) -> set[tuple[int, str]]:
+    """The modules an import statement reads, as ``(level, name)``;
+    ``from . import m`` reads ``.m``."""
+    if isinstance(node, ast.Import):
+        return {(0, a.name) for a in node.names}
+    if isinstance(node, ast.ImportFrom):
+        if node.module is None:
+            return {(node.level, a.name) for a in node.names}
+        return {(node.level, node.module)}
+    return set()
+
+
+def _late_imports(source: str) -> list[str]:
+    """Names imported inside a function from a module that the same file
+    already imports from at top level: such an import cannot be breaking
+    an import cycle."""
+    tree = ast.parse(source)
+    top = set().union(*map(_import_sources, tree.body))
+    inner = {
+        id(n): n
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for n in ast.walk(fn)
+        if isinstance(n, (ast.Import, ast.ImportFrom))
+    }
+    return sorted(a.name for n in inner.values() if _import_sources(n) & top for a in n.names)
+
+
+def test_the_check_finds_late_imports():
+    source = (
+        "import os\nfrom .terms import App\nfrom . import parser\n"
+        "def f():\n"
+        "    import os.path\n    from collections import deque\n"
+        "    from .terms import Lam as L\n    from .trees import walk\n"
+        "    from . import repro\n"
+        "    def g():\n        from . import parser\n"
+        "class C:\n    def m(self):\n        import os\n"
+    )
+    assert _late_imports(source) == ["Lam", "os", "parser"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_late_imports(path):
+    assert _late_imports(path.read_text(encoding="utf-8")) == []
 
 
 def _unread_private_defs(sources: list[str]) -> list[str]:

@@ -14,9 +14,8 @@ from lamclock.reduction import HeadOutcome, classify_redex, head_redex_position
 from lamclock.render import render_dot, render_text
 from lamclock.terms import App, Free, Lam, Var, pos_str
 from lamclock.trees import (
-    BackEdge,
     ClockTree,
-    Layer,
+    Node,
     check_simple,
     child_step,
     clocked_bet,
@@ -196,7 +195,7 @@ _ACYCLIC = {"bt": clocked_bt, "llt": clocked_llt, "bet": clocked_bet}
 @pytest.mark.parametrize("cyclic", [False, True])
 @pytest.mark.parametrize("semantics", ["bt", "llt", "bet"])
 def test_the_build_records_closed(semantics, cyclic):
-    # the build's flag against a walk for an Unknown frontier
+    # the build's flag against a walk for an unknown frontier
     for t, depth in itertools.product(_closed_inputs(), (2, 4, 8, 12)):
         if cyclic:
             tree = compact_cyclic(t, depth, 2000, semantics)
@@ -205,6 +204,52 @@ def test_the_build_records_closed(semantics, cyclic):
         want = not any(n.kind == "unknown" for n, *_ in walk(tree))
         assert tree.closed == want, (pretty(t), depth)
         assert strip(tree).closed == tree.closed
+
+
+_LAYER_KINDS = {"bt": {"hnf"}, "llt": {"lam", "head"}, "bet": {"lam", "var", "app"}}
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("semantics", ["bt", "llt", "bet"])
+def test_every_node_has_the_fields_of_its_kind(semantics, cyclic):
+    # one node class for every kind: the fields each kind leaves unset
+    # are checked here, on built and stripped trees alike
+    seen = set()
+    for t, depth in itertools.product(_closed_inputs(), (2, 4, 8, 12)):
+        if cyclic:
+            tree = compact_cyclic(t, depth, 2000, semantics)
+        else:
+            tree = _ACYCLIC[semantics](t, depth, 2000)
+        shown = pretty(t)
+        for stripped, tr in ((False, tree), (True, strip(tree))):
+            for n, *_ in walk(tr):
+                where = (shown, depth, stripped, n.kind)
+                seen.add(n.kind)
+                if n.kind in _LAYER_KINDS[semantics]:
+                    assert (n.target, n.delta, n.reason) == (None, None, None), where
+                    if stripped:
+                        assert (n.steps, n.count) == (None, None), where
+                    else:
+                        assert n.count == len(n.steps), where
+                    continue
+                assert (n.steps, n.count, n.children) == (None, None, ()), where
+                assert (n.binders, n.block, n.head, n.head_ref) == ((), (), None, None), where
+                if n.kind == "bottom":
+                    assert (n.target, n.delta, n.reason) == (None, None, None), where
+                elif n.kind == "unknown":
+                    assert (n.target, n.delta) == (None, None), where
+                    assert n.reason in ("depth", "fuel"), where
+                elif n.kind == "backedge":
+                    assert n.target is not None and n.delta > 0, where
+                    assert n.reason is None, where
+                else:
+                    assert n.kind == "shared", where
+                    assert n.target is not None, where
+                    assert (n.delta, n.reason) == (None, None), where
+    want = _LAYER_KINDS[semantics] | {"bottom", "unknown"}
+    if cyclic:
+        want |= {"backedge"} if semantics == "bet" else {"backedge", "shared"}
+    assert seen == want
 
 
 def _reference_walk(tree):
@@ -369,7 +414,7 @@ def test_tree_to_dict_atomic_clock_strings(defs):
 
 # catalog terms whose cyclic trees have back edges; E3's bt tree also
 # has a shared ref, and its llt and bet trees do not close (the bet
-# tree ends in Unknown before any loop)
+# tree ends in an unknown node before any loop)
 _LOOPING = ["Y0 f", "Y1 f", "E1", "E2", "E3", "eta eta delta x",
             r"Y0 (\f x y. x (f y x))", r"(\w z.z (w w) (w w)) (\w z.z (w w) (w w))"]
 
@@ -397,10 +442,10 @@ def test_walk_positions_match_the_reference_walk(defs, text, semantics):
 def test_walks_over_a_deep_tree_do_not_recurse():
     # 3000 hnf layers closed by a loop to the last one: far deeper than
     # the interpreter's recursion limit, and built without any reduction
-    node = Layer("hnf", ((2,),), (), "f", ("f", "f"))
-    node.children = (BackEdge(node, 1),)
+    node = Node("hnf", ((2,),), (), "f", ("f", "f"))
+    node.children = (Node("backedge", target=node, delta=1),)
     for _ in range(2999):
-        node = Layer("hnf", ((2,),), (), "f", ("f", "f"), (node,))
+        node = Node("hnf", ((2,),), (), "f", ("f", "f"), (node,))
     tree = ClockTree(node, "bt", False, 3001, 10, closed=True)
     assert render_text(tree).count("\n") == 3001
     assert render_dot(tree).count(" -> ") == 3000
