@@ -73,7 +73,7 @@ class Relation(Enum):
                 case Relation.SUBSEQ_LE:
                     return subseq_le(p, q)
                 case Relation.LIST_EQ:
-                    return tuple(p) == tuple(q)
+                    return p == q
                 case Relation.SUBSEQ_GE:
                     return subseq_le(q, p)
         ka, kb = a.count, b.count

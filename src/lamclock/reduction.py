@@ -15,6 +15,7 @@ from typing import Iterator, Literal
 from .terms import (
     App,
     Free,
+    HeadPos,
     Lam,
     Position,
     Term,
@@ -41,13 +42,14 @@ FUEL_EXHAUSTED = "fuel_exhausted"
 class HeadOutcome:
     """Result of driving a term toward a head target.
 
-    ``steps`` holds the contracted redex positions in order.  ``result``
+    ``steps`` holds the contracted redex positions in order, each a
+    ``HeadPos`` that expands to its path only when read.  ``result``
     is only set when ``status == "resolved"``.  The terms in between are
     not kept; ``head_reduce``'s ``on_step`` callback sees each of them.
     """
 
     status: str
-    steps: list[Position]
+    steps: list[HeadPos]
     result: Term | None
 
     @property
@@ -56,18 +58,14 @@ class HeadOutcome:
 
 
 def head_redex_position(t: Term) -> Position | None:
-    """Position of the head redex (``0^n 1^m`` shape), or None in hnf."""
+    """Position of the head redex as a plain path ``0^n 1^m`` (the
+    ``HeadPos(n, m)`` that ``head_reduce`` records for it), or None in
+    hnf."""
     hints: list[str] = []
     head, stack = _unwind(t, _EMPTY, hints)
     if type(head) is Lam and stack[2]:
-        return _head_pos(len(hints), stack[2])
+        return HeadPos(len(hints), stack[2] - 1).path
     return None
-
-
-def _head_pos(a: int, b: int) -> Position:
-    """``0^a 1^(b-1)``: the head redex under ``a`` λ-prefix binders,
-    with ``b`` arguments on the spine."""
-    return (0,) * a + (1,) * (b - 1)
 
 
 def is_redex(t: Term) -> bool:
@@ -199,7 +197,7 @@ def _drive(
     target: Target,
     fuel: int,
     base: int,
-    steps: list[Position] | None,
+    steps: list[HeadPos] | None,
     on_step,
 ) -> tuple[str, Term, tuple, int]:
     """Run the machine from a state toward ``target`` and return the
@@ -252,7 +250,9 @@ def _drive(
             return FUEL_EXHAUSTED, head, stack, fuel
         fuel -= 1
         if steps is not None:
-            pos = _head_pos(len(hints), stack[2])
+            # the redex sits under the λ-prefix and above the other
+            # ``stack[2] - 1`` arguments
+            pos = HeadPos(len(hints), stack[2] - 1)
             if on_step is not None:
                 on_step(len(steps), pos, head, stack[0],
                         partial(_term, hints, len(hints), head, stack))
@@ -277,7 +277,7 @@ def head_reduce(
         raise ValueError(f"unknown target {target!r}")
     hints: list[str] = []
     head, stack = _unwind(t, _EMPTY, hints if target == "hnf" else None)
-    steps: list[Position] = []
+    steps: list[HeadPos] = []
     status, head, stack, _ = _drive(hints, head, stack, target, fuel, 0, steps, on_step)
     if status != RESOLVED:
         return HeadOutcome(status, steps, None)

@@ -43,6 +43,7 @@ from .reduction import (
 from .terms import (
     App,
     Free,
+    HeadPos,
     Lam,
     Position,
     Term,
@@ -95,7 +96,7 @@ class Node:
     __slots__ = ("kind", "steps", "count", "binders", "head", "head_ref", "children",
                  "block", "target", "delta", "reason")
 
-    def __init__(self, kind: str, steps: tuple[Position, ...] | None = None,
+    def __init__(self, kind: str, steps: tuple[HeadPos, ...] | None = None,
                  binders: tuple[str, ...] = (), head: str | None = None,
                  head_ref: tuple | None = None, children: tuple["Node", ...] = (),
                  block: tuple[str, ...] = (), target: "Node | None" = None,
@@ -575,7 +576,7 @@ def check_simple(t: Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL) 
         if not found:
             rc = _redex_class(lam.body, arg)
             if not rc.simple:
-                found.append(SimplicityWitness(path, i, pos, rc, build()))
+                found.append(SimplicityWitness(path, i, pos.path, rc, build()))
 
     tree = compact_cyclic(t, depth, fuel, "bt", hook=hook)
     if found:

@@ -230,6 +230,28 @@ def test_bt_of_a_growing_term_at_the_default_fuel_fits_in_2_gb(term):
     assert res.stdout == "? (fuel)\n"
 
 
+def _limit_cpu_time():
+    resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
+
+
+def test_bt_of_a_growing_term_at_the_default_fuel_stays_under_100_mb():
+    # Step positions as long as the spine took this run to about 400 MB;
+    # kept as two exponents each, it takes about 24 MB.  ``wait4`` reads
+    # the child's own peak, not the largest of every child so far.
+    src = str(Path(lamclock.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lamclock.cli", "bt", r"(\x. x x x)(\x. x x x)"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        env=os.environ | {"PYTHONPATH": src}, preexec_fn=_limit_cpu_time,
+    )
+    with proc:
+        output = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert (proc.returncode, output) == (0, b"? (fuel)\n"), output[-2000:]
+    assert usage.ru_maxrss < 100 * 1024  # kilobytes
+
+
 def test_compare_with_a_growing_term_ends_within_a_minute():
     # K5: the reduct search of B Y0 (S I) I checks up to 200 candidates,
     # and most show a non-simple step within their first few steps.  A

@@ -38,6 +38,7 @@ from lamclock.reduction import (
 from lamclock.terms import (
     App,
     Free,
+    HeadPos,
     Lam,
     PositionError,
     Var,
@@ -229,6 +230,20 @@ _entries = st.lists(
 def test_pos_str_matches_the_joined_digits(p, as_tuple):
     p = tuple(p) if as_tuple else p
     assert pos_str(p) == ("".join(map(str, p)) or "e")
+
+
+@settings(**SETTINGS)
+@given(lams=st.integers(0, 4), ones=st.integers(0, 300))
+@example(lams=0, ones=0)
+@example(lams=3, ones=0)
+def test_head_pos_acts_as_its_path(lams, ones):
+    h, p = HeadPos(lams, ones), (0,) * lams + (1,) * ones
+    assert h.path == p
+    assert h == p and p == h and not (h != p or p != h)
+    assert h == HeadPos(lams, ones) and h != HeadPos(lams, ones + 1) and h != p + (2,)
+    assert hash(h) == hash(p)
+    assert (len(h), list(h), repr(h)) == (len(p), list(p), repr(p))
+    assert pos_str(h) == pos_str(p) == ("0" * lams + "1" * ones or "e")
 
 
 # -- printer / parser round trip ---------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from lamclock.parser import parse
 from lamclock.reduction import (
+    DEFAULT_FUEL,
     FUEL_EXHAUSTED,
     PROVEN_DIVERGENT,
     RESOLVED,
@@ -96,7 +97,8 @@ def test_growing_spine_at_the_default_recursion_limit(target, steps):
 
 def test_growing_term_memory_stays_small():
     # K1: a reducer that kept every reduct, each with its spine rebuilt,
-    # peaked at 73 MB here; the step positions now take most of the 4 MB.
+    # peaked at 73 MB here; with its step positions kept as two exponents
+    # each, the run now peaks at about 0.6 MB.
     t = parse(r"(\x.x x x)(\x.x x x)")
     tracemalloc.start()
     try:
@@ -106,6 +108,49 @@ def test_growing_term_memory_stays_small():
         tracemalloc.stop()
     assert (out.status, out.step_count) == (FUEL_EXHAUSTED, 1000)
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("target", ["hnf", "whnf"])
+def test_growing_term_memory_at_the_default_fuel(target):
+    # Each step's position is the pair of exponents of 0^a 1^b.  Kept as
+    # a path as long as the spine, the positions peaked at about 400 MB.
+    t = parse(r"(\x.x x x)(\x.x x x)")
+    tracemalloc.start()
+    try:
+        out = head_reduce(t, target, DEFAULT_FUEL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.status, out.step_count) == (FUEL_EXHAUSTED, DEFAULT_FUEL)
+    assert peak < 16 * 2**20
+
+
+def _textbook_replay(t, steps):
+    """Contract at ``head_redex_position`` once per recorded step,
+    checking that each step is the position used; return the term
+    reached."""
+    for i, pos in enumerate(steps):
+        p = head_redex_position(t)
+        assert p is not None and pos == p and p == pos, (i, pos, p)
+        t = contract_at(t, p)
+    return t
+
+
+@pytest.mark.parametrize("text", ["Y0 x", "Y1 x", "theta theta I x", "E2"])
+def test_head_steps_follow_the_textbook_path(defs, text):
+    t = parse(text, defs)
+    out = head_reduce(t, "hnf")
+    assert out.status == RESOLVED and out.steps
+    u = _textbook_replay(t, out.steps)
+    assert head_redex_position(u) is None
+    assert u == out.result
+
+
+def test_growing_term_steps_follow_the_textbook_path():
+    t = parse(r"(\x.x x x)(\x.x x x)")
+    out = head_reduce(t, "hnf", 40)
+    assert (out.status, out.step_count) == (FUEL_EXHAUSTED, 40)
+    _textbook_replay(t, out.steps)
 
 
 def test_root_stable_target(defs):
