@@ -298,7 +298,11 @@ def holds_eventually(t1: ClockTree, t2: ClockTree, rel: Relation) -> EventualRes
     finite graph covers the whole unfolding).  A layer-structure
     difference is a certified no outright.
     """
-    prod = _explore(t1, t2, rel)
+    return _eventually(_explore(t1, t2, rel))
+
+
+def _eventually(prod: _Product) -> EventualResult:
+    """``holds_eventually`` of the two trees that ``prod`` pairs."""
     if prod.shape_bad is not None:
         return EventualResult(False, prod.depth[prod.shape_bad], True)
     level = 0
@@ -498,7 +502,9 @@ def discriminate(
     tsn = sn[1].tree if sn else None
 
     if tsm is not None and tsn is not None:
-        ev = holds_eventually(tsm, tsn, eq_rel)
+        # two simple sides are compared as in (1), so its product serves
+        same = tsm is tm and tsn is tn
+        ev = _eventually(prod if same else _explore(tsm, tsn, eq_rel))
         if not ev.holds and ev.certified:
             return Verdict(
                 INCONVERTIBLE,

@@ -329,6 +329,12 @@ def _redex_class(body: Term, arg: Term) -> RedexClass:
     return RedexClass(linear=_count_index(body, 0) <= 1, call_by_value=is_normal(arg))
 
 
+def _is_simple(body: Term, arg: Term) -> bool:
+    """``_redex_class(body, arg).simple``, with ``arg`` walked only for
+    a redex that is not linear."""
+    return _count_index(body, 0) <= 1 or is_normal(arg)
+
+
 def classify_redex(t: Term, pos: Position = ()) -> RedexClass:
     sub = subterm_at(t, pos)
     if not is_redex(sub):
@@ -375,17 +381,20 @@ def one_step_reducts(t: Term) -> Iterator[Term]:
 
 
 def is_normal(t: Term) -> bool:
+    # The simplicity hooks call this at head steps, so it dispatches on
+    # ``type`` rather than ``match``, as ``terms._inst`` does.
     stack = [t]
     while stack:
         u = stack.pop()
-        match u:
-            case App(f, a):
-                if type(f) is Lam:
-                    return False
-                stack.append(f)
-                stack.append(a)
-            case Lam(_, b):
-                stack.append(b)
+        kind = type(u)
+        if kind is App:
+            f = u.fn
+            if type(f) is Lam:
+                return False
+            stack.append(f)
+            stack.append(u.arg)
+        elif kind is Lam:
+            stack.append(u.body)
     return True
 
 

@@ -37,7 +37,7 @@ from .reduction import (
     PROVEN_DIVERGENT,
     RESOLVED,
     RedexClass,
-    _redex_class,
+    _is_simple,
     head_reduce,
 )
 from .terms import (
@@ -202,18 +202,20 @@ def _build(
     the ancestor node it returns to, as a shared ref holds its target.
     The root's ``complete`` flag is the tree's ``closed``.
 
-    Each generating term *object* is head-reduced once per build.  A
-    step substitutes one argument object at every occurrence, so
-    self-similar trees meet the same object again and again
-    (``plotkin_B(Y1)`` unfolds to ``f M M`` with one ``M`` at every
-    level, so its depth-12 tree takes 78 reductions for 4095 nodes).
-    Reusing the outcome is exact, since target and fuel are fixed for
-    the build and head reduction is deterministic.  Equal terms that are
-    different objects are reduced apart: ``==`` ignores binder hints,
-    and the displayed binder names come from the result's hints.  Only
-    what a node reads is kept: the status, and for a resolved term its
-    steps and result, so the step positions of a term that ran out of
-    fuel are freed as soon as it is reduced, however many there are."""
+    Each distinct generating term is head-reduced once per build, a
+    per-build form of hash-consing (Filliâtre and Conchon, "Type-safe
+    modular hash-consing", ML Workshop 2006).  Self-similar trees meet
+    the same term again and again: a fixed point combinator unfolds as
+    ``Y x ->> x (Y x)``, so every level of ``bohm_seq(40) x`` is the same
+    term, rebuilt, and ``plotkin_B(Y1)``'s 4095 nodes at depth 12 hold
+    two distinct terms.  Reusing the outcome is exact, since target and
+    fuel are fixed for the build and head reduction is deterministic.
+    The outcomes sit in buckets keyed by the term's hash, and a hit must
+    be ``_identical``, binder hints included: ``==`` ignores them, and
+    the displayed binder names come from the result's hints.  Only what
+    a node reads is kept: the status, and for a resolved term its steps
+    and result, so the step positions of a term that ran out of fuel are
+    freed as soon as it is reduced, however many there are."""
     if semantics not in _SEMANTICS:
         raise ValueError(f"unknown tree semantics {semantics!r}")
     if t0.open_n:
@@ -228,9 +230,8 @@ def _build(
     # then (None, node) if the subtree can be shared; any other finished
     # entry is deleted
     seen: dict[Term, tuple[int | None, Node]] = {}
-    # (term, status, steps, result); keeping the term alive means that
-    # its id is never reused in the build
-    reduced: dict[int, tuple[Term, str, tuple[Position, ...], Term | None]] = {}
+    # term hash -> one [term, status, steps, result] per distinct term
+    reduced: dict[int, list[list]] = {}
 
     def open_binders(t: Term, k: int, taken):
         """Open the first ``k`` binders of ``t`` with fresh internal names:
@@ -289,13 +290,21 @@ def _build(
                 return Node("backedge", target=anode, delta=level - alvl), alvl, True
         if level >= depth:
             return Node("unknown", reason="depth"), INF, False
-        known = reduced.get(id(term))
-        if known is None:
+        bucket = reduced.get(term._h)
+        if bucket is None:
+            bucket = reduced[term._h] = []
+        for known in bucket:
+            if _identical(known[0], term):
+                # a reused result's subterms are the objects met next
+                known[0] = term
+                break
+        else:
             out = head_reduce(
                 term, target, fuel, on_step=None if hook is None else partial(hook, path)
             )
             kept = tuple(out.steps) if out.status == RESOLVED else ()
-            known = reduced[id(term)] = (term, out.status, kept, out.result)
+            known = [term, out.status, kept, out.result]
+            bucket.append(known)
         _, status, steps, r = known
         if status == PROVEN_DIVERGENT:
             return Node("bottom"), INF, True
@@ -351,6 +360,33 @@ def _build(
     return ClockTree(root, semantics, atomic, depth, fuel, closed)
 
 
+def _identical(a: Term, b: Term) -> bool:
+    """``a == b`` with every binder hint equal too, so the two terms
+    print alike.  An explicit stack, not recursion, so any depth is
+    fine; a shared subterm is passed over at once."""
+    stack = [(a, b)]
+    while stack:
+        u, v = stack.pop()
+        if u is v:
+            continue
+        kind = type(u)
+        if kind is not type(v) or u._h != v._h:
+            return False
+        if kind is App:
+            stack.append((u.arg, v.arg))
+            stack.append((u.fn, v.fn))
+        elif kind is Lam:
+            if u.hint != v.hint:
+                return False
+            stack.append((u.body, v.body))
+        elif kind is Free:
+            if u.name != v.name:
+                return False
+        elif u.index != v.index:
+            return False
+    return True
+
+
 def clocked_bt(
     t: Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL, atomic: bool = False
 ) -> ClockTree:
@@ -392,9 +428,9 @@ def compact_cyclic(
 
     ``hook``, when given, sees every head step of every reduction as
     ``hook(path, ...)`` with ``head_reduce``'s ``on_step`` arguments.
-    Each term object is reduced once per build, so a node whose term is
-    the same object as an earlier node's shows no steps to the hook:
-    they are the steps it already saw.
+    Each distinct term is reduced once per build, so a node whose term
+    is identical to an earlier node's, binder hints included, shows no
+    steps to the hook: they are the steps it already saw.
     """
     return _build(t, semantics, depth, fuel, cyclic=True, atomic=atomic, hook=hook)
 
@@ -573,10 +609,9 @@ def check_simple(t: Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL) 
     found: list[SimplicityWitness] = []
 
     def hook(path, i, pos, lam, arg, build):
-        if not found:
-            rc = _redex_class(lam.body, arg)
-            if not rc.simple:
-                found.append(SimplicityWitness(path, i, pos.path, rc, build()))
+        if not found and not _is_simple(lam.body, arg):
+            rc = RedexClass(False, False)  # neither linear nor call-by-value
+            found.append(SimplicityWitness(path, i, pos.path, rc, build()))
 
     tree = compact_cyclic(t, depth, fuel, "bt", hook=hook)
     if found:
@@ -598,7 +633,7 @@ def _simple_report(t: Term, depth: int, fuel: int) -> SimplicityReport | None:
     """
 
     def hook(path, i, pos, lam, arg, build):
-        if not _redex_class(lam.body, arg).simple:
+        if not _is_simple(lam.body, arg):
             raise _NotSimple
 
     try:

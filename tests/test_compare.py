@@ -12,6 +12,7 @@ from lamclock.combinators import (
     Y0,
     Y1,
     bbb_scheme,
+    bohm_seq,
     scott_composite,
     scott_seq,
 )
@@ -389,6 +390,23 @@ def test_discriminate_checks_each_side_once(monkeypatch):
     assert v.justification == "simple-eventual-mismatch"
     assert len(checked) == 26
     assert checked.count(m) == checked.count(n) == 1
+
+
+@pytest.mark.parametrize("m,n", [(bohm_seq(1), bohm_seq(2)), (Y0, Y1)],
+                         ids=["bohm_seq(1)/bohm_seq(2)", "Y0/Y1"])
+def test_discriminate_explores_two_simple_sides_once(m, n, monkeypatch):
+    # both sides are simple as given, so step (2) compares the trees that
+    # step (1) paired, and reads its product
+    explored = []
+
+    def counting(*args):
+        explored.append(args)
+        return original(*args)
+
+    original = compare._explore
+    monkeypatch.setattr(compare, "_explore", counting)
+    assert discriminate(m, n).justification == "simple-eventual-mismatch"
+    assert len(explored) == 1
 
 
 # -- end-to-end discrimination ----------------------------------------------

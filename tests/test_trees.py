@@ -1,8 +1,12 @@
 """Clocked trees: construction, annotations, cycles, sharing, simplicity."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +14,9 @@ import lamclock.combinators as C
 from lamclock import reduction, trees
 from lamclock.compare import Relation, holds_eventually
 from lamclock.parser import parse, pretty
-from lamclock.reduction import HeadOutcome, classify_redex, head_redex_position
+from lamclock.reduction import classify_redex, head_redex_position
 from lamclock.render import render_dot, render_text
-from lamclock.terms import App, Free, Lam, Var, pos_str
+from lamclock.terms import App, Free, pos_str
 from lamclock.trees import (
     ClockTree,
     Node,
@@ -459,26 +463,25 @@ def test_walks_over_a_deep_tree_do_not_recurse():
 
 
 # ---------------------------------------------------------------------------
-# one head reduction per generating term object
+# one head reduction per distinct generating term
 
 
-def _copy(t):
-    """A fresh structural copy of ``t``, binder hints kept."""
-    match t:
-        case Lam(h, b):
-            return Lam(h, _copy(b))
-        case App(f, a):
-            return App(_copy(f), _copy(a))
-        case Var(i):
-            return Var(i)
-    return Free(t.name)
+def _reduce_every_node(monkeypatch):
+    # no term is identical to an earlier one, so every node is reduced
+    monkeypatch.setattr(trees, "_identical", lambda a, b: False)
 
 
-def _unshared_head_reduce(t, target, fuel, **kw):
-    # The result is copied too: a step substitutes one argument object at
-    # every occurrence, so the result's spine could share a subterm again.
-    out = reduction.head_reduce(_copy(t), target, fuel, **kw)
-    return HeadOutcome(out.status, out.steps, out.result and _copy(out.result))
+@pytest.fixture
+def head_calls(monkeypatch):
+    """The terms ``_build`` head-reduces, one entry per call."""
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args[0])
+        return reduction.head_reduce(*args, **kw)
+
+    monkeypatch.setattr(trees, "head_reduce", counting)
+    return calls
 
 
 _BUILDS = [clocked_bt, clocked_llt, clocked_bet,
@@ -492,25 +495,54 @@ _BUILDS = [clocked_bt, clocked_llt, clocked_bet,
 )
 def test_reusing_head_reductions_changes_no_tree(term, monkeypatch):
     built = [build(term, 8) for build in _BUILDS]
-    monkeypatch.setattr(trees, "head_reduce", _unshared_head_reduce)
+    _reduce_every_node(monkeypatch)
     for build, tree in zip(_BUILDS, built):
         want = build(term, 8)
         assert tree_to_dict(tree, True) == tree_to_dict(want, True)
         assert render_text(tree) == render_text(want)
 
 
-def test_each_shared_subterm_is_reduced_once(monkeypatch):
-    # plotkin_B(Y1) unfolds to f M M with both M one object, at every
-    # level: reducing each copy made 2^12 - 1 = 4095 head_reduce calls
-    calls = []
-
-    def counting(*args, **kw):
-        calls.append(args[0])
-        return reduction.head_reduce(*args, **kw)
-
-    monkeypatch.setattr(trees, "head_reduce", counting)
+def test_each_shared_subterm_is_reduced_once(head_calls):
+    # plotkin_B(Y1) unfolds to f M M at every level, with two distinct
+    # terms in the whole tree: reducing each copy made 2^12 - 1 = 4095
+    # head_reduce calls, and each term object once made 78
     clocked_bt(C.plotkin_B(C.Y1), 12)
-    assert len(calls) <= 100
+    assert len(head_calls) == 2
+
+
+@pytest.mark.parametrize("build,calls", [(clocked_bt, 1), (clocked_llt, 1), (clocked_bet, 2)])
+def test_each_unfolding_of_a_fixed_point_is_reduced_once(build, calls, head_calls):
+    # bohm_seq(40) x reduces to x (bohm_seq(40) x), so its twelve levels
+    # are equal terms, binder names included, but each one a new object:
+    # reducing each object made 12 calls (13 for bet)
+    build(App(C.bohm_seq(40), Free("x")), 12)
+    assert len(head_calls) == calls
+
+
+def test_identical_terms_keep_their_binder_names():
+    # \a.a and \b.b are equal terms; reusing one's reduction for the
+    # other would print its binder under the wrong name
+    text = render_text(clocked_bt(parse(r"f (\a. a) (\b. b)"), 4))
+    assert "λa" in text and "λb" in text
+
+
+def test_deep_identical_terms_are_compared_without_recursion():
+    # f N N with the two N distinct 5,000-deep nests: comparing them by
+    # recursive ``==`` overflowed the default recursion limit, which a
+    # fresh interpreter keeps and this suite raises
+    code = (
+        "from lamclock.terms import Free, app, iterate\n"
+        "from lamclock.trees import clocked_bt\n"
+        "nest = lambda: iterate('right', Free('g'), Free('x'), 5000)\n"
+        "print(clocked_bt(app(Free('f'), nest(), nest())).node_count())\n"
+    )
+    src = str(Path(trees.__file__).parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=os.environ | {"PYTHONPATH": src},
+    )
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout == "25\n"
 
 
 def _report(t, depth):
@@ -536,20 +568,13 @@ def test_reusing_head_reductions_changes_no_simplicity_report(name, term, depth,
     # same object has the same steps, so the first non-simple step and
     # everything else in the report stay as when every node is reduced
     got = _report(term, depth)
-    monkeypatch.setattr(trees, "head_reduce", _unshared_head_reduce)
+    _reduce_every_node(monkeypatch)
     assert got == _report(term, depth)
 
 
-def test_check_simple_reduces_each_shared_subterm_once(monkeypatch):
-    calls = []
-
-    def counting(*args, **kw):
-        calls.append(args[0])
-        return reduction.head_reduce(*args, **kw)
-
-    monkeypatch.setattr(trees, "head_reduce", counting)
+def test_check_simple_reduces_each_shared_subterm_once(head_calls):
     check_simple(App(parse(r"\z. f z z"), App(C.catalog("theta"), Free("g"))), 8, 300)
-    assert len(calls) == len({id(t) for t in calls}) == 9  # 13 with a copy per node
+    assert len(head_calls) == len({id(t) for t in head_calls}) == 9  # 13 with a copy per node
 
 
 def _build_peak(source, fuel):
@@ -564,10 +589,11 @@ def _build_peak(source, fuel):
 def test_unresolved_leaves_free_their_steps():
     # A growing term's step positions are quadratic in the fuel.  The
     # tree keeps none of them for a leaf that runs out, so four such
-    # leaves peak no higher than one.
-    leaf = r"((\x.x x x)(\x.x x x))"
-    one = _build_peak(f"f {leaf}", 1000)
-    four = _build_peak(f"f {leaf} {leaf} {leaf} {leaf}", 1000)
+    # leaves peak no higher than one.  Their binder names differ, so
+    # each leaf is reduced apart.
+    leaves = [rf"((\{v}.{v} {v} {v})(\{v}.{v} {v} {v}))" for v in "xyzw"]
+    one = _build_peak(f"f {leaves[0]}", 1000)
+    four = _build_peak("f " + " ".join(leaves), 1000)
     assert four < 1.5 * one
 
 
