@@ -25,7 +25,7 @@ from pathlib import Path
 import click
 
 from .combinators import catalog, catalog_names, standard_definitions
-from .compare import DiscriminationConfig, discriminate
+from .compare import REDUCT_LIMIT, DiscriminationConfig, discriminate
 from .parser import DefinitionTable, ParseError, parse, pretty
 from .render import render_dot, render_text
 from .terms import TermError
@@ -186,7 +186,7 @@ for _sem, _help in (
 @click.option("--atomic", is_flag=True, help="Compare step-position lists.")
 @click.option("--defs", "defs_file", type=str, default=None)
 @click.option("--json", "as_json", is_flag=True)
-@click.option("--reduct-limit", type=_BUDGET, default=2000, show_default=True,
+@click.option("--reduct-limit", type=_BUDGET, default=REDUCT_LIMIT, show_default=True,
               help="Bound for the reduct search phase.")
 def compare_cmd(left, right, depth, fuel, atomic, defs_file, as_json, reduct_limit):
     """Try to certify that LEFT and RIGHT are not interconvertible."""

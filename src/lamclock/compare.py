@@ -319,6 +319,12 @@ def _eventually(prod: _Product) -> EventualResult:
 # ---------------------------------------------------------------------------
 # reduct search
 
+# The search bounds: terms made, the largest term kept, and the
+# simplicity checks after the term itself.
+REDUCT_LIMIT = 2000
+SIZE_LIMIT = 500
+CHECK_LIMIT = 200
+
 
 def _new_reducts(t: Term, seen: set[Term], size_limit: int) -> Iterator[Term]:
     """The one-step reducts of ``t`` of size at most ``size_limit`` that
@@ -329,30 +335,39 @@ def _new_reducts(t: Term, seen: set[Term], size_limit: int) -> Iterator[Term]:
             yield r
 
 
+def _frontier(
+    t: Term, limit: int, size_limit: int, smallest_first: bool
+) -> Iterator[Term]:
+    """Yield ``t``, then the reducts ``_new_reducts`` makes from each
+    term yielded: each once up to renaming, none larger than
+    ``size_limit``, at most ``limit`` made, ``t`` included.  They come in
+    the order made, or smallest first (ties in the order made).  A
+    term's reducts are made only when the next term is asked for."""
+    seen = {t}
+    heap = [(0, 0, t)]
+    while heap:
+        cur = heappop(heap)[2]
+        yield cur
+        room = max(limit - len(seen), 0)
+        for r in islice(_new_reducts(cur, seen, size_limit), room):
+            heappush(heap, (r.size if smallest_first else 0, len(seen), r))
+
+
 def enumerate_reducts(
-    t: Term, limit: int = 2000, size_limit: int = 500
+    t: Term, limit: int = REDUCT_LIMIT, size_limit: int = SIZE_LIMIT
 ) -> list[Term]:
     """Breadth-first closure of ``t`` under single reduction steps (the
     term itself first), deduplicated up to renaming; terms larger than
     ``size_limit`` are pruned, at most ``limit`` terms are produced."""
-    seen = {t}
-    out = [t]
-    i = 0
-    while i < len(out) and len(out) < limit:
-        cur = out[i]
-        i += 1
-        for r in _new_reducts(cur, seen, size_limit):
-            out.append(r)
-            if len(out) >= limit:
-                break
-    return out
+    return list(_frontier(t, limit, size_limit, False))
 
 
 def bounded_joinable(
-    a: Term, b: Term, limit: int = 2000, size_limit: int = 500
+    a: Term, b: Term, limit: int = REDUCT_LIMIT, size_limit: int = SIZE_LIMIT
 ) -> Term | None:
     """Search for a common reduct by expanding both reduction graphs
-    breadth-first; None when the bound is hit without a meeting point."""
+    breadth-first; None when the bound is hit without a meeting point.
+    Each reduct is tested against the other side as it is made."""
     if a == b:
         return a
     seen = ({a}, {b})
@@ -375,9 +390,9 @@ def find_simple_reduct(
     t: Term,
     depth: int = DEFAULT_DEPTH,
     fuel: int = DEFAULT_FUEL,
-    limit: int = 2000,
-    size_limit: int = 500,
-    check_limit: int = 200,
+    limit: int = REDUCT_LIMIT,
+    size_limit: int = SIZE_LIMIT,
+    check_limit: int = CHECK_LIMIT,
     *,
     report: SimplicityReport | None = None,
 ) -> tuple[Term, SimplicityReport] | None:
@@ -391,21 +406,14 @@ def find_simple_reduct(
     by the caller and not made again.  A candidate's check stops at its
     first non-simple step, since the search needs no more of its tree.
     """
-    seen = {t}
-    heap = [(t.size, 0, t)]
-    checks = 0
-    while heap and checks <= check_limit:
-        cur = heappop(heap)[2]
+    candidates = _frontier(t, limit, size_limit, True)
+    for cur in islice(candidates, max(check_limit + 1, 0)):
         if cur is t and report is not None:
             rep = report if report.status == "simple" else None
         else:
             rep = _simple_report(cur, depth, fuel)
         if rep is not None:
             return cur, rep
-        checks += 1
-        room = max(limit - len(seen), 0)
-        for r in islice(_new_reducts(cur, seen, size_limit), room):
-            heappush(heap, (r.size, len(seen), r))
     return None
 
 
@@ -441,9 +449,9 @@ class DiscriminationConfig:
     depth: int = DEFAULT_DEPTH
     fuel: int = DEFAULT_FUEL
     atomic: bool = False
-    reduct_limit: int = 2000
-    size_limit: int = 500
-    simple_check_limit: int = 200
+    reduct_limit: int = REDUCT_LIMIT
+    size_limit: int = SIZE_LIMIT
+    simple_check_limit: int = CHECK_LIMIT
 
 
 def discriminate(

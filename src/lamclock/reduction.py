@@ -324,14 +324,9 @@ def _count_index(t: Term, k: int) -> int:
     return n
 
 
-def _redex_class(body: Term, arg: Term) -> RedexClass:
-    """The class of the redex ``(\\x. body) arg``."""
-    return RedexClass(linear=_count_index(body, 0) <= 1, call_by_value=is_normal(arg))
-
-
 def _is_simple(body: Term, arg: Term) -> bool:
-    """``_redex_class(body, arg).simple``, with ``arg`` walked only for
-    a redex that is not linear."""
+    """Is the redex ``(\\x. body) arg`` simple, as ``classify_redex``
+    tells?  ``arg`` is walked only for a redex that is not linear."""
     return _count_index(body, 0) <= 1 or is_normal(arg)
 
 
@@ -340,7 +335,8 @@ def classify_redex(t: Term, pos: Position = ()) -> RedexClass:
     if not is_redex(sub):
         raise TermError(f"no redex at position {pos_str(pos)}")
     assert isinstance(sub, App) and isinstance(sub.fn, Lam)
-    return _redex_class(sub.fn.body, sub.arg)
+    body, arg = sub.fn.body, sub.arg
+    return RedexClass(linear=_count_index(body, 0) <= 1, call_by_value=is_normal(arg))
 
 
 def redex_positions(t: Term) -> list[Position]:

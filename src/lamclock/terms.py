@@ -362,23 +362,9 @@ class HeadPos:
         return repr(self.path)
 
 
-# byte k -> the digit k for k < 10, and a non-digit for every other byte
-_DIGITS = b"0123456789" + b"?" * 246
-
-
 def pos_str(p: Position | HeadPos) -> str:
-    """Render a position; the empty position prints as ``e``.
-
-    A ``HeadPos`` is its two runs of digits.  A step is 0, 1 or 2, so one
-    byte translation makes the digits of a path in C.  A path with an
-    entry of 10 or more (a child path) is joined instead.
-    """
+    """Render a position; the empty position prints as ``e``.  A
+    ``HeadPos`` is its two runs of digits."""
     if type(p) is HeadPos:
         return "0" * p.lams + "1" * p.ones or "e"
-    if not p:
-        return "e"
-    try:
-        s = bytes(p).translate(_DIGITS)
-    except ValueError:  # an entry that does not fit in a byte
-        return "".join(map(str, p))
-    return s.decode() if s.isdigit() else "".join(map(str, p))
+    return "".join(map(str, p)) or "e"

@@ -36,7 +36,6 @@ from .reduction import (
     FUEL_EXHAUSTED,
     PROVEN_DIVERGENT,
     RESOLVED,
-    RedexClass,
     _is_simple,
     head_reduce,
 )
@@ -585,7 +584,6 @@ class SimplicityWitness:
     path: tuple[int, ...]
     step: int
     position: Position
-    redex_class: RedexClass
     term: Term
 
 
@@ -610,8 +608,7 @@ def check_simple(t: Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL) 
 
     def hook(path, i, pos, lam, arg, build):
         if not found and not _is_simple(lam.body, arg):
-            rc = RedexClass(False, False)  # neither linear nor call-by-value
-            found.append(SimplicityWitness(path, i, pos.path, rc, build()))
+            found.append(SimplicityWitness(path, i, pos.path, build()))
 
     tree = compact_cyclic(t, depth, fuel, "bt", hook=hook)
     if found:

@@ -6,15 +6,14 @@ dataclass field somewhere in the package, the tests or the benchmark,
 and ``compare.py`` reads every ``DiscriminationConfig`` setting."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import lamclock
 
-MODULES = sorted(
-    p for p in Path(lamclock.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+MODULES = sorted(Path(lamclock.__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -138,8 +137,8 @@ def _unread_public_defs(sources: list[str], readers: list[str]) -> list[str]:
     ``sources`` that no other of their top-level statements reads, as a
     name or an attribute, and that no ``readers`` file reads, as a name,
     an attribute or a string equal to it (the benchmark's tracer looks
-    functions up by name).  An ``__init__`` re-export is not a read, so
-    its source is not among ``sources``."""
+    functions up by name).  The package root is among ``sources``, so a
+    re-export there shows as an unused import."""
     defs: list[ast.stmt] = []
     reads: list[tuple[ast.stmt, set[str]]] = []
     for source in sources:
@@ -196,6 +195,17 @@ def test_no_unread_public_defs():
         [p.read_text(encoding="utf-8") for p in MODULES],
         [p.read_text(encoding="utf-8") for p in readers],
     ) == []
+
+
+def test_every_traced_layer_resolves(monkeypatch):
+    # The benchmark's tracer reads ``enumerate_reducts``'s ``limit`` on
+    # import, but looks its layers up only when installed, which an
+    # untraced run never does: a traced function deleted or renamed
+    # shows here.
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for layer in tracing.LAYERS:
+        assert callable(getattr(layer.module, layer.attr)), layer.name
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -1,10 +1,10 @@
 """Clocked trees: construction, annotations, cycles, sharing, simplicity."""
 
+import gc
 import itertools
 import os
 import subprocess
 import sys
-import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -16,7 +16,7 @@ from lamclock.compare import Relation, holds_eventually
 from lamclock.parser import parse, pretty
 from lamclock.reduction import classify_redex, head_redex_position
 from lamclock.render import render_dot, render_text
-from lamclock.terms import App, Free, pos_str
+from lamclock.terms import App, Free, HeadPos, pos_str
 from lamclock.trees import (
     ClockTree,
     Node,
@@ -549,7 +549,7 @@ def _report(t, depth):
     r = check_simple(t, depth, 300)
     w = r.witness
     if w is not None:
-        w = w.path, w.step, w.position, w.redex_class, pretty(w.term)
+        w = w.path, w.step, w.position, classify_redex(w.term, w.position), pretty(w.term)
     return r.status, r.tree.closed, w, tree_to_dict(r.tree, True), render_text(r.tree)
 
 
@@ -577,24 +577,27 @@ def test_check_simple_reduces_each_shared_subterm_once(head_calls):
     assert len(head_calls) == len({id(t) for t in head_calls}) == 9  # 13 with a copy per node
 
 
-def _build_peak(source, fuel):
-    tracemalloc.start()
-    try:
-        clocked_bt(parse(source), 3, fuel)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _live_head_positions():
+    gc.collect()
+    return sum(type(o) is HeadPos for o in gc.get_objects())
 
 
-def test_unresolved_leaves_free_their_steps():
-    # A growing term's step positions are quadratic in the fuel.  The
-    # tree keeps none of them for a leaf that runs out, so four such
-    # leaves peak no higher than one.  Their binder names differ, so
-    # each leaf is reduced apart.
+def test_unresolved_leaves_free_their_steps(monkeypatch):
+    # A leaf that runs out of fuel makes one step position per unit of
+    # fuel.  The tree keeps none of them, so none is alive when the next
+    # leaf is reduced.  The binder names differ, so each leaf is reduced
+    # apart.
+    live = []
+
+    def counting(*args, **kw):
+        live.append(_live_head_positions())
+        return reduction.head_reduce(*args, **kw)
+
+    monkeypatch.setattr(trees, "head_reduce", counting)
     leaves = [rf"((\{v}.{v} {v} {v})(\{v}.{v} {v} {v}))" for v in "xyzw"]
-    one = _build_peak(f"f {leaves[0]}", 1000)
-    four = _build_peak("f " + " ".join(leaves), 1000)
-    assert four < 1.5 * one
+    before = _live_head_positions()
+    clocked_bt(parse("f " + " ".join(leaves)), 3, 1000)
+    assert live == [before] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -610,13 +613,13 @@ def test_duplicator_not_simple(defs):
     report = check_simple(parse(r"Y1 (\z.f z z)", defs))
     assert report.status == "not_simple"
     assert report.witness is not None
-    assert not report.witness.redex_class.simple
+    assert not classify_redex(report.witness.term, report.witness.position).simple
 
 
 def test_simplicity_witness_is_the_term_at_its_step(defs):
     w = check_simple(parse(r"Y1 (\z.f z z)", defs)).witness
     assert head_redex_position(w.term) == w.position
-    assert classify_redex(w.term, w.position) == w.redex_class
+    assert not classify_redex(w.term, w.position).simple
 
 
 def test_check_simple_classifies_steps_past_the_recurrence_cap(defs, monkeypatch):
