@@ -119,7 +119,8 @@ def _canonical_core_key(t: Term) -> tuple:
 # the arguments, ``size`` is their total size plus one application node
 # each, and ``gate`` hashes the argument sequence, ``hash((arg._h,
 # below's gate))``.  A step pops one argument and pushes the spine of the
-# contractum; no term is rebuilt.
+# contractum: it substitutes into the arguments and the head of the
+# body's spine, and never builds the spine's application nodes.
 _EMPTY = (None, None, 0, 0, 0)
 
 
@@ -137,6 +138,25 @@ def _unwind(t: Term, stack: tuple, hints: list[str] | None) -> tuple[Term, tuple
             return t, stack
         hints.append(t.hint)
         t = t.body
+
+
+def _contract(body: Term, arg: Term, stack: tuple, hints: list[str] | None) -> tuple[Term, tuple]:
+    """``_unwind(instantiate(body, arg), stack, hints)`` without building
+    the contractum's spine: each spine argument of ``body`` and then its
+    head are substituted on their own.  Closed ones stay as they are,
+    and a variable needs no walk: index 0 becomes ``arg`` (a shift by 0)
+    and any other index drops by one."""
+    while True:
+        t = body.arg if type(body) is App else body
+        if t.open_n:
+            if type(t) is not Var:
+                t = instantiate(t, arg)
+            else:
+                t = arg if t.index == 0 else Var(t.index - 1)
+        if type(body) is not App:
+            return _unwind(t, stack, hints)
+        stack = (t, stack, stack[2] + 1, stack[3] + t.size + 1, hash((t._h, stack[4])))
+        body = body.fn
 
 
 def _term(hints: list[str], n: int, head: Term, stack: tuple) -> Term:
@@ -259,7 +279,7 @@ def _drive(
             steps.append(pos)
         if ahead:
             ahead -= 1
-        head, stack = _unwind(instantiate(head.body, stack[0]), stack[1], hints if hnf else None)
+        head, stack = _contract(head.body, stack[0], stack[1], hints if hnf else None)
 
 
 def head_reduce(

@@ -176,7 +176,7 @@ def free_vars(t: Term) -> frozenset[str]:
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add ``by`` to every index pointing above ``cutoff`` binders."""
-    if t.open_n <= cutoff:
+    if by == 0 or t.open_n <= cutoff:
         return t
     match t:
         case Var(i):

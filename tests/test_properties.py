@@ -44,13 +44,14 @@ from lamclock.terms import (
     Var,
     alpha_eq,
     app,
+    instantiate,
     lam,
     pos_str,
     positions,
     replace_at,
     subterm_at,
 )
-from lamclock.trees import clocked_bt
+from lamclock.trees import _identical, clocked_bt
 
 SETTINGS = dict(max_examples=500, deadline=None, derandomize=True)
 
@@ -488,6 +489,53 @@ def test_root_stable_probe_reuse_matches_the_reference_run(term, cap, monkeypatc
     monkeypatch.setattr(reduction, "TRACE_CAP", cap)
     for fuel in [*range(61), *range(61, 330, 7)]:
         _same_head_runs(term, fuel, ("root_stable",))
+
+
+# -- one head step against unwinding the instantiated body ------------------
+
+# open terms: indices 0 .. nbound - 1 occur free at the top
+def _open_terms(nbound):
+    return _ast.map(lambda node: _materialize(node, nbound))
+
+
+_step_bodies = st.one_of(
+    st.integers(1, 3).flatmap(_open_terms),
+    st.builds(Lam, st.sampled_from(_NAMES), st.integers(2, 4).flatmap(_open_terms)),
+)
+_step_args = st.integers(0, 2).flatmap(_open_terms)  # nbound 0: closed
+
+
+def _stack_nodes(stack):
+    """A machine stack's nodes, top first, as ``(arg, depth, size, gate)``."""
+    out = []
+    while stack[2]:
+        out.append((stack[0], stack[2], stack[3], stack[4]))
+        stack = stack[1]
+    return out
+
+
+@settings(**SETTINGS)
+@given(
+    body=_step_bodies,
+    arg=_step_args,
+    below=st.lists(_step_args, max_size=3),
+    prefix=st.one_of(st.none(), st.lists(st.sampled_from(_NAMES), max_size=2)),
+)
+@example(body=app(Var(0), Var(1), Var(0)), arg=parse("y z"), below=[], prefix=None)
+@example(body=app(Lam("z", Var(1)), Var(2)), arg=Var(0), below=[Free("x")], prefix=[])
+@example(body=Lam("z", app(Var(1), Var(0))), arg=Free("y"), below=[], prefix=["p"])
+@example(body=Lam("z", Var(0)), arg=Free("y"), below=[Free("x")], prefix=[])
+def test_contract_matches_unwinding_the_instantiated_body(body, arg, below, prefix):
+    stack = reduction._unwind(app(Free("s"), *below), reduction._EMPTY, None)[1]
+    got_hints = None if prefix is None else list(prefix)
+    want_hints = None if prefix is None else list(prefix)
+    head, top = reduction._contract(body, arg, stack, got_hints)
+    want_head, want_top = reduction._unwind(instantiate(body, arg), stack, want_hints)
+    assert head == want_head and _identical(head, want_head)
+    got, want = _stack_nodes(top), _stack_nodes(want_top)
+    assert got == want
+    assert all(_identical(a[0], b[0]) for a, b in zip(got, want))
+    assert got_hints == want_hints
 
 
 def _replace_at_reference(t, pos, new):

@@ -21,7 +21,7 @@ from lamclock.reduction import (
     redex_positions,
     reducing_fpc_order,
 )
-from lamclock.terms import App, Free, Lam, TermError, alpha_eq, app, iterate
+from lamclock.terms import App, Free, Lam, TermError, Var, alpha_eq, app, iterate
 
 OMEGA = r"(\x.x x) (\x.x x)"
 
@@ -93,6 +93,24 @@ def test_growing_spine_at_the_default_recursion_limit(target, steps):
     finally:
         sys.setrecursionlimit(limit)
     assert (out.status, out.step_count) == (FUEL_EXHAUSTED, steps)
+
+
+@pytest.mark.parametrize("target", ["hnf", "whnf", "root_stable"])
+def test_wide_spine_at_the_default_recursion_limit(target):
+    # (\x. f x x ... x) y with 5,000 spine arguments: a step that built
+    # the contractum's spine recursed once per argument and raised
+    # RecursionError (K1).  Deep arguments still recurse.
+    width = 5000
+    t = App(Lam("x", app(Free("f"), *[Var(0)] * width)), Free("y"))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out = head_reduce(t, target, 10)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (out.status, out.step_count) == (RESOLVED, 1)
+    assert out.result.size == 2 * width + 1
+    assert hash(out.result) == hash(app(Free("f"), *[Free("y")] * width))
 
 
 def test_growing_term_memory_stays_small():

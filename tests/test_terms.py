@@ -15,6 +15,7 @@ from lamclock.terms import (
     iterate,
     lam,
     positions,
+    shift,
     subst_free,
     subterm_at,
 )
@@ -127,6 +128,14 @@ def test_substitute_drives_unfolding(defs):
     om = parse(r"\x.f (x x)")
     body = parse("f (x x)")
     assert subst_free(body, "x", om) == parse(r"f ((\x.f (x x)) (\x.f (x x)))")
+
+
+def test_shift_by_zero_keeps_the_term():
+    # an open term shifted by 0 is the same object, not a copy
+    t = App(Var(0), Lam("y", App(Var(1), Var(0))))
+    assert t.open_n
+    assert shift(t, 0) is t
+    assert shift(t, 1) == App(Var(1), Lam("y", App(Var(2), Var(0))))
 
 
 def test_free_vars():
