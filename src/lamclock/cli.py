@@ -20,6 +20,7 @@ import difflib
 import json
 import sys
 from importlib import resources
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import click
@@ -70,18 +71,32 @@ def _parse_term(text: str, defs: DefinitionTable):
         _fail(f"cannot parse term {text!r}: {e}", _EXIT_USAGE)
 
 
+# Each JSON scalar the CLI prints, by exact type: the encoder's own C
+# string quoter, ``int.__repr__``, and tables for the literals.
+_SCALARS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _dumps(obj) -> str:
     """``json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2)``,
     byte for byte for string-keyed payloads, with an explicit stack: the
     standard encoder recurses per nesting level, and a deep tree would
-    exhaust the interpreter stack.  Scalars and keys go through
-    ``json.dumps`` itself."""
+    exhaust the interpreter stack.  Scalars are written by ``_SCALARS``;
+    any other (a float) goes through ``json.dumps`` itself."""
     out: list[str] = []
     todo: list[tuple[object, int | None]] = [(obj, 0)]  # level None: text
     while todo:
         x, level = todo.pop()
         if level is None:
             out.append(x)  # type: ignore[arg-type]
+            continue
+        scalar = _SCALARS.get(type(x))
+        if scalar is not None:
+            out.append(scalar(x))
             continue
         is_dict = isinstance(x, dict)
         if not is_dict and not isinstance(x, (list, tuple)):
@@ -94,7 +109,7 @@ def _dumps(obj) -> str:
         for i, (k, v) in enumerate(items):
             sep = ("," if i else "") + pad
             if is_dict:
-                sep += json.dumps(k, ensure_ascii=False) + ": "
+                sep += encode_basestring(k) + ": "
             parts += [(sep, None), (v, level + 1)]
         if parts:
             parts.append(("\n" + "  " * level, None))

@@ -25,6 +25,17 @@ three bases:
 
 Anything weaker yields ``inconclusive``, with evidence saying which
 sides had a simple term or simple reduct within the search bounds.
+
+``discriminate`` profiles each term once for every caller in the
+process: a module-level table, in the spirit of hash-consing
+(Filliâtre and Conchon, ML Workshop 2006), keeps a term's
+``check_simple`` report and, once searched for, its simple reduct.  It
+is keyed on the term and the five search bounds of
+``DiscriminationConfig`` (not ``atomic``, since a tree records every
+step's position either way); a hit must be the same term with the same
+binder hints.  It holds at most ``PROFILE_LIMIT`` entries and evicts
+the oldest first.  A family's fpcs are shown new pair by pair, so a
+matrix over up to ``PROFILE_LIMIT`` terms profiles each term once.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from .trees import (
     ClockTree,
     Node,
     SimplicityReport,
+    _identical,
     _simple_report,
     check_simple,
     child_step,
@@ -454,6 +466,50 @@ class DiscriminationConfig:
     simple_check_limit: int = CHECK_LIMIT
 
 
+PROFILE_LIMIT = 256  # entries of the profile table (module docstring)
+_UNSEARCHED = object()
+
+
+@dataclass
+class _Profile:
+    term: Term
+    report: SimplicityReport
+    reduct: object = _UNSEARCHED  # find_simple_reduct's result, once run
+
+    def simple_reduct(self, cfg: DiscriminationConfig):
+        """The term's simple reduct, a simple term being its own; the
+        search runs on the first call only."""
+        if self.reduct is _UNSEARCHED:
+            t, rep = self.term, self.report
+            self.reduct = (t, rep) if rep else find_simple_reduct(
+                t, cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
+                cfg.simple_check_limit, report=rep)
+        return self.reduct
+
+
+_PROFILES: dict[tuple, _Profile] = {}
+
+
+def _profile(t: Term, cfg: DiscriminationConfig) -> _Profile:
+    """``t``'s entry in ``_PROFILES``, made on a miss.
+
+    The key is the term's hash and the five bounds.  A hit must be
+    ``_identical``, binder hints included, as in ``trees._build``; a
+    term that shares a key but is not identical replaces the entry.  An
+    entry is stored only after its check returns."""
+    key = (t._h, cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
+           cfg.simple_check_limit)
+    entry = _PROFILES.get(key)
+    if entry is not None and _identical(entry.term, t):
+        return entry
+    entry = _Profile(t, check_simple(t, cfg.depth, cfg.fuel))
+    _PROFILES.pop(key, None)
+    _PROFILES[key] = entry
+    if len(_PROFILES) > PROFILE_LIMIT:
+        del _PROFILES[next(iter(_PROFILES))]
+    return entry
+
+
 def discriminate(
     m: Term, n: Term, config: DiscriminationConfig | None = None
 ) -> Verdict:
@@ -470,15 +526,19 @@ def discriminate(
     within ``reduct_limit`` and ``simple_check_limit``: a ``False``
     names a side whose search ran out, and two ``True`` mean both closed
     trees agree eventually.
+
+    Each side's simplicity report and simple reduct come from the
+    module's profile table (``_PROFILES``), so a term met in an earlier
+    call with the same bounds is neither checked nor searched again; as
+    before, the search runs only when step (1) leaves the pair open.
     """
     cfg = config or DiscriminationConfig()
     eq_rel = Relation.LIST_EQ if cfg.atomic else Relation.EQ
     le_rel = Relation.SUBSEQ_LE if cfg.atomic else Relation.LE
 
     # comparison reads the recorded steps, never ``ClockTree.atomic``
-    rm = check_simple(m, cfg.depth, cfg.fuel)
-    rn = check_simple(n, cfg.depth, cfg.fuel)
-    tm, tn = rm.tree, rn.tree
+    pm, pn = _profile(m, cfg), _profile(n, cfg)
+    tm, tn = pm.report.tree, pn.report.tree
     base = {
         "depth": cfg.depth,
         "fuel": cfg.fuel,
@@ -502,10 +562,7 @@ def discriminate(
 
     # (2)/(3) need simple reducts, a simple side being its own; a simple
     # report's tree is closed, and it is the tree to compare
-    search = (cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
-              cfg.simple_check_limit)
-    sm = (m, rm) if rm else find_simple_reduct(m, *search, report=rm)
-    sn = (n, rn) if rn else find_simple_reduct(n, *search, report=rn)
+    sm, sn = pm.simple_reduct(cfg), pn.simple_reduct(cfg)
     tsm = sm[1].tree if sm else None
     tsn = sn[1].tree if sn else None
 

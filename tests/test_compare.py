@@ -1,6 +1,8 @@
 """Tree comparison relations and the discrimination pipeline."""
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +15,7 @@ from lamclock.combinators import (
     Y1,
     bbb_scheme,
     bohm_seq,
+    gvector,
     scott_composite,
     scott_seq,
 )
@@ -341,8 +344,10 @@ def test_find_simple_reduct_beyond_breadth_first(term):
 
 def _count_checks(monkeypatch):
     # the whole-tree checks and the reduct search's, which stop at the
-    # first non-simple step
+    # first non-simple step; the profile table starts empty, so every
+    # check discriminate needs is made and counted
     checked = []
+    monkeypatch.setattr(compare, "_PROFILES", {})
 
     def counting(original):
         def go(t, *args, **kwargs):
@@ -390,6 +395,114 @@ def test_discriminate_checks_each_side_once(monkeypatch):
     assert v.justification == "simple-eventual-mismatch"
     assert len(checked) == 26
     assert checked.count(m) == checked.count(n) == 1
+    # the profile table serves the same call again without a check
+    checked.clear()
+    assert discriminate(m, n).to_dict() == v.to_dict()
+    assert checked == []
+
+
+# Catalog terms for the profile table's tests: simple and not, with and
+# without a simple reduct, Y1 and bohm_seq(1) being one term.
+_PROFILED = (Y0, Y1, bohm_seq(1), bohm_seq(2), scott_seq(0), scott_seq(1),
+             scott_seq(2), gvector(Y0, 0), bbb_scheme(Y0, 1),
+             scott_composite([0, 1]), E1, E2, E3)
+
+
+def _cold(m, n, cfg):
+    compare._PROFILES.clear()
+    return discriminate(m, n, cfg).to_dict()
+
+
+@pytest.mark.parametrize("limit", [compare.PROFILE_LIMIT, 3], ids=["limit", "evicting"])
+def test_profile_table_gives_the_cold_verdicts(limit, monkeypatch):
+    # every pair, plain and atomic, in a shuffled order, so that hits
+    # come from other pairs and the other clock mode; with a 3-entry
+    # table most entries are evicted before they are met again
+    monkeypatch.setattr(compare, "_PROFILES", {})
+    monkeypatch.setattr(compare, "PROFILE_LIMIT", limit)
+    runs = [(m, n, DiscriminationConfig(atomic=atomic))
+            for m, n in itertools.combinations_with_replacement(_PROFILED, 2)
+            for atomic in (False, True)]
+    cold = [_cold(*run) for run in runs]
+    order = list(range(len(runs)))
+    random.Random(28).shuffle(order)
+    compare._PROFILES.clear()
+    for i in order:
+        assert discriminate(*runs[i]).to_dict() == cold[i]
+        assert len(compare._PROFILES) <= limit
+
+
+def test_profile_table_stays_within_its_limit(monkeypatch):
+    monkeypatch.setattr(compare, "_PROFILES", {})
+    y = Free("y")
+    for i in range(compare.PROFILE_LIMIT + 44):
+        assert discriminate(Free(f"x{i}"), y).justification == "different-bt"
+        assert len(compare._PROFILES) <= compare.PROFILE_LIMIT
+    assert len(compare._PROFILES) == compare.PROFILE_LIMIT
+    # the oldest went first
+    names = {e.term.name for e in compare._PROFILES.values()}
+    assert "x0" not in names and f"x{compare.PROFILE_LIMIT + 43}" in names
+
+
+def test_profile_table_keeps_binder_hints_apart(monkeypatch):
+    # alpha-variants share a key but not a tree: the displayed binders
+    # come from the hints, so a hint-variant is checked again
+    checked = _count_checks(monkeypatch)
+    m, m2, n = parse(r"\x. x x"), parse(r"\y. y y"), parse(r"\x. x")
+    cfg = DiscriminationConfig()
+    v = discriminate(m, n, cfg)
+    checked.clear()
+    assert discriminate(m2, n, cfg).to_dict() == v.to_dict()
+    assert checked == [m2]
+    profile = compare._profile(m2, cfg)
+    assert profile.term is m2
+    assert profile.report.tree.root.binders == ("y",)
+
+
+@pytest.mark.parametrize("bound", ["depth", "fuel", "reduct_limit", "size_limit",
+                                   "simple_check_limit"])
+def test_profile_table_keys_on_every_bound(bound, monkeypatch):
+    checked = _count_checks(monkeypatch)
+    m, n = scott_seq(1), bbb_scheme(Y0, 1)
+    cfg = DiscriminationConfig()
+    discriminate(m, n, cfg)
+    # the clock mode is not part of the key
+    checked.clear()
+    discriminate(m, n, dataclasses.replace(cfg, atomic=True))
+    assert checked == []
+    other = dataclasses.replace(cfg, **{bound: getattr(cfg, bound) - 1})
+    v = discriminate(m, n, other)
+    assert m in checked and n in checked
+    assert v.to_dict() == _cold(m, n, other)
+
+
+def test_profile_table_stores_no_raising_check(monkeypatch):
+    monkeypatch.setattr(compare, "_PROFILES", {})
+    m, n = scott_seq(1), bbb_scheme(Y0, 1)
+
+    def failing(name):
+        original = getattr(compare, name)
+
+        def go(t, *args, **kwargs):
+            if t is n:
+                raise MemoryError
+            return original(t, *args, **kwargs)
+
+        monkeypatch.setattr(compare, name, go)
+        return original
+
+    original = failing("check_simple")
+    with pytest.raises(MemoryError):
+        discriminate(m, n)
+    assert [e.term for e in compare._PROFILES.values()] == [m]
+    # nor a raising search: the term's reduct is searched for again
+    monkeypatch.setattr(compare, "check_simple", original)
+    original = failing("find_simple_reduct")
+    with pytest.raises(MemoryError):
+        discriminate(m, n)
+    assert [e.reduct for e in compare._PROFILES.values() if e.term is n] == [compare._UNSEARCHED]
+    monkeypatch.setattr(compare, "find_simple_reduct", original)
+    assert discriminate(m, n).to_dict() == _cold(m, n, DiscriminationConfig())
 
 
 @pytest.mark.parametrize("m,n", [(bohm_seq(1), bohm_seq(2)), (Y0, Y1)],

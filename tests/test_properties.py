@@ -2,9 +2,10 @@
 subsequence-order laws, printer/parser round trips, the head step,
 ``normalize`` and ``replace_at`` against their lookup and recursive
 references, the product graph's peel against brute force, balance
-preservation, and soundness of the discrimination verdict on
-convertible pairs."""
+preservation, soundness of the discrimination verdict on convertible
+pairs, and the CLI's JSON writer against the standard encoder."""
 
+import json
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from lamclock.compare import (
     subseq_le,
 )
 from lamclock import reduction
+from lamclock.cli import _dumps
 from lamclock.parser import parse, pretty
 from lamclock.reduction import (
     FUEL_EXHAUSTED,
@@ -726,3 +728,21 @@ def test_no_false_separation_on_convertible_corpus(defs):
         if v.conclusion == INCONVERTIBLE:
             false_separations.append((i, pretty(a), pretty(b), v.justification))
     assert false_separations == []
+
+
+# JSON payloads: strings over all of Unicode but surrogates, control
+# characters included, and any nesting of (possibly empty) lists and
+# string-keyed dicts.
+_json_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(**SETTINGS)
+@given(payload=_json_payloads)
+@example(payload={"\x00\n\u2028": ["λ", "\x1f\"\\", {}, [], True, False, None, -7]})
+def test_json_writer_matches_the_standard_encoder_on_any_payload(payload):
+    expected = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+    assert _dumps(payload) == expected
