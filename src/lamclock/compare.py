@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import islice, zip_longest
 from typing import Iterator
 
 from .reduction import DEFAULT_FUEL, one_step_reducts
@@ -338,30 +338,25 @@ SIZE_LIMIT = 500
 CHECK_LIMIT = 200
 
 
-def _new_reducts(t: Term, seen: set[Term], size_limit: int) -> Iterator[Term]:
-    """The one-step reducts of ``t`` of size at most ``size_limit`` that
-    are not in ``seen``, in redex order; each is added to ``seen``."""
-    for r in one_step_reducts(t):
-        if r.size <= size_limit and r not in seen:
-            seen.add(r)
-            yield r
-
-
 def _frontier(
     t: Term, limit: int, size_limit: int, smallest_first: bool
 ) -> Iterator[Term]:
-    """Yield ``t``, then the reducts ``_new_reducts`` makes from each
-    term yielded: each once up to renaming, none larger than
+    """Yield ``t``, then the one-step reducts of each term yielded, in
+    redex order: each once up to renaming, none larger than
     ``size_limit``, at most ``limit`` made, ``t`` included.  They come in
     the order made, or smallest first (ties in the order made).  A
-    term's reducts are made only when the next term is asked for."""
+    term's reducts are made only when the next term is asked for, and
+    not walked at all once ``limit`` terms are made."""
     seen = {t}
     heap = [(0, 0, t)]
     while heap:
         cur = heappop(heap)[2]
         yield cur
-        room = max(limit - len(seen), 0)
-        for r in islice(_new_reducts(cur, seen, size_limit), room):
+        # lazy, so each reduct is tested against the ones added before it
+        new = (r for r in one_step_reducts(cur)
+               if r.size <= size_limit and r not in seen)
+        for r in islice(new, max(limit - len(seen), 0)):
+            seen.add(r)
             heappush(heap, (r.size if smallest_first else 0, len(seen), r))
 
 
@@ -377,24 +372,27 @@ def enumerate_reducts(
 def bounded_joinable(
     a: Term, b: Term, limit: int = REDUCT_LIMIT, size_limit: int = SIZE_LIMIT
 ) -> Term | None:
-    """Search for a common reduct by expanding both reduction graphs
-    breadth-first; None when the bound is hit without a meeting point.
-    Each reduct is tested against the other side as it is made."""
-    if a == b:
-        return a
-    seen = ({a}, {b})
-    fronts = [[a], [b]]
-    while fronts[0] or fronts[1]:
-        if len(seen[0]) + len(seen[1]) > 2 * limit:
-            return None
-        for this, other in ((0, 1), (1, 0)):
-            nxt: list[Term] = []
-            for cur in fronts[this]:
-                for r in _new_reducts(cur, seen[this], size_limit):
-                    if r in seen[other]:
-                        return r
-                    nxt.append(r)
-            fronts[this] = nxt
+    """A common reduct of ``a`` and ``b``, up to renaming, or None.
+
+    Best-first on term size, as ``find_simple_reduct``: the two sides
+    take turns, each taking the smallest term left on its frontier (at
+    most ``limit`` made, none larger than ``size_limit``), and they meet
+    when one side takes a term the other has taken.  The first side's
+    term is returned, so ``bounded_joinable(a, a)`` is ``a``.  None when
+    both frontiers run dry without a meeting."""
+    left: dict[Term, Term] = {}
+    right: set[Term] = set()
+    for x, y in zip_longest(
+        _frontier(a, limit, size_limit, True), _frontier(b, limit, size_limit, True)
+    ):
+        if x is not None:
+            if x in right:
+                return x
+            left[x] = x
+        if y is not None:
+            if y in left:
+                return left[y]
+            right.add(y)
     return None
 
 

@@ -255,6 +255,28 @@ def test_bounded_joinable_negative(defs):
     assert bounded_joinable(parse("I", defs), parse(r"\x. x x"), limit=200, size_limit=100) is None
 
 
+@pytest.mark.parametrize(
+    "a, b, meeting",
+    [
+        (Y1, bbb_scheme(Y0, 1), r"(\x z. z (x x z)) (\x z. z (x x z))"),
+        (scott_seq(2), bbb_scheme(Y0, 2), r"Y0 (\y z z1. z z1 (y z z1)) I"),
+        (bbb_scheme(Y0, 2), gvector(Y0, 0), r"Y0 (\y z z1. z z1 (y z z1)) I"),
+    ],
+    ids=["Y1/bbb1", "scott2/bbb2", "bbb2/gvector0"],
+)
+def test_bounded_joinable_meets_small_deep_reducts(defs, a, b, meeting):
+    # each pair's common reduct is small but many steps deep
+    assert bounded_joinable(a, b, limit=200) == parse(meeting, defs)
+
+
+def test_bounded_joinable_returns_the_first_sides_term():
+    assert bounded_joinable(E1, E1) is E1
+    x, y = parse(r"\x.x"), parse(r"\y.y")
+    j = bounded_joinable(x, y)
+    assert j is x and pretty(j) == r"\x.x"
+    assert pretty(bounded_joinable(y, x)) == r"\y.y"
+
+
 def test_size_pruned_pool_is_not_exhaustive():
     # Every reduct of scott_seq(1) is larger than 30, so its pool holds the
     # term alone: short of the limit, but not closed under reduction; with

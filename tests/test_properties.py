@@ -2,8 +2,9 @@
 subsequence-order laws, printer/parser round trips, the head step,
 ``normalize`` and ``replace_at`` against their lookup and recursive
 references, the product graph's peel against brute force, balance
-preservation, soundness of the discrimination verdict on convertible
-pairs, and the CLI's JSON writer against the standard encoder."""
+preservation, soundness of the discrimination verdict and of the join
+on convertible pairs, and the CLI's JSON writer against the standard
+encoder."""
 
 import json
 import random
@@ -16,6 +17,7 @@ from lamclock.compare import (
     INCONVERTIBLE,
     DiscriminationConfig,
     _Product,
+    bounded_joinable,
     discriminate,
     enumerate_reducts,
     subseq_le,
@@ -728,6 +730,31 @@ def test_no_false_separation_on_convertible_corpus(defs):
         if v.conclusion == INCONVERTIBLE:
             false_separations.append((i, pretty(a), pretty(b), v.justification))
     assert false_separations == []
+
+
+def test_every_meeting_term_is_a_reduct_of_both_sides():
+    # The join's frontier is checked against the reference search: with
+    # the same size bound and no limit hit, that is the whole closure.
+    rng = random.Random(20261019)
+    limit, size_limit, closure_limit = 200, 60, 400
+    checked = 0
+    for _ in range(100):
+        ancestor = _random_closedish(rng, 3)
+        for _ in range(3):
+            ancestor = App(Lam("w", _random_closedish(rng, 3, 1)), ancestor)
+        a = _random_walk(rng, ancestor)
+        b = _random_walk(rng, ancestor)
+        j = bounded_joinable(a, b, limit=limit, size_limit=size_limit)
+        if j is None:
+            continue
+        closures = [
+            _enumerate_reducts_reference(t, closure_limit, size_limit) for t in (a, b)
+        ]
+        if any(len(c) >= closure_limit for c in closures):
+            continue
+        assert all(j in c for c in closures), (pretty(a), pretty(b), pretty(j))
+        checked += 1
+    assert checked >= 80
 
 
 # JSON payloads: strings over all of Unicode but surrogates, control

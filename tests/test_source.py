@@ -3,7 +3,8 @@ imports inside a function only from modules it does not import from at
 top level; every module-level private helper and every ``__slots__``
 name is read somewhere in the package, every public one and every
 dataclass field somewhere in the package, the tests or the benchmark,
-and ``compare.py`` reads every ``DiscriminationConfig`` setting."""
+and ``compare.py`` reads every ``DiscriminationConfig`` setting and
+expands reducts in ``_frontier`` alone."""
 
 import ast
 import importlib
@@ -250,6 +251,40 @@ def test_every_discrimination_setting_is_read():
     source = (Path(lamclock.__file__).parent / "compare.py").read_text(encoding="utf-8")
     unread = _unread_fields([source], [])
     assert [f for f in unread if f.startswith("DiscriminationConfig.")] == []
+
+
+def _readers_of(source: str, name: str) -> list[str]:
+    """The top-level functions and classes of ``source`` that read
+    ``name``, as a name or an attribute; any other top-level statement
+    that reads it shows as ``<module>``."""
+    readers = set()
+    for stmt in ast.parse(source).body:
+        if any(
+            isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == name
+            or isinstance(n, ast.Attribute) and n.attr == name
+            for n in ast.walk(stmt)
+        ):
+            readers.add(getattr(stmt, "name", "<module>"))
+    return sorted(readers)
+
+
+def test_the_check_finds_readers():
+    source = (
+        "from m import step\nimport m\n"
+        "def walk():\n    yield from step()\n"
+        "def other():\n    return [m.step(x) for x in ()]\n"
+        "class C:\n    f = staticmethod(step)\n"
+        "STEPS = step\n"
+        "def step_count():\n    return 0\n"
+    )
+    assert _readers_of(source, "step") == ["<module>", "C", "other", "walk"]
+
+
+def test_only_the_frontier_expands_reducts():
+    # one reduct-expansion loop behind every search: a second one that
+    # walks the reducts itself would read one_step_reducts
+    source = (Path(lamclock.__file__).parent / "compare.py").read_text(encoding="utf-8")
+    assert _readers_of(source, "one_step_reducts") == ["_frontier"]
 
 
 def test_no_unread_dataclass_fields():
