@@ -365,49 +365,37 @@ def cl_apply(a: CLTerm, b: CLTerm) -> CLTerm:
 
 
 def parse_cl(text: str) -> CLTerm:
-    """Parse a combinatory term written with K, S, and parentheses."""
-    pos = 0
+    """Parse a combinatory term written with K, S, and parentheses.
 
-    def atom() -> CLTerm | None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text):
-            return None
-        c = text[pos]
-        if c == "K":
-            pos += 1
-            return CL_K
-        if c == "S":
-            pos += 1
-            return CL_S
+    One pass over the characters, so any nesting depth is fine: each
+    open group keeps the application of its terms so far (None before
+    the first), and a closed group is applied, as one term, to the
+    group around it."""
+    groups: list[CLTerm | None] = [None]
+    for c in text:
+        if c.isspace():
+            continue
         if c == "(":
-            pos += 1
-            t = expr()
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos >= len(text) or text[pos] != ")":
+            groups.append(None)
+            continue
+        if c == "K":
+            t = CL_K
+        elif c == "S":
+            t = CL_S
+        elif c == ")":
+            t = groups.pop()
+            if not groups:
                 raise ValueError(f"unbalanced parentheses in {text!r}")
-            pos += 1
-            return t
-        if c == ")":
-            return None
-        raise ValueError(f"unexpected {c!r} in combinatory term")
-
-    def expr() -> CLTerm:
-        t = atom()
-        if t is None:
-            raise ValueError(f"empty combinatory term in {text!r}")
-        while True:
-            nxt = atom()
-            if nxt is None:
-                return t
-            t = cl_apply(t, nxt)
-
-    t = expr()
-    if pos < len(text.rstrip()):
-        raise ValueError(f"trailing input in {text!r}")
-    return t
+            if t is None:
+                raise ValueError(f"empty combinatory term in {text!r}")
+        else:
+            raise ValueError(f"unexpected {c!r} in combinatory term")
+        groups[-1] = t if groups[-1] is None else cl_apply(groups[-1], t)
+    if len(groups) > 1:
+        raise ValueError(f"unbalanced parentheses in {text!r}")
+    if groups[0] is None:
+        raise ValueError(f"empty combinatory term in {text!r}")
+    return groups[0]
 
 
 def encode_cl(m: CLTerm) -> Term:

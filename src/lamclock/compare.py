@@ -27,14 +27,15 @@ Anything weaker yields ``inconclusive``, with evidence saying which
 sides had a simple term or simple reduct within the search bounds.
 
 ``discriminate`` profiles each term once for every caller in the
-process: a module-level table, in the spirit of hash-consing
-(Filliâtre and Conchon, ML Workshop 2006), keeps a term's
-``check_simple`` report and, once searched for, its simple reduct.  It
-is keyed on the term and the five search bounds of
+process, in the spirit of hash-consing (Filliâtre and Conchon, ML
+Workshop 2006): two ``functools.lru_cache``s keep a term's
+``check_simple`` report and, once searched for, its simple reduct.
+Both are keyed on ``trees._Exact(term)``, so a hit must be the same
+term with the same binder hints, and on the five search bounds of
 ``DiscriminationConfig`` (not ``atomic``, since a tree records every
-step's position either way); a hit must be the same term with the same
-binder hints.  It holds at most ``PROFILE_LIMIT`` entries and evicts
-the oldest first.  A family's fpcs are shown new pair by pair, so a
+step's position either way).  Each holds at most ``PROFILE_LIMIT``
+entries, evicts the least recently used first, and stores nothing for
+a call that raises.  A family's fpcs are shown new pair by pair, so a
 matrix over up to ``PROFILE_LIMIT`` terms profiles each term once.
 """
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import islice, zip_longest
 from typing import Iterator
@@ -53,7 +55,7 @@ from .trees import (
     ClockTree,
     Node,
     SimplicityReport,
-    _identical,
+    _Exact,
     _simple_report,
     check_simple,
     child_step,
@@ -464,48 +466,28 @@ class DiscriminationConfig:
     simple_check_limit: int = CHECK_LIMIT
 
 
-PROFILE_LIMIT = 256  # entries of the profile table (module docstring)
-_UNSEARCHED = object()
+PROFILE_LIMIT = 256  # entries of each profile cache (module docstring)
 
 
-@dataclass
-class _Profile:
-    term: Term
-    report: SimplicityReport
-    reduct: object = _UNSEARCHED  # find_simple_reduct's result, once run
-
-    def simple_reduct(self, cfg: DiscriminationConfig):
-        """The term's simple reduct, a simple term being its own; the
-        search runs on the first call only."""
-        if self.reduct is _UNSEARCHED:
-            t, rep = self.term, self.report
-            self.reduct = (t, rep) if rep else find_simple_reduct(
-                t, cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
-                cfg.simple_check_limit, report=rep)
-        return self.reduct
+@lru_cache(maxsize=PROFILE_LIMIT)
+def _report(
+    key: _Exact, depth: int, fuel: int, reduct_limit: int, size_limit: int,
+    check_limit: int,
+) -> SimplicityReport:
+    """``check_simple`` of the key's term.  It takes every bound that
+    ``_simple_reduct`` takes, so the two caches share their keys."""
+    return check_simple(key.term, depth, fuel)
 
 
-_PROFILES: dict[tuple, _Profile] = {}
-
-
-def _profile(t: Term, cfg: DiscriminationConfig) -> _Profile:
-    """``t``'s entry in ``_PROFILES``, made on a miss.
-
-    The key is the term's hash and the five bounds.  A hit must be
-    ``_identical``, binder hints included, as in ``trees._build``; a
-    term that shares a key but is not identical replaces the entry.  An
-    entry is stored only after its check returns."""
-    key = (t._h, cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
-           cfg.simple_check_limit)
-    entry = _PROFILES.get(key)
-    if entry is not None and _identical(entry.term, t):
-        return entry
-    entry = _Profile(t, check_simple(t, cfg.depth, cfg.fuel))
-    _PROFILES.pop(key, None)
-    _PROFILES[key] = entry
-    if len(_PROFILES) > PROFILE_LIMIT:
-        del _PROFILES[next(iter(_PROFILES))]
-    return entry
+@lru_cache(maxsize=PROFILE_LIMIT)
+def _simple_reduct(
+    key: _Exact, depth: int, fuel: int, reduct_limit: int, size_limit: int,
+    check_limit: int,
+) -> tuple[Term, SimplicityReport] | None:
+    """The key's term's simple reduct, a simple term being its own."""
+    rep = _report(key, depth, fuel, reduct_limit, size_limit, check_limit)
+    return (key.term, rep) if rep else find_simple_reduct(
+        key.term, depth, fuel, reduct_limit, size_limit, check_limit, report=rep)
 
 
 def discriminate(
@@ -526,17 +508,20 @@ def discriminate(
     trees agree eventually.
 
     Each side's simplicity report and simple reduct come from the
-    module's profile table (``_PROFILES``), so a term met in an earlier
-    call with the same bounds is neither checked nor searched again; as
-    before, the search runs only when step (1) leaves the pair open.
+    module's profile caches (``_report`` and ``_simple_reduct``), so a
+    term met in an earlier call with the same bounds is neither checked
+    nor searched again; the search runs only when step (1) leaves the
+    pair open.
     """
     cfg = config or DiscriminationConfig()
     eq_rel = Relation.LIST_EQ if cfg.atomic else Relation.EQ
     le_rel = Relation.SUBSEQ_LE if cfg.atomic else Relation.LE
 
     # comparison reads the recorded steps, never ``ClockTree.atomic``
-    pm, pn = _profile(m, cfg), _profile(n, cfg)
-    tm, tn = pm.report.tree, pn.report.tree
+    km, kn = _Exact(m), _Exact(n)
+    bounds = (cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
+              cfg.simple_check_limit)
+    tm, tn = _report(km, *bounds).tree, _report(kn, *bounds).tree
     base = {
         "depth": cfg.depth,
         "fuel": cfg.fuel,
@@ -560,7 +545,7 @@ def discriminate(
 
     # (2)/(3) need simple reducts, a simple side being its own; a simple
     # report's tree is closed, and it is the tree to compare
-    sm, sn = pm.simple_reduct(cfg), pn.simple_reduct(cfg)
+    sm, sn = _simple_reduct(km, *bounds), _simple_reduct(kn, *bounds)
     tsm = sm[1].tree if sm else None
     tsn = sn[1].tree if sn else None
 

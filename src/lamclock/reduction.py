@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Literal
 
+from .parser import _pick_name
 from .terms import (
     App,
     Free,
@@ -497,12 +498,7 @@ def reducing_fpc_order(y: Term, fuel: int = DEFAULT_FUEL) -> int | None:
     that term (within fuel) — i.e. the operator does not *reduce* to its
     unfolding, even if it is convertible with it.
     """
-    base = "x"
-    k = 1
-    while base in y.names:
-        base = f"x{k}"
-        k += 1
-    x = Free(base)
+    x = Free(_pick_name("x", y.names))
     goal = App(x, App(y, x))
     # ``goal`` is a head normal form, so the head reduction can only
     # meet it as its result.

@@ -209,9 +209,9 @@ def _build(
     term, rebuilt, and ``plotkin_B(Y1)``'s 4095 nodes at depth 12 hold
     two distinct terms.  Reusing the outcome is exact, since target and
     fuel are fixed for the build and head reduction is deterministic.
-    The outcomes sit in buckets keyed by the term's hash, and a hit must
-    be ``_identical``, binder hints included: ``==`` ignores them, and
-    the displayed binder names come from the result's hints.  Only what
+    The outcomes are keyed on ``_Exact(term)``, so a hit must be the
+    same term with the same binder hints: ``==`` ignores them, and the
+    displayed binder names come from the result's hints.  Only what
     a node reads is kept: the status, and for a resolved term its steps
     and result, so the step positions of a term that ran out of fuel are
     freed as soon as it is reduced, however many there are."""
@@ -229,8 +229,8 @@ def _build(
     # then (None, node) if the subtree can be shared; any other finished
     # entry is deleted
     seen: dict[Term, tuple[int | None, Node]] = {}
-    # term hash -> one [term, status, steps, result] per distinct term
-    reduced: dict[int, list[list]] = {}
+    # one (key, status, steps, result) per distinct generating term
+    reduced: dict[_Exact, tuple] = {}
 
     def open_binders(t: Term, k: int, taken):
         """Open the first ``k`` binders of ``t`` with fresh internal names:
@@ -289,21 +289,17 @@ def _build(
                 return Node("backedge", target=anode, delta=level - alvl), alvl, True
         if level >= depth:
             return Node("unknown", reason="depth"), INF, False
-        bucket = reduced.get(term._h)
-        if bucket is None:
-            bucket = reduced[term._h] = []
-        for known in bucket:
-            if _identical(known[0], term):
-                # a reused result's subterms are the objects met next
-                known[0] = term
-                break
+        key = _Exact(term)
+        known = reduced.get(key)
+        if known is not None:
+            # a reused result's subterms are the objects met next
+            known[0].term = term
         else:
             out = head_reduce(
                 term, target, fuel, on_step=None if hook is None else partial(hook, path)
             )
             kept = tuple(out.steps) if out.status == RESOLVED else ()
-            known = [term, out.status, kept, out.result]
-            bucket.append(known)
+            known = reduced[key] = (key, out.status, kept, out.result)
         _, status, steps, r = known
         if status == PROVEN_DIVERGENT:
             return Node("bottom"), INF, True
@@ -384,6 +380,23 @@ def _identical(a: Term, b: Term) -> bool:
         elif u.index != v.index:
             return False
     return True
+
+
+class _Exact:
+    """A term as a table key that only the same term with the same
+    binder hints hits (``_identical``): ``==`` ignores the hints, and
+    the binder names a tree or report shows come from them."""
+
+    __slots__ = ("term",)
+
+    def __init__(self, term: Term):
+        self.term = term
+
+    def __hash__(self) -> int:
+        return self.term._h
+
+    def __eq__(self, other) -> bool:
+        return _identical(self.term, other.term)
 
 
 def clocked_bt(

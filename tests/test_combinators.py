@@ -126,6 +126,24 @@ def test_cl_parse_print_round_trip():
         assert str(C.parse_cl(text)) == text
 
 
+@pytest.mark.parametrize("text", ["", "(", ")", "K)", "(K", "()", "KX"])
+def test_cl_parse_rejects_malformed_input(text):
+    with pytest.raises(ValueError):
+        C.parse_cl(text)
+
+
+def test_cl_parse_any_depth():
+    # S(S(...(SK)...)), far deeper than the recursion limit
+    n = 5000
+    t = C.parse_cl("S(" * n + "K" + ")" * n)
+    depth = 0
+    while t.kind == "app":
+        assert t.left.kind == "S"
+        t = t.right
+        depth += 1
+    assert (depth, t.kind) == (n, "K")
+
+
 def test_cl_to_lambda():
     assert alpha_eq(C.cl_to_lambda(C.CL_K), C.K)
     assert alpha_eq(C.cl_to_lambda(C.CL_S), C.S)

@@ -1,6 +1,7 @@
 """Tree comparison relations and the discrimination pipeline."""
 
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -36,7 +37,7 @@ from lamclock.compare import (
 from lamclock.parser import parse, pretty
 from lamclock.reduction import gross_knuth
 from lamclock.terms import Free, alpha_eq, iterate
-from lamclock.trees import compact_cyclic, strip
+from lamclock.trees import _Exact, compact_cyclic, strip
 
 
 @pytest.fixture(scope="module")
@@ -364,12 +365,17 @@ def test_find_simple_reduct_beyond_breadth_first(term):
     assert reduct.size < term.size
 
 
+def _clear_profiles():
+    compare._report.cache_clear()
+    compare._simple_reduct.cache_clear()
+
+
 def _count_checks(monkeypatch):
     # the whole-tree checks and the reduct search's, which stop at the
-    # first non-simple step; the profile table starts empty, so every
+    # first non-simple step; the profile caches start empty, so every
     # check discriminate needs is made and counted
     checked = []
-    monkeypatch.setattr(compare, "_PROFILES", {})
+    _clear_profiles()
 
     def counting(original):
         def go(t, *args, **kwargs):
@@ -431,43 +437,52 @@ _PROFILED = (Y0, Y1, bohm_seq(1), bohm_seq(2), scott_seq(0), scott_seq(1),
 
 
 def _cold(m, n, cfg):
-    compare._PROFILES.clear()
+    _clear_profiles()
     return discriminate(m, n, cfg).to_dict()
+
+
+def _bounds(cfg):
+    return (cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit, cfg.simple_check_limit)
 
 
 @pytest.mark.parametrize("limit", [compare.PROFILE_LIMIT, 3], ids=["limit", "evicting"])
 def test_profile_table_gives_the_cold_verdicts(limit, monkeypatch):
     # every pair, plain and atomic, in a shuffled order, so that hits
-    # come from other pairs and the other clock mode; with a 3-entry
-    # table most entries are evicted before they are met again
-    monkeypatch.setattr(compare, "_PROFILES", {})
-    monkeypatch.setattr(compare, "PROFILE_LIMIT", limit)
+    # come from other pairs and the other clock mode; with 3-entry
+    # caches most entries are evicted before they are met again
+    for name in ("_report", "_simple_reduct"):
+        f = getattr(compare, name).__wrapped__
+        monkeypatch.setattr(compare, name, functools.lru_cache(limit)(f))
     runs = [(m, n, DiscriminationConfig(atomic=atomic))
             for m, n in itertools.combinations_with_replacement(_PROFILED, 2)
             for atomic in (False, True)]
     cold = [_cold(*run) for run in runs]
     order = list(range(len(runs)))
     random.Random(28).shuffle(order)
-    compare._PROFILES.clear()
+    _clear_profiles()
     for i in order:
         assert discriminate(*runs[i]).to_dict() == cold[i]
-        assert len(compare._PROFILES) <= limit
+        assert compare._report.cache_info().currsize <= limit
+        assert compare._simple_reduct.cache_info().currsize <= limit
 
 
 def test_profile_table_stays_within_its_limit(monkeypatch):
-    monkeypatch.setattr(compare, "_PROFILES", {})
+    checked = _count_checks(monkeypatch)
     y = Free("y")
+    newest = Free(f"x{compare.PROFILE_LIMIT + 43}")
     for i in range(compare.PROFILE_LIMIT + 44):
         assert discriminate(Free(f"x{i}"), y).justification == "different-bt"
-        assert len(compare._PROFILES) <= compare.PROFILE_LIMIT
-    assert len(compare._PROFILES) == compare.PROFILE_LIMIT
-    # the oldest went first
-    names = {e.term.name for e in compare._PROFILES.values()}
-    assert "x0" not in names and f"x{compare.PROFILE_LIMIT + 43}" in names
+        assert compare._report.cache_info().currsize <= compare.PROFILE_LIMIT
+    assert compare._report.cache_info().currsize == compare.PROFILE_LIMIT
+    # the oldest went first: x0 is checked again, the newest is not
+    checked.clear()
+    discriminate(newest, y)
+    discriminate(Free("x0"), y)
+    assert checked == [Free("x0")]
 
 
 def test_profile_table_keeps_binder_hints_apart(monkeypatch):
-    # alpha-variants share a key but not a tree: the displayed binders
+    # alpha-variants share a hash but not a tree: the displayed binders
     # come from the hints, so a hint-variant is checked again
     checked = _count_checks(monkeypatch)
     m, m2, n = parse(r"\x. x x"), parse(r"\y. y y"), parse(r"\x. x")
@@ -476,9 +491,10 @@ def test_profile_table_keeps_binder_hints_apart(monkeypatch):
     checked.clear()
     assert discriminate(m2, n, cfg).to_dict() == v.to_dict()
     assert checked == [m2]
-    profile = compare._profile(m2, cfg)
-    assert profile.term is m2
-    assert profile.report.tree.root.binders == ("y",)
+    # both variants are kept, each with its own binder names
+    assert compare._report(_Exact(m2), *_bounds(cfg)).tree.root.binders == ("y",)
+    assert compare._report(_Exact(m), *_bounds(cfg)).tree.root.binders == ("x",)
+    assert checked == [m2]
 
 
 @pytest.mark.parametrize("bound", ["depth", "fuel", "reduct_limit", "size_limit",
@@ -499,13 +515,15 @@ def test_profile_table_keys_on_every_bound(bound, monkeypatch):
 
 
 def test_profile_table_stores_no_raising_check(monkeypatch):
-    monkeypatch.setattr(compare, "_PROFILES", {})
+    _clear_profiles()
     m, n = scott_seq(1), bbb_scheme(Y0, 1)
+    calls = []
 
     def failing(name):
         original = getattr(compare, name)
 
         def go(t, *args, **kwargs):
+            calls.append(t)
             if t is n:
                 raise MemoryError
             return original(t, *args, **kwargs)
@@ -516,13 +534,23 @@ def test_profile_table_stores_no_raising_check(monkeypatch):
     original = failing("check_simple")
     with pytest.raises(MemoryError):
         discriminate(m, n)
-    assert [e.term for e in compare._PROFILES.values()] == [m]
+    assert calls == [m, n]
+    # m's check is stored, n's is run again on the next call
+    calls.clear()
+    with pytest.raises(MemoryError):
+        discriminate(m, n)
+    assert calls == [n]
     # nor a raising search: the term's reduct is searched for again
     monkeypatch.setattr(compare, "check_simple", original)
     original = failing("find_simple_reduct")
+    calls.clear()
     with pytest.raises(MemoryError):
         discriminate(m, n)
-    assert [e.reduct for e in compare._PROFILES.values() if e.term is n] == [compare._UNSEARCHED]
+    assert calls == [m, n]
+    calls.clear()
+    with pytest.raises(MemoryError):
+        discriminate(m, n)
+    assert calls == [n]
     monkeypatch.setattr(compare, "find_simple_reduct", original)
     assert discriminate(m, n).to_dict() == _cold(m, n, DiscriminationConfig())
 
@@ -577,6 +605,26 @@ def test_discriminate_needs_atomic_view(defs):
 def test_discriminate_enumerators():
     v = discriminate(E1, E3, DiscriminationConfig())
     assert v.conclusion == INCONVERTIBLE
+    assert v.justification == "simple-eventual-mismatch"
+
+
+@pytest.mark.parametrize("atomic,relation", [(False, "le"), (True, "subseq_le")])
+def test_discriminate_simple_side_does_not_improve(atomic, relation):
+    # bbb_scheme(Y0, 0) is convertible with Y0, not with bohm_seq(2).
+    # bohm_seq(2) is simple; with one reduct made, the search finds no
+    # simple reduct of bbb_scheme(Y0, 0), so step (2) cannot run and
+    # step (3) separates the pair
+    m, n = bohm_seq(2), bbb_scheme(Y0, 0)
+    cfg = DiscriminationConfig(atomic=atomic, reduct_limit=1)
+    for a, b, side in ((m, n, "first"), (n, m, "second")):
+        v = discriminate(a, b, cfg)
+        assert v.conclusion == INCONVERTIBLE
+        assert v.justification == "simple-no-improvement"
+        assert (v.evidence["simple_side"], v.evidence["relation"]) == (side, relation)
+        assert v.evidence["level"] == 2
+    # at the default limit both sides have simple reducts, and step (2)
+    # separates the pair first
+    v = discriminate(m, n, DiscriminationConfig(atomic=atomic))
     assert v.justification == "simple-eventual-mismatch"
 
 

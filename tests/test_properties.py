@@ -702,6 +702,15 @@ def _random_walk(rng, t, size_cap=250):
     return t
 
 
+def _redex_ancestor(rng):
+    """A random term under three top-level redexes, so that two random
+    walks from it seldom end at the same term."""
+    ancestor = _random_closedish(rng, 3)
+    for _ in range(3):
+        ancestor = App(Lam("w", _random_closedish(rng, 3, 1)), ancestor)
+    return ancestor
+
+
 def test_no_false_separation_on_convertible_corpus(defs):
     rng = random.Random(20260822)
     cfg = DiscriminationConfig(
@@ -719,11 +728,13 @@ def test_no_false_separation_on_convertible_corpus(defs):
     ]
     pairs = list(handpicked)
     while len(pairs) < 200:
-        ancestor = _random_closedish(rng, 5)
+        ancestor = _redex_ancestor(rng)
         a = _random_walk(rng, ancestor)
         b = _random_walk(rng, ancestor)
         pairs.append((a, b))
     assert len(pairs) == 200
+    # pairs of one term twice test nothing
+    assert sum(a != b for a, b in pairs) >= 150
     false_separations = []
     for i, (a, b) in enumerate(pairs):
         v = discriminate(a, b, cfg)
@@ -739,9 +750,7 @@ def test_every_meeting_term_is_a_reduct_of_both_sides():
     limit, size_limit, closure_limit = 200, 60, 400
     checked = 0
     for _ in range(100):
-        ancestor = _random_closedish(rng, 3)
-        for _ in range(3):
-            ancestor = App(Lam("w", _random_closedish(rng, 3, 1)), ancestor)
+        ancestor = _redex_ancestor(rng)
         a = _random_walk(rng, ancestor)
         b = _random_walk(rng, ancestor)
         j = bounded_joinable(a, b, limit=limit, size_limit=size_limit)

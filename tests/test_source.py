@@ -3,8 +3,9 @@ imports inside a function only from modules it does not import from at
 top level; every module-level private helper and every ``__slots__``
 name is read somewhere in the package, every public one and every
 dataclass field somewhere in the package, the tests or the benchmark,
-and ``compare.py`` reads every ``DiscriminationConfig`` setting and
-expands reducts in ``_frontier`` alone."""
+``compare.py`` reads every ``DiscriminationConfig`` setting and
+expands reducts in ``_frontier`` alone, and only ``trees._Exact``
+compares terms with their binder hints."""
 
 import ast
 import importlib
@@ -285,6 +286,17 @@ def test_only_the_frontier_expands_reducts():
     # walks the reducts itself would read one_step_reducts
     source = (Path(lamclock.__file__).parent / "compare.py").read_text(encoding="utf-8")
     assert _readers_of(source, "one_step_reducts") == ["_frontier"]
+
+
+def test_only_the_exact_key_reads_identical():
+    # one hit rule for every reuse table: a second table that compared
+    # terms with their binder hints itself would read _identical
+    readers = [
+        f"{path.stem}.{reader}"
+        for path in MODULES
+        for reader in _readers_of(path.read_text(encoding="utf-8"), "_identical")
+    ]
+    assert readers == ["trees._Exact"]
 
 
 def test_no_unread_dataclass_fields():
