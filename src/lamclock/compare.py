@@ -13,6 +13,16 @@ apart by the build's internal names, which each layer keeps in
 ``block`` and a bound head names in ``head_ref``: two heads match when
 they name the same free variable or binders opened at paired layers.
 
+Each tree keeps what exploration reads of it in ``ClockTree.explored``
+(a ``_Tables``): for every node an exploration has entered, on either
+side, its children with references resolved and the length of each
+child step, filled as nodes are entered; and the binders each node's
+subtree can still name, found over the whole tree the first time it is
+the first side.  Every later exploration that enters the tree reads
+them, so a profiled term's tree is prepared once for all its pairs.
+They live and die with the tree; ``strip`` gives a new tree, which
+starts without them.
+
 ``discriminate`` turns these checks into verdicts.  It never claims
 convertibility; an ``inconvertible`` verdict always rests on one of
 three bases:
@@ -31,12 +41,15 @@ process, in the spirit of hash-consing (Filliâtre and Conchon, ML
 Workshop 2006): two ``functools.lru_cache``s keep a term's
 ``check_simple`` report and, once searched for, its simple reduct.
 Both are keyed on ``trees._Exact(term)``, so a hit must be the same
-term with the same binder hints, and on the five search bounds of
-``DiscriminationConfig`` (not ``atomic``, since a tree records every
-step's position either way).  Each holds at most ``PROFILE_LIMIT``
-entries, evicts the least recently used first, and stores nothing for
-a call that raises.  A family's fpcs are shown new pair by pair, so a
-matrix over up to ``PROFILE_LIMIT`` terms profiles each term once.
+term with the same binder hints, and on the bounds each reads: the
+report on ``depth`` and ``fuel``, the reduct on all five bounds of
+``DiscriminationConfig`` (neither on ``atomic``, since a tree records
+every step's position either way).  Each holds at most
+``PROFILE_LIMIT`` entries, evicts the least recently used first, and
+stores nothing for a call that raises.  A family's fpcs are shown new
+pair by pair, so a matrix over up to ``PROFILE_LIMIT`` terms profiles
+each term once, and explores each term's tree with tables that its
+first pair filled.
 """
 
 from __future__ import annotations
@@ -74,32 +87,10 @@ class Relation(Enum):
     LIST_EQ = "list_eq"
     SUBSEQ_GE = "subseq_ge"
 
-    @property
-    def on_lists(self) -> bool:
-        return self in (Relation.SUBSEQ_LE, Relation.LIST_EQ, Relation.SUBSEQ_GE)
-
     def holds_for(self, a: Node, b: Node) -> bool:
         """Apply to annotated nodes ``a``, ``b``."""
-        if self.on_lists:
-            p, q = a.steps, b.steps
-            assert p is not None and q is not None
-            match self:
-                case Relation.SUBSEQ_LE:
-                    return subseq_le(p, q)
-                case Relation.LIST_EQ:
-                    return p == q
-                case Relation.SUBSEQ_GE:
-                    return subseq_le(q, p)
-        ka, kb = a.count, b.count
-        assert ka is not None and kb is not None
-        match self:
-            case Relation.LE:
-                return ka <= kb
-            case Relation.EQ:
-                return ka == kb
-            case Relation.GE:
-                return ka >= kb
-        raise AssertionError(self)
+        assert a.count is not None and b.count is not None
+        return _NODE_TEST[self](a, b)
 
 
 def subseq_le(q, p) -> bool:
@@ -115,17 +106,29 @@ def subseq_le(q, p) -> bool:
     return True
 
 
+# Each relation's test on two annotated nodes: the one table that
+# ``Relation.holds_for`` reads and ``_explore`` binds once per exploration.
+_NODE_TEST = {
+    Relation.LE: lambda a, b: a.count <= b.count,
+    Relation.EQ: lambda a, b: a.count == b.count,
+    Relation.GE: lambda a, b: a.count >= b.count,
+    Relation.SUBSEQ_LE: lambda a, b: subseq_le(a.steps, b.steps),
+    Relation.LIST_EQ: lambda a, b: a.steps == b.steps,
+    Relation.SUBSEQ_GE: lambda a, b: subseq_le(b.steps, a.steps),
+}
+
+
 # ---------------------------------------------------------------------------
 # product-graph machinery
 
 
-def _relevant(tree: ClockTree) -> dict[int, frozenset[str]]:
-    """For each node of ``tree`` (by ``id``), the binders opened above it
-    that its cyclic subtree can still name: its bound head and its
-    children's (a reference's being its target's), less its own block.
-    A least fixpoint over ``walk``."""
+def _relevant(tree: ClockTree) -> dict[Node, frozenset[str]]:
+    """For each node of ``tree``, the binders opened above it that its
+    cyclic subtree can still name: its bound head and its children's (a
+    reference's being its target's), less its own block.  A least
+    fixpoint over ``walk``."""
     nodes = [n for n, _, _, target, _ in walk(tree) if target is None]
-    relevant: dict[int, frozenset[str]] = {id(n): frozenset() for n in nodes}
+    relevant: dict[Node, frozenset[str]] = dict.fromkeys(nodes, frozenset())
     changed = True
     while changed:
         changed = False
@@ -133,13 +136,43 @@ def _relevant(tree: ClockTree) -> dict[int, frozenset[str]]:
             r = n.head_ref
             s = {r[1]} if r is not None and r[0] == "b" else set()
             for c in n.children:
-                s.update(relevant[id(c.target or c)])
+                s.update(relevant[c.target or c])
             s.difference_update(n.block)
             fs = frozenset(s)
-            if fs != relevant[id(n)]:
-                relevant[id(n)] = fs
+            if fs != relevant[n]:
+                relevant[n] = fs
                 changed = True
     return relevant
+
+
+class _Tables:
+    """What ``_explore`` keeps of one tree (``ClockTree.explored``).
+
+    ``slots`` maps each node an exploration has entered, on either
+    side, to its child slots as ``(child, digits)`` pairs: the child
+    with a reference resolved to its target, and the length of the
+    child step.  ``relevant`` is ``_relevant`` of the tree, made the
+    first time the tree is the first side.
+    """
+
+    __slots__ = ("slots", "relevant")
+
+    def __init__(self):
+        self.slots: dict[Node, tuple[tuple[Node, int], ...]] = {}
+        self.relevant: dict[Node, frozenset[str]] | None = None
+
+
+def _tables(tree: ClockTree) -> _Tables:
+    """``tree``'s tables, made empty the first time they are asked for."""
+    tables = tree.explored
+    if tables is None:
+        tables = tree.explored = _Tables()
+    return tables
+
+
+def _slots(n: Node) -> tuple[tuple[Node, int], ...]:
+    """``_Tables.slots`` of ``n``."""
+    return tuple([(c.target or c, len(child_step(n, i))) for i, c in enumerate(n.children)])
 
 
 @dataclass
@@ -190,17 +223,24 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
     pairs ``(x, y)`` of internal names from the layers' ``block``,
     restricted to the binders side 1 can still mention below its node.
     References are followed to their targets, so a finite graph gives
-    finitely many states.
+    finitely many states.  Each node's children and step lengths come
+    from its tree's ``_Tables``, filled as nodes are entered.
     """
     if t1.semantics != t2.semantics:
         raise ValueError(
             f"cannot compare {t1.semantics!r} tree with {t2.semantics!r} tree"
         )
-    relevant = _relevant(t1)
+    tables = _tables(t1)
+    if tables.relevant is None:
+        tables.relevant = _relevant(t1)
+    relevant = tables.relevant
+    slots_a, slots_b = tables.slots, _tables(t2).slots
+    test = _NODE_TEST[rel]
 
     a0, b0 = t1.root, t2.root
-    states: list[tuple[Node, Node, frozenset]] = [(a0, b0, frozenset())]
-    key = {(id(a0), id(b0), frozenset()): 0}
+    empty: frozenset = frozenset()
+    states: list[tuple[Node, Node, frozenset]] = [(a0, b0, empty)]
+    key = {(a0, b0, empty): 0}
     edges: dict[int, list[tuple[int, int]]] = {}
     depth = {0: 0}
     shape_bad: int | None = None
@@ -214,16 +254,15 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
             i += 1
             continue
         ba, bb = a.block, b.block
-        ca, cb = a.children, b.children
-        ok = a.kind == b.kind and len(ba) == len(bb) and len(ca) == len(cb)
+        ok = (a.kind == b.kind and len(ba) == len(bb)
+              and len(a.children) == len(b.children))
         pairing = rho
         if ok and ba:
             # opening a block shadows, on either side, whatever its
             # binders were previously paired with
-            fresh = set(bb)
-            pairing = frozenset(
-                (x, y) for x, y in rho if y not in fresh
-            ) | frozenset(zip(ba, bb))
+            pairing = frozenset(zip(ba, bb))
+            if rho:
+                pairing |= {(x, y) for x, y in rho if y not in bb}
         if ok:
             ra, rb = a.head_ref, b.head_ref
             if ra is None or rb is None or "f" in (ra[0], rb[0]):
@@ -235,25 +274,31 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
                 shape_bad = i
             i += 1
             continue
-        if a.count is not None and b.count is not None:
-            if not rel.holds_for(a, b):
-                ann_bad.add(i)
+        if a.count is not None and b.count is not None and not test(a, b):
+            ann_bad.add(i)
+        sa = slots_a.get(a)
+        if sa is None:
+            sa = slots_a[a] = _slots(a)
+        sb = slots_b.get(b)
+        if sb is None:
+            sb = slots_b[b] = _slots(b)
+        d = depth[i]
         kid_edges = []
-        for slot in range(len(ca)):
-            na, nb = ca[slot], cb[slot]
-            na, nb = na.target or na, nb.target or nb  # references resolved
-            keep = relevant[id(na)]
-            rho_c = frozenset((x, y) for x, y in pairing if x in keep)
-            k = (id(na), id(nb), rho_c)
+        for (na, w), (nb, _) in zip(sa, sb):
+            if pairing:
+                keep = relevant[na]
+                rho_c = frozenset([p for p in pairing if p[0] in keep])
+            else:
+                rho_c = empty
+            k = (na, nb, rho_c)
             j = key.get(k)
-            w = len(child_step(a, slot))
             if j is None:
                 j = len(states)
                 key[k] = j
-                states.append((na, nb, rho_c))
-                depth[j] = depth[i] + w
-            else:
-                depth[j] = min(depth[j], depth[i] + w)
+                states.append(k)
+                depth[j] = d + w
+            elif d + w < depth[j]:
+                depth[j] = d + w
             kid_edges.append((j, w))
         edges[i] = kid_edges
         i += 1
@@ -470,12 +515,9 @@ PROFILE_LIMIT = 256  # entries of each profile cache (module docstring)
 
 
 @lru_cache(maxsize=PROFILE_LIMIT)
-def _report(
-    key: _Exact, depth: int, fuel: int, reduct_limit: int, size_limit: int,
-    check_limit: int,
-) -> SimplicityReport:
-    """``check_simple`` of the key's term.  It takes every bound that
-    ``_simple_reduct`` takes, so the two caches share their keys."""
+def _report(key: _Exact, depth: int, fuel: int) -> SimplicityReport:
+    """``check_simple`` of the key's term, keyed on the only bounds it
+    reads: a change of a search bound checks no term again."""
     return check_simple(key.term, depth, fuel)
 
 
@@ -485,7 +527,7 @@ def _simple_reduct(
     check_limit: int,
 ) -> tuple[Term, SimplicityReport] | None:
     """The key's term's simple reduct, a simple term being its own."""
-    rep = _report(key, depth, fuel, reduct_limit, size_limit, check_limit)
+    rep = _report(key, depth, fuel)
     return (key.term, rep) if rep else find_simple_reduct(
         key.term, depth, fuel, reduct_limit, size_limit, check_limit, report=rep)
 
@@ -519,9 +561,7 @@ def discriminate(
 
     # comparison reads the recorded steps, never ``ClockTree.atomic``
     km, kn = _Exact(m), _Exact(n)
-    bounds = (cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
-              cfg.simple_check_limit)
-    tm, tn = _report(km, *bounds).tree, _report(kn, *bounds).tree
+    tm, tn = _report(km, cfg.depth, cfg.fuel).tree, _report(kn, cfg.depth, cfg.fuel).tree
     base = {
         "depth": cfg.depth,
         "fuel": cfg.fuel,
@@ -545,6 +585,8 @@ def discriminate(
 
     # (2)/(3) need simple reducts, a simple side being its own; a simple
     # report's tree is closed, and it is the tree to compare
+    bounds = (cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
+              cfg.simple_check_limit)
     sm, sn = _simple_reduct(km, *bounds), _simple_reduct(kn, *bounds)
     tsm = sm[1].tree if sm else None
     tsn = sn[1].tree if sn else None

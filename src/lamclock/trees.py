@@ -26,7 +26,7 @@ unfolding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator
 
@@ -123,7 +123,11 @@ class ClockTree:
     """A built tree plus the parameters it was built with.
 
     ``closed``, recorded by the build, says the tree has no ``unknown``
-    frontier: the finite structure describes the whole unfolding."""
+    frontier: the finite structure describes the whole unfolding.
+    ``explored`` holds what product exploration keeps of the tree
+    (``compare._Tables``), made by the first comparison that enters it;
+    it lives and dies with the tree, and a new tree, such as ``strip``'s,
+    starts without it."""
 
     root: Node
     semantics: str
@@ -131,6 +135,7 @@ class ClockTree:
     depth: int
     fuel: int
     closed: bool
+    explored: object = field(default=None, init=False, repr=False, compare=False)
 
     def node_count(self) -> int:
         return sum(1 for _ in walk(self))

@@ -36,8 +36,8 @@ from lamclock.compare import (
 )
 from lamclock.parser import parse, pretty
 from lamclock.reduction import gross_knuth
-from lamclock.terms import Free, alpha_eq, iterate
-from lamclock.trees import _Exact, compact_cyclic, strip
+from lamclock.terms import Free, HeadPos, alpha_eq, iterate
+from lamclock.trees import ClockTree, Node, _Exact, compact_cyclic, strip
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +207,62 @@ def test_product_graph_of_the_enumerators(key):
     # stripped trees pair the same layers and binders, with no clock to fail
     stripped = _summary(compare._explore(strip(ta), strip(tb), Relation.EQ))
     assert stripped == expected[:3] + (0,) + expected[4:]
+
+
+# The two sides' step lists in each case: a proper subsequence (so
+# fewer steps), equal lists, a proper supersequence (more steps), and
+# fewer steps that are no subsequence
+_S = (HeadPos(0, 1), HeadPos(1, 0), HeadPos(0, 2))
+_ANNOTATIONS = {
+    "less": ((_S[0], _S[2]), _S),
+    "equal": (_S, _S),
+    "greater": (_S, (_S[1], _S[2])),
+    "not-subsequence": ((_S[2], _S[0]), (_S[0], _S[1], _S[2])),
+}
+_HOLDS = {  # relation -> the cases where it holds
+    Relation.LE: {"less", "equal", "not-subsequence"},
+    Relation.EQ: {"equal"},
+    Relation.GE: {"equal", "greater"},
+    Relation.SUBSEQ_LE: {"less", "equal"},
+    Relation.LIST_EQ: {"equal"},
+    Relation.SUBSEQ_GE: {"equal", "greater"},
+}
+
+
+@pytest.mark.parametrize("rel", list(Relation), ids=lambda r: r.value)
+@pytest.mark.parametrize("case", list(_ANNOTATIONS))
+def test_one_node_test_per_relation(rel, case):
+    # holds_for and the product's annotation check read the same test
+    p, q = _ANNOTATIONS[case]
+    a, b = (Node("hnf", steps, (), "f", ("f", "f")) for steps in (p, q))
+    assert rel.holds_for(a, b) is (case in _HOLDS[rel])
+    ta, tb = (ClockTree(n, "bt", False, 1, 10, closed=True) for n in (a, b))
+    assert compare._explore(ta, tb, rel).ann_bad == (set() if case in _HOLDS[rel] else {0})
+
+
+def _product_view(prod):
+    # every depth and edge weight too, which read the child step lengths
+    return _summary(prod), prod.depth, prod.edges
+
+
+@pytest.mark.parametrize("sem", ["bt", "llt"])
+@pytest.mark.parametrize("m,n", [(Y0, Y1), (E1, E3), (scott_seq(1), gvector(Y1, 1)),
+                                 (bohm_seq(2), bbb_scheme(Y0, 1)), (Y0, scott_composite([1, 0]))],
+                         ids=["Y0/Y1", "E1/E3", "scott_seq(1)/gvector(Y1,1)",
+                              "bohm_seq(2)/bbb_scheme(Y0,1)", "Y0/[1,0]"])
+def test_kept_tables_read_as_fresh_trees(sem, m, n):
+    # a tree's tables are filled on either side and read on both, so each
+    # exploration must pair the trees as freshly built copies do
+    def fresh(t):
+        return compact_cyclic(t, semantics=sem)
+
+    a, b = fresh(m), fresh(n)
+    for x, y, rel in [(a, b, Relation.EQ), (b, a, Relation.EQ), (a, b, Relation.EQ),
+                      (a, b, Relation.LIST_EQ), (b, a, Relation.LIST_EQ),
+                      (a, b, Relation.LIST_EQ), (b, b, Relation.EQ)]:
+        got = _product_view(compare._explore(x, y, rel))
+        tx, ty = (m if t is a else n for t in (x, y))
+        assert got == _product_view(compare._explore(fresh(tx), fresh(ty), rel))
 
 
 # -- binder pairing ----------------------------------------------------------
@@ -441,10 +497,6 @@ def _cold(m, n, cfg):
     return discriminate(m, n, cfg).to_dict()
 
 
-def _bounds(cfg):
-    return (cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit, cfg.simple_check_limit)
-
-
 @pytest.mark.parametrize("limit", [compare.PROFILE_LIMIT, 3], ids=["limit", "evicting"])
 def test_profile_table_gives_the_cold_verdicts(limit, monkeypatch):
     # every pair, plain and atomic, in a shuffled order, so that hits
@@ -492,9 +544,22 @@ def test_profile_table_keeps_binder_hints_apart(monkeypatch):
     assert discriminate(m2, n, cfg).to_dict() == v.to_dict()
     assert checked == [m2]
     # both variants are kept, each with its own binder names
-    assert compare._report(_Exact(m2), *_bounds(cfg)).tree.root.binders == ("y",)
-    assert compare._report(_Exact(m), *_bounds(cfg)).tree.root.binders == ("x",)
+    assert compare._report(_Exact(m2), cfg.depth, cfg.fuel).tree.root.binders == ("y",)
+    assert compare._report(_Exact(m), cfg.depth, cfg.fuel).tree.root.binders == ("x",)
     assert checked == [m2]
+
+
+def _calls(monkeypatch, name):
+    """The first argument of each later call of ``compare``'s ``name``."""
+    calls = []
+    original = getattr(compare, name)
+
+    def go(t, *args, **kwargs):
+        calls.append(t)
+        return original(t, *args, **kwargs)
+
+    monkeypatch.setattr(compare, name, go)
+    return calls
 
 
 @pytest.mark.parametrize("bound", ["depth", "fuel", "reduct_limit", "size_limit",
@@ -508,9 +573,18 @@ def test_profile_table_keys_on_every_bound(bound, monkeypatch):
     checked.clear()
     discriminate(m, n, dataclasses.replace(cfg, atomic=True))
     assert checked == []
+    whole = _calls(monkeypatch, "check_simple")  # not the search's checks
+    searched = _calls(monkeypatch, "find_simple_reduct")
     other = dataclasses.replace(cfg, **{bound: getattr(cfg, bound) - 1})
     v = discriminate(m, n, other)
-    assert m in checked and n in checked
+    if bound in ("depth", "fuel"):
+        # check_simple reads these, so both sides are checked again
+        assert m in whole and n in whole
+    else:
+        # a search bound: no side is checked again, but neither side is
+        # simple, so each is searched again
+        assert whole == []
+        assert searched == [m, n]
     assert v.to_dict() == _cold(m, n, other)
 
 

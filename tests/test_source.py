@@ -288,6 +288,13 @@ def test_only_the_frontier_expands_reducts():
     assert _readers_of(source, "one_step_reducts") == ["_frontier"]
 
 
+def test_one_node_test_table():
+    # holds_for and the product exploration read the one table of node
+    # tests, so neither keeps a relation's test of its own
+    source = (Path(lamclock.__file__).parent / "compare.py").read_text(encoding="utf-8")
+    assert _readers_of(source, "_NODE_TEST") == ["Relation", "_explore"]
+
+
 def test_only_the_exact_key_reads_identical():
     # one hit rule for every reuse table: a second table that compared
     # terms with their binder hints itself would read _identical
