@@ -424,29 +424,20 @@ def develop(t: Term, marks: set[Position] | list[Position]) -> Term:
 
     Every mark must address a redex of ``t``; residuals of one mark
     under another are contracted as part of the development, and no
-    newly created redex is touched.
+    newly created redex is touched.  Each mark is contracted in turn by
+    ``contract_at``, in reverse lexicographic order of the positions:
+    as directions run ``0 < 1 < 2`` that is reverse preorder, so a mark
+    comes after every mark inside it.  A contraction changes only its
+    own subtree, so every mark outside it keeps its position, and one
+    around it still addresses a redex.
     """
     markset = {tuple(p) for p in marks}
     for p in markset:
         if not is_redex(subterm_at(t, p)):
             raise TermError(f"development mark {pos_str(p)} is not a redex")
-
-    def go(u: Term, ms: set[Position]) -> Term:
-        if not ms:
-            return u
-        match u:
-            case Lam(h, b):
-                return Lam(h, go(b, {p[1:] for p in ms if p and p[0] == 0}))
-            case App(f, a):
-                nf = go(f, {p[1:] for p in ms if p and p[0] == 1})
-                na = go(a, {p[1:] for p in ms if p and p[0] == 2})
-                if () in ms:
-                    assert isinstance(nf, Lam)
-                    return instantiate(nf.body, na)
-                return App(nf, na)
-        return u
-
-    return go(t, markset)
+    for p in sorted(markset, reverse=True):
+        t = contract_at(t, p)
+    return t
 
 
 def gross_knuth(t: Term) -> Term:

@@ -215,24 +215,18 @@ def subst_free(t: Term, name: str, s: Term) -> Term:
     """Replace the free variable ``name`` by ``s``.
 
     Capture cannot occur: binders bind indices, never names, and the
-    indices of ``s`` are shifted past every binder crossed.
+    indices of ``s`` are shifted past every binder crossed: one per
+    ``0`` in the occurrence's position.  The occurrences are read off
+    one ``subterms`` walk of ``t``; replacing a leaf by ``replace_at``
+    moves no other position, so each stays valid in the rebuilt term.
     """
     if name not in t.names:
         return t
-
-    def go(u: Term, depth: int) -> Term:
-        if name not in u.names:
-            return u
-        match u:
-            case Free(n):
-                return shift(s, depth) if n == name else u
-            case Lam(h, b):
-                return Lam(h, go(b, depth + 1))
-            case App(f, a):
-                return App(go(f, depth), go(a, depth))
-        return u
-
-    return go(t, 0)
+    out = t
+    for p, u in subterms(t):
+        if type(u) is Free and u.name == name:
+            out = replace_at(out, p, shift(s, p.count(0)))
+    return out
 
 
 def subterm_at(t: Term, pos: Position) -> Term:

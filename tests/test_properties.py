@@ -1,10 +1,10 @@
 """Randomized law checks: clock acceleration, annotation drift bounds,
 subsequence-order laws, printer/parser round trips, the head step,
-``normalize`` and ``replace_at`` against their lookup and recursive
-references, the product graph's peel against brute force, balance
-preservation, soundness of the discrimination verdict and of the join
-on convertible pairs, and the CLI's JSON writer against the standard
-encoder."""
+``normalize``, ``replace_at``, ``develop`` and ``subst_free`` against
+their lookup and recursive references, the product graph's peel
+against brute force, balance preservation, soundness of the
+discrimination verdict and of the join on convertible pairs, and the
+CLI's JSON writer against the standard encoder."""
 
 import json
 import random
@@ -32,6 +32,7 @@ from lamclock.reduction import (
     NormalizeOutcome,
     _canonical_core_key,
     contract_at,
+    develop,
     gross_knuth,
     head_reduce,
     is_redex,
@@ -45,6 +46,7 @@ from lamclock.terms import (
     HeadPos,
     Lam,
     PositionError,
+    TermError,
     Var,
     alpha_eq,
     app,
@@ -53,6 +55,8 @@ from lamclock.terms import (
     pos_str,
     positions,
     replace_at,
+    shift,
+    subst_free,
     subterm_at,
 )
 from lamclock.trees import _identical, clocked_bt
@@ -579,6 +583,102 @@ def test_replace_at_matches_the_recursive_reference(t, pick, tail):
         return r, _hints(r)
 
     assert attempt(replace_at) == attempt(_replace_at_reference)
+
+
+def _develop_reference(t, marks):
+    """``develop`` by recursion: each level rebuilds its children with
+    the marks below them, then contracts its own mark."""
+    markset = {tuple(p) for p in marks}
+    for p in markset:
+        if not is_redex(subterm_at(t, p)):
+            raise TermError(f"development mark {pos_str(p)} is not a redex")
+
+    def go(u, ms):
+        if not ms:
+            return u
+        match u:
+            case Lam(h, b):
+                return Lam(h, go(b, {p[1:] for p in ms if p and p[0] == 0}))
+            case App(f, a):
+                nf = go(f, {p[1:] for p in ms if p and p[0] == 1})
+                na = go(a, {p[1:] for p in ms if p and p[0] == 2})
+                if () in ms:
+                    assert isinstance(nf, Lam)
+                    return instantiate(nf.body, na)
+                return App(nf, na)
+        return u
+
+    return go(t, markset)
+
+
+def _subst_free_reference(t, name, s):
+    """``subst_free`` by recursion, shifting ``s`` by the binders crossed."""
+
+    def go(u, depth):
+        if name not in u.names:
+            return u
+        match u:
+            case Free(n):
+                return shift(s, depth) if n == name else u
+            case Lam(h, b):
+                return Lam(h, go(b, depth + 1))
+            case App(f, a):
+                return App(go(f, depth), go(a, depth))
+        return u
+
+    return go(t, 0)
+
+
+def _same_result(fn, ref, *args):
+    """Both calls raise the same error type and message, or return terms
+    that agree on their binder hints too."""
+
+    def attempt(f):
+        try:
+            return f(*args)
+        except TermError as e:
+            return type(e), str(e)
+
+    got, want = attempt(fn), attempt(ref)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert _identical(got, want)
+
+
+@settings(**SETTINGS)
+@given(
+    t=random_terms,
+    keep=st.integers(0, 2**16 - 1),
+    extra=st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 10**6), st.lists(st.integers(0, 3), max_size=2)),
+    ),
+)
+@example(t=parse(r"(\z.f z z) ((\x.x) a)"), keep=3, extra=None)
+@example(t=parse(r"(\z.(\y.z y) z) ((\x.x) a)"), keep=7, extra=None)
+@example(t=parse(r"(\z.z) a"), keep=0, extra=(1, []))
+@example(t=parse(r"(\z.z) a"), keep=1, extra=(2, [0]))
+def test_develop_matches_the_recursive_reference(t, keep, extra):
+    # a subset of the redexes, and perhaps one more mark: a redex, a
+    # position that is no redex, or a path that leaves the term
+    marks = [p for i, p in enumerate(redex_positions(t)) if keep >> i & 1]
+    if extra is not None:
+        ps = positions(t)
+        marks.append(ps[extra[0] % len(ps)] + tuple(extra[1]))
+    _same_result(develop, _develop_reference, t, marks)
+
+
+@settings(**SETTINGS)
+@given(
+    t=random_terms,
+    binders=st.lists(st.sampled_from(_NAMES), max_size=4),
+    name=st.sampled_from(_NAMES),
+    s=st.integers(0, 2).flatmap(_open_terms),
+)
+def test_subst_free_matches_the_recursive_reference(t, binders, name, s):
+    # ``s`` may be open, so each occurrence's binder count shows
+    _same_result(subst_free, _subst_free_reference, lam(binders, t), name, s)
 
 
 @pytest.mark.parametrize(

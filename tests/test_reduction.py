@@ -202,6 +202,25 @@ def test_gross_knuth(defs):
     assert gross_knuth(parse(r"(\z.f z z) ((\x.x) a)")) == parse("f a a")
 
 
+def test_gross_knuth_under_deep_binders_at_the_default_recursion_limit():
+    # (\z.z) y under 1,500 binders: a development that rebuilt the term
+    # by recursion raised RecursionError (K1)
+    depth = 1500
+    t = App(Lam("z", Var(0)), Free("y"))
+    for _ in range(depth):
+        t = Lam("b", t)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        r = gross_knuth(t)
+    finally:
+        sys.setrecursionlimit(limit)
+    for _ in range(depth):
+        assert type(r) is Lam and r.hint == "b"
+        r = r.body
+    assert type(r) is Free and r.name == "y"
+
+
 def test_classify_redex():
     rc = classify_redex(parse(rf"(\x.y) ({OMEGA})"), ())
     assert rc.linear and not rc.call_by_value and rc.simple

@@ -4,8 +4,9 @@ top level; every module-level private helper and every ``__slots__``
 name is read somewhere in the package, every public one and every
 dataclass field somewhere in the package, the tests or the benchmark,
 ``compare.py`` reads every ``DiscriminationConfig`` setting and
-expands reducts in ``_frontier`` alone, and only ``trees._Exact``
-compares terms with their binder hints."""
+expands reducts in ``_frontier`` alone, only ``trees._Exact``
+compares terms with their binder hints, and no function calls itself
+by name beyond a pinned list."""
 
 import ast
 import importlib
@@ -350,3 +351,68 @@ def test_no_unread_slots():
     package = Path(lamclock.__file__).parent
     sources = [p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))]
     assert _unread_slots(sources) == []
+
+
+def _self_calls(source: str, module: str) -> list[str]:
+    """``module.qualified.name`` of every function in ``source``, nested
+    closures and methods included, whose body (its own nested functions
+    too) calls it by name: an ``ast.Name`` call.  Recursion through an
+    operator or an attribute does not show, such as ``Lam.__eq__`` and
+    ``App.__eq__`` via ``==`` or a method via ``self``."""
+    found = []
+    stack: list[tuple[ast.AST, str]] = [(ast.parse(source), module)]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                stack.append((child, f"{prefix}.{child.name}"))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{prefix}.{child.name}"
+                if any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == child.name
+                    for n in ast.walk(child)
+                ):
+                    found.append(name)
+                stack.append((child, name))
+            else:
+                stack.append((child, prefix))
+    return sorted(found)
+
+
+def test_the_check_finds_self_calls():
+    source = (
+        "def fact(n):\n    return 1 if n == 0 else n * fact(n - 1)\n"
+        "def outer(t):\n    def go(u):\n        return [go(v) for v in u]\n    return go(t)\n"
+        "def flat(t):\n    return len(t)\n"
+        "class Node:\n"
+        "    def __eq__(self, other):\n        return self.kids == other.kids\n"
+        "    def count(self):\n        return 1 + sum(k.count() for k in self.kids)\n"
+        "    def size(self):\n"
+        "        def go(k):\n            return 1 + sum(go(c) for c in k.kids)\n"
+        "        return go(self)\n"
+    )
+    assert _self_calls(source, "m") == ["m.Node.size.go", "m.fact", "m.outer.go"]
+
+
+# Each recursion site can raise RecursionError on a deep enough term
+# (ROADMAP K1); a new one shows here.  ``_drive`` recurses one probe
+# level only.
+RECURSION_SITES = [
+    "combinators.cl_to_lambda",
+    "combinators.encode_cl",
+    "parser._parse_tokens.parse_term",
+    "parser.pretty.go",
+    "reduction._drive",
+    "terms._inst",
+    "terms.shift",
+    "trees._build.build",
+]
+
+
+def test_recursion_inventory():
+    found = [
+        site
+        for path in MODULES
+        for site in _self_calls(path.read_text(encoding="utf-8"), path.stem)
+    ]
+    assert found == RECURSION_SITES

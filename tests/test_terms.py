@@ -1,5 +1,7 @@
 """Term construction, navigation, substitution, and the concrete syntax."""
 
+import sys
+
 import pytest
 
 from lamclock.parser import ParseError, parse, pretty
@@ -128,6 +130,23 @@ def test_substitute_drives_unfolding(defs):
     om = parse(r"\x.f (x x)")
     body = parse("f (x x)")
     assert subst_free(body, "x", om) == parse(r"f ((\x.f (x x)) (\x.f (x x)))")
+
+
+def test_substitute_in_a_deep_nest_at_the_default_recursion_limit():
+    # f (f (... x)), 1,500 deep: a substitution that rebuilt the term by
+    # recursion raised RecursionError (K1)
+    depth = 1500
+    t = iterate("right", Free("f"), Free("x"), depth)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        r = subst_free(t, "x", Free("y"))
+    finally:
+        sys.setrecursionlimit(limit)
+    for _ in range(depth):
+        assert type(r) is App and type(r.fn) is Free and r.fn.name == "f"
+        r = r.arg
+    assert type(r) is Free and r.name == "y"
 
 
 def test_shift_by_zero_keeps_the_term():
