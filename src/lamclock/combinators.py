@@ -133,11 +133,11 @@ def dummy_scheme(y: Term | None = None, params: tuple[Term, ...] = ()) -> Term:
 def scott_composite(ns: list[int] | tuple[int, ...]) -> Term:
     """Y0 with the fpc-generating vector ·(SS) S…S I applied once per
     entry: entry nᵢ contributes (SS) followed by nᵢ S's and an I."""
+    if any(n < 0 for n in ns):
+        raise ValueError("scott_composite entries must be >= 0")
     t = Y0
     for n in ns:
-        if n < 0:
-            raise ValueError("scott_composite entries must be >= 0")
-        t = App(iterate("left", App(t, App(S, S)), S, n), I)
+        t = gvector(t, n)
     return t
 
 

@@ -73,12 +73,18 @@ def is_redex(t: Term) -> bool:
     return type(t) is App and type(t.fn) is Lam
 
 
-def contract_at(t: Term, pos: Position) -> Term:
-    """Contract the beta redex at ``pos``."""
+def _redex_at(t: Term, pos: Position) -> App:
+    """The redex at ``pos``; ``TermError`` if the subterm there is none."""
     sub = subterm_at(t, pos)
     if not is_redex(sub):
         raise TermError(f"no redex at position {pos_str(pos)}")
     assert isinstance(sub, App) and isinstance(sub.fn, Lam)
+    return sub
+
+
+def contract_at(t: Term, pos: Position) -> Term:
+    """Contract the beta redex at ``pos``."""
+    sub = _redex_at(t, pos)
     return replace_at(t, pos, instantiate(sub.fn.body, sub.arg))
 
 
@@ -352,12 +358,8 @@ def _is_simple(body: Term, arg: Term) -> bool:
 
 
 def classify_redex(t: Term, pos: Position = ()) -> RedexClass:
-    sub = subterm_at(t, pos)
-    if not is_redex(sub):
-        raise TermError(f"no redex at position {pos_str(pos)}")
-    assert isinstance(sub, App) and isinstance(sub.fn, Lam)
-    body, arg = sub.fn.body, sub.arg
-    return RedexClass(linear=_count_index(body, 0) <= 1, call_by_value=is_normal(arg))
+    sub = _redex_at(t, pos)
+    return RedexClass(linear=_count_index(sub.fn.body, 0) <= 1, call_by_value=is_normal(sub.arg))
 
 
 def redex_positions(t: Term) -> list[Position]:

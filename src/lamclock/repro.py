@@ -13,7 +13,6 @@ from .combinators import (
     E2,
     E3,
     I,
-    S,
     THETA,
     Y0,
     Y1,
@@ -31,7 +30,7 @@ from .compare import subseq_le
 from .parser import parse
 from .reduction import reducing_fpc_order
 from .render import render_text
-from .terms import App, Free, Term, app, iterate, pos_str
+from .terms import App, Free, Term, app, pos_str
 from .trees import check_simple, compact_cyclic, node_at
 
 
@@ -68,8 +67,7 @@ def ex4_19() -> str:
 
 def ex4_20() -> str:
     return _steps_per_level(
-        (n, App(app(iterate("left", App(THETA, THETA), S, n - 2), I), Free("x")))
-        for n in range(2, 7)
+        (n, _fx(scott_composite_simplified([n - 2]), "x")) for n in range(2, 7)
     )
 
 

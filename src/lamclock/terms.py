@@ -40,6 +40,37 @@ class Term:
     def __hash__(self) -> int:
         return self._h
 
+    def __eq__(self, other: object, hints: bool = False) -> bool:
+        """Equal nameless structure, which is alpha-equivalence; with
+        ``hints``, every binder hint equal too, so the two terms print
+        alike.  One loop for any depth: it follows function sides and
+        bodies in place and stacks only argument pairs, and passes over
+        a shared subterm at once."""
+        u, v = self, other
+        stack = []
+        while True:
+            if u is not v:
+                kind = type(u)
+                if kind is not type(v) or u._h != v._h:
+                    return False
+                if kind is App:
+                    stack.append((u.arg, v.arg))
+                    u, v = u.fn, v.fn
+                    continue
+                if kind is Lam:
+                    if hints and u.hint != v.hint:
+                        return False
+                    u, v = u.body, v.body
+                    continue
+                if kind is Free:
+                    if u.name != v.name:
+                        return False
+                elif u.index != v.index:
+                    return False
+            if not stack:
+                return True
+            u, v = stack.pop()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from .parser import pretty
 
@@ -64,11 +95,6 @@ class Var(Term):
         self.names = EMPTY_FVS
         self._h = hash((0, index))
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (type(other) is Var and other.index == self.index)
-
-    __hash__ = Term.__hash__
-
 
 class Free(Term):
     """Free variable, identified by name."""
@@ -82,11 +108,6 @@ class Free(Term):
         self.open_n = 0
         self.names = frozenset((name,))
         self._h = hash((1, name))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (type(other) is Free and other.name == self.name)
-
-    __hash__ = Term.__hash__
 
 
 class Lam(Term):
@@ -102,17 +123,6 @@ class Lam(Term):
         self.open_n = max(0, body.open_n - 1)
         self.names = body.names
         self._h = hash((2, body._h))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is Lam
-            and other._h == self._h
-            and other.body == self.body
-        )
-
-    __hash__ = Term.__hash__
 
 
 class App(Term):
@@ -134,18 +144,6 @@ class App(Term):
         else:
             self.names = fn.names | arg.names
         self._h = hash((3, fn._h, arg._h))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is App
-            and other._h == self._h
-            and other.fn == self.fn
-            and other.arg == self.arg
-        )
-
-    __hash__ = Term.__hash__
 
 
 def app(fn: Term, *args: Term) -> Term:

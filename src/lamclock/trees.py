@@ -362,29 +362,8 @@ def _build(
 
 def _identical(a: Term, b: Term) -> bool:
     """``a == b`` with every binder hint equal too, so the two terms
-    print alike.  An explicit stack, not recursion, so any depth is
-    fine; a shared subterm is passed over at once."""
-    stack = [(a, b)]
-    while stack:
-        u, v = stack.pop()
-        if u is v:
-            continue
-        kind = type(u)
-        if kind is not type(v) or u._h != v._h:
-            return False
-        if kind is App:
-            stack.append((u.arg, v.arg))
-            stack.append((u.fn, v.fn))
-        elif kind is Lam:
-            if u.hint != v.hint:
-                return False
-            stack.append((u.body, v.body))
-        elif kind is Free:
-            if u.name != v.name:
-                return False
-        elif u.index != v.index:
-            return False
-    return True
+    print alike."""
+    return Term.__eq__(a, b, True)
 
 
 class _Exact:

@@ -1,11 +1,13 @@
 """Randomized law checks: clock acceleration, annotation drift bounds,
 subsequence-order laws, printer/parser round trips, the head step,
-``normalize``, ``replace_at``, ``develop`` and ``subst_free`` against
-their lookup and recursive references, the product graph's peel
+``normalize``, ``replace_at``, ``develop``, ``subst_free`` and term
+equality (``==`` and the hint-exact ``_identical``) against their
+lookup and recursive references, the product graph's peel
 against brute force, balance preservation, soundness of the
 discrimination verdict and of the join on convertible pairs, and the
 CLI's JSON writer against the standard encoder."""
 
+import itertools
 import json
 import random
 
@@ -58,6 +60,7 @@ from lamclock.terms import (
     shift,
     subst_free,
     subterm_at,
+    subterms,
 )
 from lamclock.trees import _identical, clocked_bt
 
@@ -268,6 +271,101 @@ def test_parse_pretty_round_trip(t):
 @given(t=random_terms)
 def test_compact_lambda_round_trip(t):
     assert alpha_eq(parse(pretty(t, compact_lambda=True)), t)
+
+
+# -- term equality against the per-class recursive reference -----------------
+
+
+def _eq_reference(a, b):
+    """``a == b`` as each term class once defined it, by recursion: a
+    class's ``__eq__`` compared its children by ``==``, other side first."""
+    if a is b:
+        return True
+    match a:
+        case Var(i):
+            return type(b) is Var and b.index == i
+        case Free(n):
+            return type(b) is Free and b.name == n
+        case Lam(_, body):
+            return type(b) is Lam and b._h == a._h and _eq_reference(b.body, body)
+        case App(f, x):
+            return (
+                type(b) is App
+                and b._h == a._h
+                and _eq_reference(b.fn, f)
+                and _eq_reference(b.arg, x)
+            )
+    raise AssertionError(a)
+
+
+def _alpha_variant(t, renames):
+    """``t`` with every node built anew, and the ``k``-th binder in
+    preorder renamed where bit ``k`` of ``renames`` is set."""
+    seen = itertools.count()
+
+    def go(u):
+        match u:
+            case Var(i):
+                return Var(i)
+            case Free(n):
+                return Free(n)
+            case Lam(h, b):
+                return Lam(h + "'" if renames >> next(seen) & 1 else h, go(b))
+            case App(f, a):
+                return App(go(f), go(a))
+
+    return go(t)
+
+
+def _forged(u, like):
+    """A copy of ``u`` in which each node takes the hash of the node of
+    ``like`` at its position where the two are of one class: an unequal
+    pair whose hashes agree down to where they differ, so that only the
+    walk can tell them apart."""
+    match u, like:
+        case App(f, a), App(g, b):
+            v = App(_forged(f, g), _forged(a, b))
+        case Lam(h, b), Lam(_, c):
+            v = Lam(h, _forged(b, c))
+        case _:
+            v = _alpha_variant(u, 0)
+    if type(v) is type(like):
+        v._h = like._h
+    return v
+
+
+def _same_equality(a, b):
+    eq = _eq_reference(a, b)
+    assert (a == b) is eq and (a != b) is not eq
+    assert _identical(a, b) is (eq and _hints(a) == _hints(b))
+    assert not eq or hash(a) == hash(b)
+
+
+@settings(**SETTINGS)
+@given(
+    t=random_terms,
+    renames=st.integers(0, 2**16 - 1),
+    pick=st.integers(0, 10**6),
+    leaf=st.sampled_from([Free("x"), Free("z"), Var(0), Var(1), Var(7)]),
+    other=random_terms,
+)
+@example(t=Free("x"), renames=0, pick=0, leaf=Var(0), other=Free("y"))
+def test_equality_matches_the_recursive_reference(t, renames, pick, leaf, other):
+    # unshared copies, alpha-variants, one-leaf mutations of a variant
+    # and an unrelated term, the last two also with hashes forged to
+    # agree with ``t``'s; ``_identical`` is ``==`` with equal hints.
+    # The example compares Free("x") with "x" and with Var(0).
+    copy, variant = _alpha_variant(t, 0), _alpha_variant(t, renames)
+    assert _eq_reference(t, copy) and _eq_reference(t, variant) and _identical(t, copy)
+    leaves = [p for p, u in subterms(variant) if u.size == 1]
+    mutant = replace_at(variant, leaves[pick % len(leaves)], leaf)
+    for a, b in [(t, t), (t, copy), (t, variant), (copy, variant), (t, mutant),
+                 (variant, mutant), (t, other), (t, _forged(mutant, t)),
+                 (t, _forged(other, t))]:
+        _same_equality(a, b)
+        _same_equality(b, a)
+    for x in (pretty(t), None, 0):
+        assert (t == x) is False and (t != x) is True and (x == t) is False
 
 
 # -- one-pass redex search against the position-by-position lookup ------------

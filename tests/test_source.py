@@ -5,8 +5,9 @@ name is read somewhere in the package, every public one and every
 dataclass field somewhere in the package, the tests or the benchmark,
 ``compare.py`` reads every ``DiscriminationConfig`` setting and
 expands reducts in ``_frontier`` alone, only ``trees._Exact``
-compares terms with their binder hints, and no function calls itself
-by name beyond a pinned list."""
+compares terms with their binder hints, ``Term.__eq__`` is the one
+walk that compares two terms, and no function calls itself by name
+beyond a pinned list."""
 
 import ast
 import importlib
@@ -307,6 +308,65 @@ def test_only_the_exact_key_reads_identical():
     assert readers == ["trees._Exact"]
 
 
+def _equality_defs(source: str, base: str) -> list[str]:
+    """``Class.__eq__`` and ``Class.__hash__`` wherever a class of
+    ``source`` that is ``base``, or names it among its bases, defines
+    them in its body, by ``def`` or by assignment."""
+    found = []
+    for c in ast.parse(source).body:
+        if not isinstance(c, ast.ClassDef):
+            continue
+        if base not in [c.name, *(getattr(b, "id", None) for b in c.bases)]:
+            continue
+        for s in c.body:
+            if isinstance(s, ast.FunctionDef):
+                names = [s.name]
+            elif isinstance(s, ast.Assign):
+                names = [t.id for t in s.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found += [f"{c.name}.{m}" for m in names if m in ("__eq__", "__hash__")]
+    return sorted(found)
+
+
+def _loops_in(source: str, name: str) -> list[str]:
+    """The loops, comprehensions included, inside the top-level function
+    ``name`` of ``source``, by node type."""
+    fn = next(n for n in ast.parse(source).body if getattr(n, "name", None) == name)
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+    return [type(n).__name__ for n in ast.walk(fn) if isinstance(n, loops)]
+
+
+def test_the_check_finds_term_walks():
+    source = (
+        "class Term:\n    def __eq__(self, other):\n        return True\n"
+        "    def __hash__(self):\n        return 0\n"
+        "class Leaf(Term):\n    def __eq__(self, other):\n        return False\n"
+        "    __hash__ = Term.__hash__\n"
+        "class Node(Term):\n    size = 1\n"
+        "class Pos:\n    def __eq__(self, other):\n        return False\n"
+        "def same(a, b):\n    return Term.__eq__(a, b)\n"
+        "def walk(a, b):\n"
+        "    while a:\n        a = [x for x in a]\n"
+        "    for x in b:\n        pass\n"
+    )
+    assert _equality_defs(source, "Term") == [
+        "Leaf.__eq__", "Leaf.__hash__", "Term.__eq__", "Term.__hash__",
+    ]
+    assert _loops_in(source, "same") == []
+    assert sorted(_loops_in(source, "walk")) == ["For", "While", "comprehension"]
+
+
+def test_one_term_equality():
+    # one pairwise walk of two terms: the term classes inherit Term's
+    # __eq__ and __hash__, and the hint-exact comparison is that walk
+    # with its ``hints`` flag, not a loop of its own
+    package = Path(lamclock.__file__).parent
+    terms_source = (package / "terms.py").read_text(encoding="utf-8")
+    assert _equality_defs(terms_source, "Term") == ["Term.__eq__", "Term.__hash__"]
+    assert _loops_in((package / "trees.py").read_text(encoding="utf-8"), "_identical") == []
+
+
 def test_no_unread_dataclass_fields():
     # a field nothing reads, such as a copy whose readers moved to the
     # value it copied, shows here
@@ -357,8 +417,8 @@ def _self_calls(source: str, module: str) -> list[str]:
     """``module.qualified.name`` of every function in ``source``, nested
     closures and methods included, whose body (its own nested functions
     too) calls it by name: an ``ast.Name`` call.  Recursion through an
-    operator or an attribute does not show, such as ``Lam.__eq__`` and
-    ``App.__eq__`` via ``==`` or a method via ``self``."""
+    operator or an attribute does not show, such as an ``__eq__`` that
+    compares children with ``==`` or a method via ``self``."""
     found = []
     stack: list[tuple[ast.AST, str]] = [(ast.parse(source), module)]
     while stack:

@@ -21,6 +21,16 @@ from lamclock.terms import (
     subst_free,
     subterm_at,
 )
+from lamclock.trees import _identical
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """A fresh interpreter's recursion limit for one test, restored after it."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 def test_parse_identity():
@@ -80,6 +90,27 @@ def test_alpha_eq_is_plain_equality_of_nameless_form(defs):
     assert parse("eta eta", defs) == parse(r"(\a b.b (a a b)) (\a b.b (a a b))")
 
 
+def test_deep_nests_compare_at_the_default_recursion_limit(default_recursion_limit):
+    # two separately built f (f (... x)) nests, 5,000 deep: comparing
+    # them by recursive ``==`` raised RecursionError (K1)
+    a = iterate("right", Free("f"), Free("x"), 5000)
+    b = iterate("right", Free("f"), Free("x"), 5000)
+    assert a is not b and a.arg is not b.arg
+    assert a == b and not a != b and hash(a) == hash(b) and _identical(a, b)
+
+
+def test_deep_binders_compare_at_the_default_recursion_limit(default_recursion_limit):
+    # 5,000 binders over one variable, the two terms apart in one binder
+    # hint only: equal terms, but not identical ones
+    hints = ["x"] * 5000
+    a = lam(hints, Var(0))
+    hints[2500] = "y"
+    b = lam(hints, Var(0))
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert not _identical(a, b) and not _identical(b, a)
+    assert _identical(a, lam(["x"] * 5000, Var(0)))
+
+
 def test_subterm_at_clauses(defs):
     assert subterm_at(parse(r"\x.x"), (0,)) == Var(0)
     delta = parse("delta", defs)
@@ -132,17 +163,12 @@ def test_substitute_drives_unfolding(defs):
     assert subst_free(body, "x", om) == parse(r"f ((\x.f (x x)) (\x.f (x x)))")
 
 
-def test_substitute_in_a_deep_nest_at_the_default_recursion_limit():
+def test_substitute_in_a_deep_nest_at_the_default_recursion_limit(default_recursion_limit):
     # f (f (... x)), 1,500 deep: a substitution that rebuilt the term by
     # recursion raised RecursionError (K1)
     depth = 1500
     t = iterate("right", Free("f"), Free("x"), depth)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        r = subst_free(t, "x", Free("y"))
-    finally:
-        sys.setrecursionlimit(limit)
+    r = subst_free(t, "x", Free("y"))
     for _ in range(depth):
         assert type(r) is App and type(r.fn) is Free and r.fn.name == "f"
         r = r.arg
