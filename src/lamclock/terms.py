@@ -43,15 +43,20 @@ class Term:
     def __eq__(self, other: object, hints: bool = False) -> bool:
         """Equal nameless structure, which is alpha-equivalence; with
         ``hints``, every binder hint equal too, so the two terms print
-        alike.  One loop for any depth: it follows function sides and
-        bodies in place and stacks only argument pairs, and passes over
-        a shared subterm at once."""
+        alike.  Unequal cached hashes settle it at once.  Otherwise one
+        loop, for any depth, compares the structure: it follows function
+        sides and bodies in place, stacks only argument pairs, and
+        passes over a shared subterm at once.  It reads no hash below
+        the roots, since terms with equal hashes are almost always equal
+        and are walked to the end anyway."""
+        if not isinstance(other, Term) or self._h != other._h:
+            return False
         u, v = self, other
         stack = []
         while True:
             if u is not v:
                 kind = type(u)
-                if kind is not type(v) or u._h != v._h:
+                if kind is not type(v):
                     return False
                 if kind is App:
                     stack.append((u.arg, v.arg))
