@@ -73,7 +73,6 @@ from .trees import (
     check_simple,
     child_step,
     node_at,
-    walk,
 )
 
 
@@ -126,9 +125,16 @@ def _relevant(tree: ClockTree) -> dict[Node, frozenset[str]]:
     """For each node of ``tree``, the binders opened above it that its
     cyclic subtree can still name: its bound head and its children's (a
     reference's being its target's), less its own block.  A least
-    fixpoint over ``walk``."""
-    nodes = [n for n, _, _, target, _ in walk(tree) if target is None]
-    relevant: dict[Node, frozenset[str]] = dict.fromkeys(nodes, frozenset())
+    fixpoint over the distinct node objects, so a node shared by many
+    positions is visited once per pass."""
+    relevant: dict[Node, frozenset[str]] = {}
+    stack = [tree.root]
+    while stack:  # each node once, in preorder, however many positions it fills
+        n = stack.pop()
+        if n.target is None and n not in relevant:
+            relevant[n] = frozenset()
+            stack.extend(reversed(n.children))
+    nodes = list(relevant)
     changed = True
     while changed:
         changed = False
@@ -181,7 +187,9 @@ class _Product:
 
     states: list[tuple]
     edges: dict[int, list[tuple[int, int]]]  # state -> [(child state, digits)]
-    depth: dict[int, int]  # shortest digit-depth from the root pair
+    # digit-depth from the root pair: the shortest when both trees may
+    # have references, else that of the state's first position found
+    depth: dict[int, int]
     shape_bad: int | None  # first state whose layers differ
     ann_bad: set[int]  # states where the relation fails
     unknown: bool  # some reachable state is unresolved
@@ -225,6 +233,13 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
     References are followed to their targets, so a finite graph gives
     finitely many states.  Each node's children and step lengths come
     from its tree's ``_Tables``, filled as nodes are entered.
+
+    A state met again keeps its first depth unless both trees may hold
+    references (``ClockTree.refs``).  If either tree has none, each of
+    its positions lies in one state, and breadth-first order meets a
+    state first at its earliest position: a state met twice then only
+    stands for several positions of a shared node, and its depth stays
+    the one its first position has in the tree of one node per position.
     """
     if t1.semantics != t2.semantics:
         raise ValueError(
@@ -236,6 +251,7 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
     relevant = tables.relevant
     slots_a, slots_b = tables.slots, _tables(t2).slots
     test = _NODE_TEST[rel]
+    lower = t1.refs and t2.refs
 
     a0, b0 = t1.root, t2.root
     empty: frozenset = frozenset()
@@ -297,7 +313,7 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
                 key[k] = j
                 states.append(k)
                 depth[j] = d + w
-            elif d + w < depth[j]:
+            elif lower and d + w < depth[j]:
                 depth[j] = d + w
             kid_edges.append((j, w))
         edges[i] = kid_edges

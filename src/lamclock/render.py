@@ -86,7 +86,7 @@ def render_dot(tree: ClockTree) -> str:
         elif n.kind == "shared":
             edges.append(f"  {path[-1]} -> {ids[id(target)]} [style=dotted];")
         else:
-            nid = f"n{len(ids)}"
+            nid = f"n{len(nodes)}"
             ids[id(n)] = nid
             nodes.append(f"  {nid} [label={quote(_label(n, tree.atomic))}];")
             if path:

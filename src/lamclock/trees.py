@@ -85,7 +85,9 @@ class Node:
     four kinds and on a stripped layer.  ``block`` holds the build's
     internal names of the binders a layer opens, one per entry of
     ``binders`` (which are display names, and may repeat across layers);
-    the internal names are unique within the build.  ``head_ref`` says
+    the internal names are unique per node object.  A node that an
+    acyclic build shares reuses its names at each position it fills,
+    which no path passes twice.  ``head_ref`` says
     what the head names: ``("f", name)`` for a free variable,
     ``("b", internal)`` for the binder opened under that internal name
     by this layer or one above it.  ``target`` is set only on the two
@@ -122,12 +124,18 @@ class Node:
 class ClockTree:
     """A built tree plus the parameters it was built with.
 
+    ``root`` may be a DAG: an acyclic build shares the subtrees it
+    repeats, so one node object can fill several positions.  Every
+    reader works per position, as ``walk`` yields them.
+
     ``closed``, recorded by the build, says the tree has no ``unknown``
     frontier: the finite structure describes the whole unfolding.
     ``explored`` holds what product exploration keeps of the tree
     (``compare._Tables``), made by the first comparison that enters it;
     it lives and dies with the tree, and a new tree, such as ``strip``'s,
-    starts without it."""
+    starts without it.  ``refs`` says the tree may hold a back edge or
+    shared reference: a build records whether it does, any other tree
+    is taken to."""
 
     root: Node
     semantics: str
@@ -136,6 +144,7 @@ class ClockTree:
     fuel: int
     closed: bool
     explored: object = field(default=None, init=False, repr=False, compare=False)
+    refs: bool = field(default=True, init=False, repr=False, compare=False)
 
     def node_count(self) -> int:
         return sum(1 for _ in walk(self))
@@ -147,8 +156,10 @@ def walk(
     """Preorder over the built graph, with an explicit stack.
 
     Yields ``(node, pos, depth, target, target_pos)`` for every node,
-    back edge and shared reference; ``depth`` is the number of tree
-    edges from the root.  Only back edges and shared references carry
+    back edge and shared reference, once for each position it fills: a
+    node an acyclic build shares comes once per position, with its
+    whole subtree.  ``depth`` is the number of tree edges from the
+    root.  Only back edges and shared references carry
     positions: ``pos`` is the reference's applicative position,
     ``target`` the node it stands for and ``target_pos`` where that node
     sits.  Every other node yields None in those three entries.
@@ -211,7 +222,7 @@ def _build(
     modular hash-consing", ML Workshop 2006).  Self-similar trees meet
     the same term again and again: a fixed point combinator unfolds as
     ``Y x ->> x (Y x)``, so every level of ``bohm_seq(40) x`` is the same
-    term, rebuilt, and ``plotkin_B(Y1)``'s 4095 nodes at depth 12 hold
+    term, rebuilt, and ``plotkin_B(Y1)``'s 4095 layers at depth 12 hold
     two distinct terms.  Reusing the outcome is exact, since target and
     fuel are fixed for the build and head reduction is deterministic.
     The outcomes are keyed on ``_Exact(term)``, so a hit must be the
@@ -219,7 +230,20 @@ def _build(
     displayed binder names come from the result's hints.  Only what
     a node reads is kept: the status, and for a resolved term its steps
     and result, so the step positions of a term that ran out of fuel are
-    freed as soon as it is reduced, however many there are."""
+    freed as soon as it is reduced, however many there are.
+
+    An acyclic build also makes each repeated layer's subtree once: the
+    finished subtree is keyed on ``(_Exact(term), level, taken)`` and
+    returned again wherever that key comes up, so the tree is a DAG
+    whose unfolding is the tree of one node per position, and depth-12
+    ``plotkin_B(Y1)`` holds 27 node objects for its 8191 positions.  The
+    level is in the key because the depth bound cuts the subtree, and
+    ``taken`` because the display names are picked from it; the term
+    fixes every other input, its free internal names included.  A cyclic
+    build shares only through ``shared`` references: ``walk`` gives a
+    reference the position of its target, which a node silently filling
+    two positions would leave ambiguous.  ``ClockTree.refs`` records
+    whether the build made a reference."""
     if semantics not in _SEMANTICS:
         raise ValueError(f"unknown tree semantics {semantics!r}")
     if t0.open_n:
@@ -236,6 +260,10 @@ def _build(
     seen: dict[Term, tuple[int | None, Node]] = {}
     # one (key, status, steps, result) per distinct generating term
     reduced: dict[_Exact, tuple] = {}
+    # acyclic builds: (_Exact(term), level, taken) -> the finished
+    # (node, escape, complete) of a layer's subtree
+    built: dict[tuple, tuple] = {}
+    refs = False  # a back edge or shared ref was made
 
     def open_binders(t: Term, k: int, taken):
         """Open the first ``k`` binders of ``t`` with fresh internal names:
@@ -268,10 +296,11 @@ def _build(
         Returns ``(node, escape, complete)``: ``escape`` is the lowest
         ancestor level targeted by any back edge inside the subtree
         (INF when the subtree is acyclic), ``complete`` says the
-        subtree contains no ``unknown`` node.  A subtree is remembered
-        for cross-branch reuse only when it is complete and its cycles
-        are self-contained (``level <= escape < INF``); finite acyclic
-        pieces are cheap to rebuild and stay separate nodes.
+        subtree contains no ``unknown`` node.  A cyclic build remembers
+        a subtree for cross-branch reuse only when it is complete and
+        its cycles are self-contained (``level <= escape < INF``); finite
+        acyclic pieces are cheap to rebuild and stay separate nodes.  An
+        acyclic build remembers every layer's subtree in ``built``.
 
         Recurrence is *literal*: the generating term equals an earlier
         one up to renaming of binders, with every free variable naming
@@ -285,9 +314,11 @@ def _build(
         again.  ``path``, the child slots from the root, is made only
         for a ``hook``.
         """
+        nonlocal refs
         if cyclic:
             hit = seen.get(term)
             if hit is not None:
+                refs = True
                 alvl, anode = hit
                 if alvl is None:
                     return Node("shared", target=anode), INF, True
@@ -295,6 +326,11 @@ def _build(
         if level >= depth:
             return Node("unknown", reason="depth"), INF, False
         key = _Exact(term)
+        if not cyclic:
+            share = (key, level, taken)
+            hit = built.get(share)
+            if hit is not None:
+                return hit
         known = reduced.get(key)
         if known is not None:
             # a reused result's subterms are the objects met next
@@ -354,10 +390,14 @@ def _build(
                 seen[term] = (None, node)
             else:
                 del seen[term]
+        else:
+            built[share] = node, escape, complete
         return node, escape, complete
 
     root, _, closed = build(t0, 0, frozenset(t0.names), ())
-    return ClockTree(root, semantics, atomic, depth, fuel, closed)
+    tree = ClockTree(root, semantics, atomic, depth, fuel, closed)
+    tree.refs = refs
+    return tree
 
 
 def _identical(a: Term, b: Term) -> bool:
@@ -435,10 +475,12 @@ def strip(tree: ClockTree) -> ClockTree:
     """The same tree with every clock annotation removed.
 
     One preorder pass over ``walk``, so a tree of any depth is fine.
+    The copy has one node per position, a shared node copied at each.
     A back edge or shared reference is remapped to the copy of its
     target, which preorder has already made.
     """
-    copies: dict[int, Node] = {}
+    copies: dict[int, Node] = {}  # id(node) -> its latest copy, for references
+    made: list[Node] = []  # every copy of a layer, one per position
     path: list = []  # the copies of the current node's ancestors
     for n, _, depth, target, _ in walk(tree):
         if target is not None:
@@ -447,11 +489,12 @@ def strip(tree: ClockTree) -> ClockTree:
             # children gathered in a list, made a tuple once below
             c = copies[id(n)] = Node(n.kind, None, n.binders, n.head, n.head_ref, [],
                                      n.block, reason=n.reason)
+            made.append(c)
         del path[depth:]
         if path:
             path[-1].children.append(c)
         path.append(c)
-    for c in copies.values():
+    for c in made:
         c.children = tuple(c.children)
     return ClockTree(path[0], tree.semantics, tree.atomic, tree.depth, tree.fuel, tree.closed)
 

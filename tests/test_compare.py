@@ -37,7 +37,17 @@ from lamclock.compare import (
 from lamclock.parser import parse, pretty
 from lamclock.reduction import gross_knuth
 from lamclock.terms import Free, HeadPos, alpha_eq, iterate
-from lamclock.trees import ClockTree, Node, _Exact, compact_cyclic, strip
+from lamclock.trees import (
+    ClockTree,
+    Node,
+    _Exact,
+    clocked_bet,
+    clocked_bt,
+    clocked_llt,
+    compact_cyclic,
+    node_at,
+    strip,
+)
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +273,31 @@ def test_kept_tables_read_as_fresh_trees(sem, m, n):
         got = _product_view(compare._explore(x, y, rel))
         tx, ty = (m if t is a else n for t in (x, y))
         assert got == _product_view(compare._explore(fresh(tx), fresh(ty), rel))
+
+
+_ACYCLIC = {"bt": clocked_bt, "llt": clocked_llt, "bet": clocked_bet}
+
+
+@pytest.mark.parametrize("sem,level", [("bt", 2), ("llt", 2), ("bet", 1)])
+def test_shared_subtrees_keep_the_depth_of_the_first_difference(defs, sem, level):
+    # In bt and llt both arguments of f (g a) (g a) are one node, so the
+    # first difference is met twice: at the first argument, two digits
+    # down, and at the second, one digit down.  A node per position makes
+    # the first argument the first difference, and its depth the one
+    # reported.  bet has the two arguments at different levels, and finds
+    # the second one first.
+    build = _ACYCLIC[sem]
+    m, n = build(parse("f (g a) (g a)"), 5), build(parse("f g g"), 5)
+    assert (node_at(m, (1, 2)) is node_at(m, (2,))) == (sem != "bet")
+    assert holds_eventually(m, n, Relation.EQ).level == level
+    # The same against a cyclic tree whose two arguments are one shared
+    # subtree: with a node per position on the other side, no state is
+    # met twice, so no depth is lowered there either.
+    cyclic = compact_cyclic(parse("f (Y1 g) (Y1 g)", defs), semantics=sem)
+    assert cyclic.refs is True
+    shared = build(parse("f (h a) (h a)"), 5)
+    assert holds_eventually(cyclic, shared, Relation.EQ).level == 2
+    assert holds_eventually(shared, cyclic, Relation.EQ).level == 2
 
 
 # -- binder pairing ----------------------------------------------------------

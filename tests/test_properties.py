@@ -3,7 +3,8 @@ subsequence-order laws, printer/parser round trips, the head step,
 ``normalize``, ``replace_at``, ``develop``, ``subst_free`` and term
 equality (``==`` and the hint-exact ``_identical``) against their
 lookup and recursive references, the product graph's peel
-against brute force, balance preservation, soundness of the
+against brute force, acyclic trees with shared subtrees against their
+copies with a node per position, balance preservation, soundness of the
 discrimination verdict and of the join on convertible pairs, and the
 CLI's JSON writer against the standard encoder."""
 
@@ -18,13 +19,16 @@ import lamclock.combinators as C
 from lamclock.compare import (
     INCONVERTIBLE,
     DiscriminationConfig,
+    Relation,
     _Product,
     bounded_joinable,
     discriminate,
     enumerate_reducts,
+    holds_eventually,
+    holds_globally,
     subseq_le,
 )
-from lamclock import reduction
+from lamclock import reduction, trees
 from lamclock.cli import _dumps
 from lamclock.parser import parse, pretty
 from lamclock.reduction import (
@@ -62,7 +66,19 @@ from lamclock.terms import (
     subterm_at,
     subterms,
 )
-from lamclock.trees import _identical, clocked_bt
+from lamclock.render import render_dot, render_text
+from lamclock.trees import (
+    ClockTree,
+    Node,
+    _identical,
+    clocked_bet,
+    clocked_bt,
+    clocked_llt,
+    periodicity_report,
+    strip,
+    tree_to_dict,
+    walk,
+)
 
 SETTINGS = dict(max_examples=500, deadline=None, derandomize=True)
 
@@ -869,6 +885,74 @@ def test_full_development_keeps_balance(which, idx, rounds):
     for _ in range(rounds):
         t = gross_knuth(t)
         assert C.is_balanced(t, label)
+
+
+# -- shared subtrees of acyclic builds ---------------------------------------
+
+
+def _per_position(tree):
+    """A copy of an acyclic ``tree`` with one node object per position,
+    clocks kept: the tree as it reads when no subtree is shared."""
+    made = []
+    path = []  # the copies of the current node's ancestors
+    for n, _, depth, target, _ in walk(tree):
+        assert target is None
+        c = Node(n.kind, n.steps, n.binders, n.head, n.head_ref, [], n.block, reason=n.reason)
+        made.append(c)
+        del path[depth:]
+        if path:
+            path[-1].children.append(c)
+        path.append(c)
+    for c in made:
+        c.children = tuple(c.children)
+    return ClockTree(made[0], tree.semantics, tree.atomic, tree.depth, tree.fuel, tree.closed)
+
+
+def _tree_views(tree):
+    return (tree_to_dict(tree), tree_to_dict(tree, True), render_text(tree), render_dot(tree),
+            tree_to_dict(strip(tree)), render_text(strip(tree)), periodicity_report(tree),
+            tree.node_count())
+
+
+def _lifted(a, b, rel):
+    ev = holds_eventually(a, b, rel)
+    return ev.holds, ev.level, ev.certified, holds_globally(a, b, rel)
+
+
+_ACYCLIC_BUILDS = {"bt": clocked_bt, "llt": clocked_llt, "bet": clocked_bet}
+
+
+@pytest.mark.parametrize("depth", [1, 3, 5])
+@pytest.mark.parametrize("semantics", list(_ACYCLIC_BUILDS))
+def test_shared_subtrees_read_as_a_node_per_position(semantics, depth, monkeypatch):
+    # Random terms under redexes that copy their argument, so that equal
+    # subtrees come up at equal levels (level 1 of bt and llt, level 2 of
+    # bet): every output and every lifted relation must read the built
+    # tree as its copy with a node per position, on either side of a
+    # comparison.  The last term has one subterm at one level under two
+    # binder blocks, where the names in scope pick its binder's name.
+    rng = random.Random(f"shared:{semantics}:{depth}")
+    dups = [parse(r"\z. f z (g z) z"), parse(r"\z. f z (g z)")]
+    terms = [App(dup, _redex_ancestor(rng)) for dup in dups for _ in range(2)]
+    terms += [_redex_ancestor(rng) for _ in range(4)]
+    terms.append(parse(r"f (\a. g (\a. a)) (\b. g (\a. a))"))
+    build = _ACYCLIC_BUILDS[semantics]
+    built = [build(t, depth, 300) for t in terms]
+    copies = [_per_position(tree) for tree in built]
+    # no term is identical to an earlier one, so nothing is reused
+    monkeypatch.setattr(trees, "_identical", lambda a, b: False)
+    shared = 0
+    for t, tree, copy in zip(terms, built, copies):
+        assert _tree_views(tree) == _tree_views(copy) == _tree_views(build(t, depth, 300))
+        shared += len({id(n) for n, *_ in walk(tree)}) < tree.node_count()
+    monkeypatch.undo()
+    assert shared >= (2 if depth > 1 else 0)
+    for (a, ca), (b, cb) in itertools.product(zip(built, copies), repeat=2):
+        for rel in Relation:
+            want = _lifted(ca, cb, rel)
+            assert _lifted(a, b, rel) == want
+            assert _lifted(a, cb, rel) == want
+            assert _lifted(ca, b, rel) == want
 
 
 # -- verdict soundness on convertible pairs ----------------------------------

@@ -1,6 +1,7 @@
 """Clocked trees: construction, annotations, cycles, sharing, simplicity."""
 
 import gc
+import hashlib
 import itertools
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import lamclock.combinators as C
-from lamclock import reduction, trees
+from lamclock import compare, reduction, trees
 from lamclock.compare import Relation, holds_eventually
 from lamclock.parser import parse, pretty
 from lamclock.reduction import classify_redex, head_redex_position
@@ -511,6 +512,28 @@ def test_each_shared_subterm_is_reduced_once(head_calls):
     # head_reduce calls, and each term object once made 78
     clocked_bt(C.plotkin_B(C.Y1), 12)
     assert len(head_calls) == 2
+
+
+@pytest.mark.parametrize("build,positions,objects",
+                         [(clocked_bt, 8191, 27), (clocked_llt, 8191, 27), (clocked_bet, 1217, 49)])
+def test_an_acyclic_build_makes_each_repeated_subtree_once(build, positions, objects):
+    # f M M at every level: each (term, level) pair is one layer object,
+    # and each distinct bottom layer makes its depth-cut leaves once; a
+    # node per position made 8191 objects (1217 for bet)
+    tree = build(C.plotkin_B(C.Y1), 12)
+    assert tree.node_count() == positions
+    assert len({id(n) for n, *_ in walk(tree)}) == objects
+    assert tree.refs is False
+    # product exploration prepares each object once
+    assert len(compare._relevant(tree)) == objects
+
+
+def test_render_dot_numbers_every_position():
+    # the shared tree draws as the tree of nodes it unfolds to; numbering
+    # by the nodes seen so far gave two positions of one node one id
+    text = render_dot(clocked_bt(C.plotkin_B(C.Y1), 3))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "f713e7bff3f6894492648226325004ad44a1bdf6c125d057bdfc655e53343611"
 
 
 @pytest.mark.parametrize("build,calls", [(clocked_bt, 1), (clocked_llt, 1), (clocked_bet, 2)])
