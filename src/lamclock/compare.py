@@ -20,8 +20,7 @@ child step, filled as nodes are entered; and the binders each node's
 subtree can still name, found over the whole tree the first time it is
 the first side.  Every later exploration that enters the tree reads
 them, so a profiled term's tree is prepared once for all its pairs.
-They live and die with the tree; ``strip`` gives a new tree, which
-starts without them.
+They live and die with the tree.
 
 ``discriminate`` turns these checks into verdicts.  It never claims
 convertibility; an ``inconvertible`` verdict always rests on one of
@@ -62,7 +61,7 @@ from itertools import islice, zip_longest
 from typing import Iterator
 
 from .reduction import DEFAULT_FUEL, one_step_reducts
-from .terms import Position, Term
+from .terms import Term
 from .trees import (
     DEFAULT_DEPTH,
     ClockTree,
@@ -72,7 +71,6 @@ from .trees import (
     _simple_report,
     check_simple,
     child_step,
-    node_at,
 )
 
 
@@ -323,22 +321,6 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
 
 # ---------------------------------------------------------------------------
 # the lifted relations
-
-
-def compare_at(t1: ClockTree, t2: ClockTree, p: Position, rel: Relation) -> bool | None:
-    """Does ``rel`` hold between the annotations at position ``p``?
-
-    True also when neither node is annotated; None when the position is
-    missing on either side or runs into an unresolved subtree.
-    """
-    a, b = node_at(t1, p), node_at(t2, p)
-    if a is None or b is None or a.kind == "unknown" or b.kind == "unknown":
-        return None
-    if a.count is None and b.count is None:
-        return True
-    if a.count is None or b.count is None:
-        return False
-    return rel.holds_for(a, b)
 
 
 def holds_globally(t1: ClockTree, t2: ClockTree, rel: Relation) -> bool | None:

@@ -201,17 +201,26 @@ def pretty(t: Term, compact_lambda: bool = False) -> str:
     """Print with minimal parentheses; ``parse(pretty(t))`` is alpha-equal to ``t``.
 
     Binder hints are kept where possible and renamed with a numeric
-    suffix where they would collide with a name already in scope.
+    suffix where they would collide with a name already in scope.  One
+    loop over an explicit stack, so a term of any depth prints.
     """
     lam_sym = "λ" if compact_lambda else "\\"
-
-    def go(u: Term, scope: list[str], taken: set[str], ctx: str) -> str:
+    out: list[str] = []
+    # pending work, next item last: text to write, or a subterm with the
+    # names in scope, the names taken and its context ("top", "fn", "arg")
+    todo: list = [(t, [], set(t.names), "top")]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        u, scope, taken, ctx = item
         match u:
             case Var(i):
-                return scope[-1 - i] if i < len(scope) else f"?{i - len(scope)}"
+                out.append(scope[-1 - i] if i < len(scope) else f"?{i - len(scope)}")
             case Free(n):
-                return n
-            case Lam(_, _):
+                out.append(n)
+            case Lam():
                 names: list[str] = []
                 inner_taken = set(taken)
                 body = u
@@ -220,11 +229,11 @@ def pretty(t: Term, compact_lambda: bool = False) -> str:
                     names.append(n)
                     inner_taken.add(n)
                     body = body.body
-                s = f"{lam_sym}{' '.join(names)}.{go(body, scope + names, inner_taken, 'top')}"
-                return f"({s})" if ctx in ("fn", "arg") else s
+                parts = [f"{lam_sym}{' '.join(names)}.", (body, scope + names, inner_taken, "top")]
+                todo.extend(reversed(["(", *parts, ")"] if ctx in ("fn", "arg") else parts))
             case App(f, a):
-                s = f"{go(f, scope, taken, 'fn')} {go(a, scope, taken, 'arg')}"
-                return f"({s})" if ctx == "arg" else s
-        raise TypeError(f"not a term: {u!r}")
-
-    return go(t, [], set(t.names), "top")
+                parts = [(f, scope, taken, "fn"), " ", (a, scope, taken, "arg")]
+                todo.extend(reversed(["(", *parts, ")"] if ctx == "arg" else parts))
+            case _:
+                raise TypeError(f"not a term: {u!r}")
+    return "".join(out)

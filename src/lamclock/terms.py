@@ -168,11 +168,6 @@ def lam(hints: str | list[str], body: Term) -> Term:
     return body
 
 
-def alpha_eq(a: Term, b: Term) -> bool:
-    """Alpha-equivalence (plain equality under nameless binding)."""
-    return a == b
-
-
 def free_vars(t: Term) -> frozenset[str]:
     return t.names
 
@@ -212,24 +207,6 @@ def _inst(t: Term, arg: Term, depth: int) -> Term:
 def instantiate(body: Term, arg: Term) -> Term:
     """Substitute ``arg`` for index 0 of ``body`` (the beta step payload)."""
     return _inst(body, arg, 0)
-
-
-def subst_free(t: Term, name: str, s: Term) -> Term:
-    """Replace the free variable ``name`` by ``s``.
-
-    Capture cannot occur: binders bind indices, never names, and the
-    indices of ``s`` are shifted past every binder crossed: one per
-    ``0`` in the occurrence's position.  The occurrences are read off
-    one ``subterms`` walk of ``t``; replacing a leaf by ``replace_at``
-    moves no other position, so each stays valid in the rebuilt term.
-    """
-    if name not in t.names:
-        return t
-    out = t
-    for p, u in subterms(t):
-        if type(u) is Free and u.name == name:
-            out = replace_at(out, p, shift(s, p.count(0)))
-    return out
 
 
 def subterm_at(t: Term, pos: Position) -> Term:

@@ -132,10 +132,9 @@ class ClockTree:
     frontier: the finite structure describes the whole unfolding.
     ``explored`` holds what product exploration keeps of the tree
     (``compare._Tables``), made by the first comparison that enters it;
-    it lives and dies with the tree, and a new tree, such as ``strip``'s,
-    starts without it.  ``refs`` says the tree may hold a back edge or
-    shared reference: a build records whether it does, any other tree
-    is taken to."""
+    it lives and dies with the tree.  ``refs`` says the tree may hold a
+    back edge or shared reference: a build records whether it does, any
+    other tree is taken to."""
 
     root: Node
     semantics: str
@@ -469,34 +468,6 @@ def compact_cyclic(
     steps to the hook: they are the steps it already saw.
     """
     return _build(t, semantics, depth, fuel, cyclic=True, atomic=atomic, hook=hook)
-
-
-def strip(tree: ClockTree) -> ClockTree:
-    """The same tree with every clock annotation removed.
-
-    One preorder pass over ``walk``, so a tree of any depth is fine.
-    The copy has one node per position, a shared node copied at each.
-    A back edge or shared reference is remapped to the copy of its
-    target, which preorder has already made.
-    """
-    copies: dict[int, Node] = {}  # id(node) -> its latest copy, for references
-    made: list[Node] = []  # every copy of a layer, one per position
-    path: list = []  # the copies of the current node's ancestors
-    for n, _, depth, target, _ in walk(tree):
-        if target is not None:
-            c = Node(n.kind, target=copies[id(target)], delta=n.delta)
-        else:
-            # children gathered in a list, made a tuple once below
-            c = copies[id(n)] = Node(n.kind, None, n.binders, n.head, n.head_ref, [],
-                                     n.block, reason=n.reason)
-            made.append(c)
-        del path[depth:]
-        if path:
-            path[-1].children.append(c)
-        path.append(c)
-    for c in made:
-        c.children = tuple(c.children)
-    return ClockTree(path[0], tree.semantics, tree.atomic, tree.depth, tree.fuel, tree.closed)
 
 
 # ---------------------------------------------------------------------------

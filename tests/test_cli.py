@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -582,3 +583,58 @@ def test_repro_single(run):
 def test_repro_unknown_id(run):
     res = run("repro", "nope")
     assert res.exit_code == 2
+
+
+# -- robustness over random calls --------------------------------------------
+
+_CLI_NAMES = ("x", "y", "f")
+_CLI_CONSTS = ("I", "K", "S", "B", "delta", "eta", "theta", "Y0", "Y1", "E1", "E2", "E3")
+_SOUP = ("\\", "λ", ".", "(", ")", ";", "=", "#", "x", "Y0", "f1'", "1", "?", "é", " ")
+
+
+def _grammar_term(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return rng.choice(_CLI_NAMES + _CLI_CONSTS)
+    if r < 0.55:
+        names = " ".join(rng.choices(_CLI_NAMES, k=rng.randint(1, 2)))
+        return f"\\{names}. {_grammar_term(rng, depth - 1)}"
+    return f"({_grammar_term(rng, depth - 1)}) ({_grammar_term(rng, depth - 1)})"
+
+
+def _term_text(rng):
+    if rng.random() < 0.25:
+        return "".join(rng.choices(_SOUP, k=rng.randint(0, 8)))
+    return _grammar_term(rng, rng.randint(0, 4))
+
+
+def _flags(rng, *names):
+    return [n for n in names if rng.random() < 0.3]
+
+
+def _random_call(rng):
+    # Fuel stays at 60 or less: a tree of ``Y0 S`` at the default fuel
+    # runs out of memory (ROADMAP K9), and a random term may be that one.
+    budget = ["--depth", str(rng.randint(-1, 4)), "--fuel", str(rng.randint(-2, 60))]
+    cmd = rng.choice(["bt", "llt", "bet", "check-simple", "compare"])
+    if cmd == "compare":
+        return [cmd, _term_text(rng), _term_text(rng), *budget,
+                "--reduct-limit", str(rng.randint(0, 50)), *_flags(rng, "--atomic", "--json")]
+    if cmd == "check-simple":
+        return [cmd, _term_text(rng), *budget, *_flags(rng, "--json")]
+    return [cmd, _term_text(rng), *budget, *_flags(rng, "--atomic", "--json", "--dot")]
+
+
+def test_random_calls_end_with_a_documented_exit_code():
+    # every call ends normally or by SystemExit with code 0-3, never by
+    # another exception; the term text may not parse
+    rng = random.Random(20261020)
+    runner = CliRunner()
+    codes = set()
+    for _ in range(300):
+        args = _random_call(rng)
+        res = runner.invoke(main, args)
+        assert res.exception is None or type(res.exception) is SystemExit, (args, res.exception)
+        assert 0 <= res.exit_code <= 3, (args, res.output)
+        codes.add(res.exit_code)
+    assert codes == {0, 1, 2, 3}

@@ -1,6 +1,6 @@
 """Randomized law checks: clock acceleration, annotation drift bounds,
-subsequence-order laws, printer/parser round trips, the head step,
-``normalize``, ``replace_at``, ``develop``, ``subst_free`` and term
+subsequence-order laws, printer/parser round trips, the printer, the
+head step, ``normalize``, ``replace_at``, ``develop`` and term
 equality (``==`` and the hint-exact ``_identical``) against their
 lookup and recursive references, the product graph's peel
 against brute force, acyclic trees with shared subtrees against their
@@ -30,7 +30,7 @@ from lamclock.compare import (
 )
 from lamclock import reduction, trees
 from lamclock.cli import _dumps
-from lamclock.parser import parse, pretty
+from lamclock.parser import _pick_name, parse, pretty
 from lamclock.reduction import (
     FUEL_EXHAUSTED,
     PROVEN_DIVERGENT,
@@ -54,15 +54,11 @@ from lamclock.terms import (
     PositionError,
     TermError,
     Var,
-    alpha_eq,
     app,
     instantiate,
-    lam,
     pos_str,
     positions,
     replace_at,
-    shift,
-    subst_free,
     subterm_at,
     subterms,
 )
@@ -75,7 +71,6 @@ from lamclock.trees import (
     clocked_bt,
     clocked_llt,
     periodicity_report,
-    strip,
     tree_to_dict,
     walk,
 )
@@ -280,13 +275,58 @@ def test_head_pos_acts_as_its_path(lams, ones):
 @settings(**SETTINGS)
 @given(t=random_terms)
 def test_parse_pretty_round_trip(t):
-    assert alpha_eq(parse(pretty(t)), t)
+    assert parse(pretty(t)) == t
 
 
 @settings(**SETTINGS)
 @given(t=random_terms)
 def test_compact_lambda_round_trip(t):
-    assert alpha_eq(parse(pretty(t, compact_lambda=True)), t)
+    assert parse(pretty(t, compact_lambda=True)) == t
+
+
+def _pretty_reference(t, compact_lambda=False):
+    """``pretty`` by recursion, one call per subterm."""
+    lam_sym = "λ" if compact_lambda else "\\"
+
+    def go(u, scope, taken, ctx):
+        match u:
+            case Var(i):
+                return scope[-1 - i] if i < len(scope) else f"?{i - len(scope)}"
+            case Free(n):
+                return n
+            case Lam(_, _):
+                names = []
+                inner_taken = set(taken)
+                body = u
+                while type(body) is Lam:
+                    n = _pick_name(body.hint, inner_taken)
+                    names.append(n)
+                    inner_taken.add(n)
+                    body = body.body
+                s = f"{lam_sym}{' '.join(names)}.{go(body, scope + names, inner_taken, 'top')}"
+                return f"({s})" if ctx in ("fn", "arg") else s
+            case App(f, a):
+                s = f"{go(f, scope, taken, 'fn')} {go(a, scope, taken, 'arg')}"
+                return f"({s})" if ctx == "arg" else s
+
+    return go(t, [], set(t.names), "top")
+
+
+# few hints, two with the renamer's own suffixes, and free names among
+# them, so binders collide with each other and with free names; indices
+# may point past every binder, which prints as "?k"
+_HINTS = ("x", "x1", "x2", "y")
+_colliding_terms = st.recursive(
+    st.one_of(st.builds(Free, st.sampled_from(_HINTS)), st.builds(Var, st.integers(0, 4))),
+    lambda ch: st.one_of(st.builds(Lam, st.sampled_from(_HINTS), ch), st.builds(App, ch, ch)),
+    max_leaves=16,
+)
+
+
+@settings(**SETTINGS)
+@given(t=_colliding_terms, compact_lambda=st.booleans())
+def test_pretty_matches_the_recursive_reference(t, compact_lambda):
+    assert pretty(t, compact_lambda) == _pretty_reference(t, compact_lambda)
 
 
 # -- term equality against the per-class recursive reference -----------------
@@ -725,24 +765,6 @@ def _develop_reference(t, marks):
     return go(t, markset)
 
 
-def _subst_free_reference(t, name, s):
-    """``subst_free`` by recursion, shifting ``s`` by the binders crossed."""
-
-    def go(u, depth):
-        if name not in u.names:
-            return u
-        match u:
-            case Free(n):
-                return shift(s, depth) if n == name else u
-            case Lam(h, b):
-                return Lam(h, go(b, depth + 1))
-            case App(f, a):
-                return App(go(f, depth), go(a, depth))
-        return u
-
-    return go(t, 0)
-
-
 def _same_result(fn, ref, *args):
     """Both calls raise the same error type and message, or return terms
     that agree on their binder hints too."""
@@ -781,18 +803,6 @@ def test_develop_matches_the_recursive_reference(t, keep, extra):
         ps = positions(t)
         marks.append(ps[extra[0] % len(ps)] + tuple(extra[1]))
     _same_result(develop, _develop_reference, t, marks)
-
-
-@settings(**SETTINGS)
-@given(
-    t=random_terms,
-    binders=st.lists(st.sampled_from(_NAMES), max_size=4),
-    name=st.sampled_from(_NAMES),
-    s=st.integers(0, 2).flatmap(_open_terms),
-)
-def test_subst_free_matches_the_recursive_reference(t, binders, name, s):
-    # ``s`` may be open, so each occurrence's binder count shows
-    _same_result(subst_free, _subst_free_reference, lam(binders, t), name, s)
 
 
 @pytest.mark.parametrize(
@@ -910,8 +920,7 @@ def _per_position(tree):
 
 def _tree_views(tree):
     return (tree_to_dict(tree), tree_to_dict(tree, True), render_text(tree), render_dot(tree),
-            tree_to_dict(strip(tree)), render_text(strip(tree)), periodicity_report(tree),
-            tree.node_count())
+            periodicity_report(tree), tree.node_count())
 
 
 def _lifted(a, b, rel):

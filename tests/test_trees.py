@@ -29,7 +29,6 @@ from lamclock.trees import (
     compact_cyclic,
     node_at,
     periodicity_report,
-    strip,
     tree_to_dict,
     walk,
 )
@@ -94,26 +93,13 @@ def test_unknown_on_depth():
 
 
 def test_strip_equalizes_the_two_fpc_trees(defs):
-    a = strip(clocked_bt(parse("Y0 f", defs), 6))
-    b = strip(clocked_bt(parse("Y1 f", defs), 6))
-
-    def shape(n):
-        return (n.kind, getattr(n, "head", None), tuple(shape(c) for c in n.children))
-
-    assert shape(a.root) == shape(b.root)
-    assert strip(clocked_bt(parse(OMEGA), 2)).root.kind == "bottom"
-
-
-def test_strip_drops_atomic_and_plain_to_same_tree(defs):
-    t = parse("Y1 f", defs)
-    a = strip(clocked_bt(t, 4, atomic=True))
-    b = strip(clocked_bt(t, 4))
-
-    def shape(n):
-        return (n.kind, getattr(n, "head", None), n.count, n.steps,
-                tuple(shape(c) for c in n.children))
-
-    assert shape(a.root) == shape(b.root)
+    # Y0 f and Y1 f have one Boehm tree: their clocked trees differ only
+    # in the clocks, which the product's shape check does not read
+    a = clocked_bt(parse("Y0 f", defs), 6)
+    b = clocked_bt(parse("Y1 f", defs), 6)
+    prod = compare._explore(a, b, Relation.EQ)
+    assert prod.shape_bad is None and prod.ann_bad
+    assert clocked_bt(parse(OMEGA), 2).root.kind == "bottom"
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +194,6 @@ def test_the_build_records_closed(semantics, cyclic):
             tree = _ACYCLIC[semantics](t, depth, 2000)
         want = not any(n.kind == "unknown" for n, *_ in walk(tree))
         assert tree.closed == want, (pretty(t), depth)
-        assert strip(tree).closed == tree.closed
 
 
 _LAYER_KINDS = {"bt": {"hnf"}, "llt": {"lam", "head"}, "bet": {"lam", "var", "app"}}
@@ -218,7 +203,7 @@ _LAYER_KINDS = {"bt": {"hnf"}, "llt": {"lam", "head"}, "bet": {"lam", "var", "ap
 @pytest.mark.parametrize("semantics", ["bt", "llt", "bet"])
 def test_every_node_has_the_fields_of_its_kind(semantics, cyclic):
     # one node class for every kind: the fields each kind leaves unset
-    # are checked here, on built and stripped trees alike
+    # are checked here
     seen = set()
     for t, depth in itertools.product(_closed_inputs(), (2, 4, 8, 12)):
         if cyclic:
@@ -226,31 +211,27 @@ def test_every_node_has_the_fields_of_its_kind(semantics, cyclic):
         else:
             tree = _ACYCLIC[semantics](t, depth, 2000)
         shown = pretty(t)
-        for stripped, tr in ((False, tree), (True, strip(tree))):
-            for n, *_ in walk(tr):
-                where = (shown, depth, stripped, n.kind)
-                seen.add(n.kind)
-                if n.kind in _LAYER_KINDS[semantics]:
-                    assert (n.target, n.delta, n.reason) == (None, None, None), where
-                    if stripped:
-                        assert (n.steps, n.count) == (None, None), where
-                    else:
-                        assert n.count == len(n.steps), where
-                    continue
-                assert (n.steps, n.count, n.children) == (None, None, ()), where
-                assert (n.binders, n.block, n.head, n.head_ref) == ((), (), None, None), where
-                if n.kind == "bottom":
-                    assert (n.target, n.delta, n.reason) == (None, None, None), where
-                elif n.kind == "unknown":
-                    assert (n.target, n.delta) == (None, None), where
-                    assert n.reason in ("depth", "fuel"), where
-                elif n.kind == "backedge":
-                    assert n.target is not None and n.delta > 0, where
-                    assert n.reason is None, where
-                else:
-                    assert n.kind == "shared", where
-                    assert n.target is not None, where
-                    assert (n.delta, n.reason) == (None, None), where
+        for n, *_ in walk(tree):
+            where = (shown, depth, n.kind)
+            seen.add(n.kind)
+            if n.kind in _LAYER_KINDS[semantics]:
+                assert (n.target, n.delta, n.reason) == (None, None, None), where
+                assert n.count == len(n.steps), where
+                continue
+            assert (n.steps, n.count, n.children) == (None, None, ()), where
+            assert (n.binders, n.block, n.head, n.head_ref) == ((), (), None, None), where
+            if n.kind == "bottom":
+                assert (n.target, n.delta, n.reason) == (None, None, None), where
+            elif n.kind == "unknown":
+                assert (n.target, n.delta) == (None, None), where
+                assert n.reason in ("depth", "fuel"), where
+            elif n.kind == "backedge":
+                assert n.target is not None and n.delta > 0, where
+                assert n.reason is None, where
+            else:
+                assert n.kind == "shared", where
+                assert n.target is not None, where
+                assert (n.delta, n.reason) == (None, None), where
     want = _LAYER_KINDS[semantics] | {"bottom", "unknown"}
     if cyclic:
         want |= {"backedge"} if semantics == "bet" else {"backedge", "shared"}
@@ -324,28 +305,6 @@ def test_cyclic_third_enumerator_with_sharing(defs):
     shared = [n for n, *_ in walk(tree) if n.kind == "shared"]
     assert len(shared) == 1
     assert shared[0].target.count == 1
-
-
-def test_strip_points_shared_refs_into_the_stripped_tree(defs):
-    bare = strip(compact_cyclic(parse("E3", defs)))
-    nodes = {id(n) for n, *_ in walk(bare)}
-    (ref,) = [n for n, *_ in walk(bare) if n.kind == "shared"]
-    assert id(ref.target) in nodes
-    assert ref.target.count is None
-
-
-@pytest.mark.parametrize("text", ["Y0 f", "E1"])
-def test_strip_points_back_edges_into_the_stripped_tree(defs, text):
-    tree = compact_cyclic(parse(text, defs))
-    bare = strip(tree)
-    nodes = {id(n) for n, *_ in walk(bare)}
-    edges = [n for n, *_ in walk(bare) if n.kind == "backedge"]
-    assert edges
-    for edge in edges:
-        assert id(edge.target) in nodes
-        assert edge.target.count is None
-    # each copy returns to the position its original returns to
-    assert [tpos for *_, tpos in walk(bare)] == [tpos for *_, tpos in walk(tree)]
 
 
 def test_cyclic_two_loop_self_application():
@@ -461,9 +420,6 @@ def test_walks_over_a_deep_tree_do_not_recurse():
     first = holds_eventually(tree, tree, Relation.EQ)
     assert first.holds
     assert holds_eventually(tree, tree, Relation.EQ) == first
-    bare = strip(tree)
-    assert bare.root.count is None
-    assert render_text(bare).count("\n") == 3001
 
 
 # ---------------------------------------------------------------------------
