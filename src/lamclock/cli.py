@@ -9,9 +9,9 @@ constructions; ``check-simple`` classifies a term's head steps;
 Exit codes: 0 on success (including an Inconvertible verdict), 1 when
 ``compare`` ends Inconclusive, 2 on usage errors, 3 when fuel or depth
 ran out before the requested output could be produced, when a term is
-nested too deeply for the interpreter's recursion limit (parsing and
-tree building still recurse once per nesting level), or when a
-``repro`` diff is nonzero.
+nested too deeply for the interpreter's recursion limit (parsing is a
+loop, but substitution and tree building still recurse once per nesting
+level), or when a ``repro`` diff is nonzero.
 """
 
 from __future__ import annotations

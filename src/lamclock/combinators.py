@@ -7,6 +7,9 @@ the self-application terms used to probe duplication behaviour, three
 evaluators for coded combinatory-logic terms, and the labeling /
 balancedness machinery for tracking how a marked free variable's
 descendants spread through reducts.
+
+A combinatory term is an ordinary term built by application from K and
+S, such as ``parse("S K (K S)", standard_definitions())``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .parser import DefinitionTable
+from .parser import DefinitionTable, pretty
 from .reduction import DEFAULT_FUEL, RESOLVED, gross_knuth, normalize, one_step_reducts
 from .terms import (
     App,
@@ -339,104 +342,40 @@ def plotkin_nonzero_witness(
 # coded combinatory logic
 
 
-@dataclass(frozen=True)
-class CLTerm:
-    """A binary applicative tree over the constants K and S."""
-
-    kind: str  # "K" | "S" | "app"
-    left: "CLTerm | None" = None
-    right: "CLTerm | None" = None
-
-    def __str__(self) -> str:
-        if self.kind != "app":
-            return self.kind
-        rhs = str(self.right)
-        if self.right.kind == "app":  # type: ignore[union-attr]
-            rhs = f"({rhs})"
-        return f"{self.left}{rhs}"
+_LEAF_CODES = {c: Lam("z", app(Var(0), K, c, I)) for c in (K, S)}
 
 
-CL_K = CLTerm("K")
-CL_S = CLTerm("S")
+def encode_cl(m: Term) -> Term:
+    """The self-describing coding of a combinatory term: leaves carry a
+    K tag and themselves, applications a KI tag and the coded parts.
 
-
-def cl_apply(a: CLTerm, b: CLTerm) -> CLTerm:
-    return CLTerm("app", a, b)
-
-
-def parse_cl(text: str) -> CLTerm:
-    """Parse a combinatory term written with K, S, and parentheses.
-
-    One pass over the characters, so any nesting depth is fine: each
-    open group keeps the application of its terms so far (None before
-    the first), and a closed group is applied, as one term, to the
-    group around it."""
-    groups: list[CLTerm | None] = [None]
-    for c in text:
-        if c.isspace():
-            continue
-        if c == "(":
-            groups.append(None)
-            continue
-        if c == "K":
-            t = CL_K
-        elif c == "S":
-            t = CL_S
-        elif c == ")":
-            t = groups.pop()
-            if not groups:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-            if t is None:
-                raise ValueError(f"empty combinatory term in {text!r}")
+    A leaf counts as K or S when it is α-equal to it, and codes as the
+    module's own constant; any other leaf is a ``ValueError``.  One loop
+    over an explicit stack, so a term of any depth codes."""
+    done: list[Term] = []
+    # pending work, next item last: a subterm to code, or None to join
+    # the last two codes as an application's
+    todo: list[Term | None] = [m]
+    while todo:
+        u = todo.pop()
+        if u is None:
+            b, a = done.pop(), done.pop()
+            done.append(Lam("z", app(Var(0), App(K, I), a, b)))
+        elif type(u) is App:
+            todo += (None, u.arg, u.fn)
+        elif u in _LEAF_CODES:
+            done.append(_LEAF_CODES[u])
         else:
-            raise ValueError(f"unexpected {c!r} in combinatory term")
-        groups[-1] = t if groups[-1] is None else cl_apply(groups[-1], t)
-    if len(groups) > 1:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    if groups[0] is None:
-        raise ValueError(f"empty combinatory term in {text!r}")
-    return groups[0]
+            raise ValueError(f"not a combinatory term: leaf {pretty(u)!r} is neither K nor S")
+    return done[0]
 
 
-def encode_cl(m: CLTerm) -> Term:
-    """The self-describing coding: constants carry a K tag and
-    themselves, applications carry a KI tag and the coded parts."""
-    z = Var(0)
-    match m.kind:
-        case "K":
-            return Lam("z", app(z, K, K, I))
-        case "S":
-            return Lam("z", app(z, K, S, I))
-        case "app":
-            assert m.left is not None and m.right is not None
-            return Lam(
-                "z", app(z, App(K, I), encode_cl(m.left), encode_cl(m.right))
-            )
-    raise ValueError(f"bad combinatory term kind {m.kind!r}")
-
-
-def cl_to_lambda(m: CLTerm) -> Term:
-    match m.kind:
-        case "K":
-            return K
-        case "S":
-            return S
-        case "app":
-            assert m.left is not None and m.right is not None
-            return App(cl_to_lambda(m.left), cl_to_lambda(m.right))
-    raise ValueError(f"bad combinatory term kind {m.kind!r}")
-
-
-def evaluator_check(e: Term, m: CLTerm, fuel: int = DEFAULT_FUEL) -> bool:
-    """Does the evaluator applied to the coded term recover the term
-    itself?  Both sides are normalized and compared."""
+def evaluator_check(e: Term, m: Term, fuel: int = DEFAULT_FUEL) -> bool:
+    """Does the evaluator applied to the coded combinatory term ``m``
+    recover ``m`` itself?  Both sides are normalized and compared."""
     ne = normalize(App(e, encode_cl(m)), fuel)
-    nm = normalize(cl_to_lambda(m), fuel)
-    return (
-        ne.status == RESOLVED
-        and nm.status == RESOLVED
-        and ne.result == nm.result
-    )
+    nm = normalize(m, fuel)
+    return ne.status == nm.status == RESOLVED and ne.result == nm.result
 
 
 # ---------------------------------------------------------------------------

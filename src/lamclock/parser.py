@@ -125,10 +125,21 @@ class DefinitionTable:
 def _parse_tokens(
     text: str, toks: list, defs: DefinitionTable | None
 ) -> tuple[Term, int]:
-    """Parse a complete term from ``toks``; returns (term, index of eof)."""
+    """Parse a complete term from ``toks``; returns (term, index of eof).
 
-    def parse_term(i: int, scope: list[str]) -> tuple[Term, int]:
-        if toks[i][0] == "lam":
+    One loop over the tokens, so any nesting depth is fine.  ``t`` is
+    the application read so far in the innermost open term (None before
+    its first atom), and ``frames`` holds the terms still open around
+    it: a binder block, as its list of names, whose body is being read,
+    or, as a one-element tuple, the application read so far waiting
+    for a parenthesised atom."""
+    scope: list[str] = []
+    frames: list = []
+    t: Term | None = None
+    i = 0
+    while True:
+        kind, val, pos = toks[i]
+        if kind == "lam" and t is None:
             i += 1
             names = []
             while toks[i][0] == "ident":
@@ -138,42 +149,38 @@ def _parse_tokens(
                 raise ParseError("expected binder name", text, toks[i][2])
             if toks[i][0] != "dot":
                 raise ParseError("expected '.' after binders", text, toks[i][2])
-            body, i = parse_term(i + 1, scope + names)
-            for n in reversed(names):
-                body = Lam(n, body)
-            return body, i
-        return parse_app(i, scope)
-
-    def parse_app(i: int, scope: list[str]) -> tuple[Term, int]:
-        t, i = parse_atom(i, scope)
-        if t is None:
-            raise ParseError(f"expected a term, got {toks[i][1] or 'end of input'!r}", text, toks[i][2])
-        while True:
-            nxt, j = parse_atom(i, scope)
-            if nxt is None:
-                return t, i
-            t = App(t, nxt)
-            i = j
-
-    def parse_atom(i: int, scope: list[str]) -> tuple[Term | None, int]:
-        kind, val, pos = toks[i]
-        if kind == "ident":
+            frames.append(names)
+            scope += names
+        elif kind == "ident":
             for depth, n in enumerate(reversed(scope)):
                 if n == val:
-                    return Var(depth), i + 1
-            if defs is not None and val in defs:
-                return defs[val], i + 1
-            return Free(val), i + 1
-        if kind == "lp":
-            t, i = parse_term(i + 1, scope)
-            if toks[i][0] != "rp":
-                raise ParseError("expected ')'", text, toks[i][2])
-            return t, i + 1
-        return None, i
-
-    t, i = parse_term(0, [])
-    if toks[i][0] != "eof":
-        raise ParseError(f"trailing input {toks[i][1]!r}", text, toks[i][2])
+                    atom: Term = Var(depth)
+                    break
+            else:
+                atom = defs[val] if defs is not None and val in defs else Free(val)
+            t = atom if t is None else App(t, atom)
+        elif kind == "lp":
+            frames.append((t,))
+            t = None
+        else:
+            # the innermost open term ends here: close its binder
+            # blocks, then the parenthesis around them, if any
+            if t is None:
+                raise ParseError(f"expected a term, got {val or 'end of input'!r}", text, pos)
+            while frames and type(frames[-1]) is list:
+                names = frames.pop()
+                del scope[len(scope) - len(names):]
+                for n in reversed(names):
+                    t = Lam(n, t)
+            if not frames:
+                break
+            if kind != "rp":
+                raise ParseError("expected ')'", text, pos)
+            (fn,) = frames.pop()
+            t = t if fn is None else App(fn, t)
+        i += 1
+    if kind != "eof":
+        raise ParseError(f"trailing input {val!r}", text, pos)
     return t, i
 
 

@@ -182,26 +182,43 @@ def test_bt_json_of_a_600_level_tree():
     assert res.stdout.count('"reason": "depth"') == 1
 
 
-_DEEP = "f (" * 1500 + "x" + ")" * 1500
-
-
-@pytest.mark.parametrize(
-    "args",
-    [["bt", _DEEP], ["compare", _DEEP, "x"],
-     ["bt", r"Y1 (\g x. f (g (s x))) z", "--depth", "1500"]],
-    ids=["bt-parse", "compare-parse", "bt-build"],
-)
-def test_too_deeply_nested_a_term_exits_3_without_a_traceback(args):
-    # The parser and the tree builder recurse once per nesting level, so
-    # a fresh interpreter, with the default recursion limit, cannot take
-    # these; the error is reported, with the exit code for a budget that
-    # ran out, not raised.
+def _fresh_cli(*args):
+    # a fresh interpreter, with the default recursion limit
     src = str(Path(lamclock.__file__).parents[1])
-    res = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "lamclock.cli", *args],
         capture_output=True, text=True, encoding="utf-8",
         env=os.environ | {"PYTHONPATH": src},
     )
+
+
+# f (f (... x)), closed and 1,500 deep; and an open body of that depth
+# under a redex, which substitution has to walk
+_DEEP = "f (" * 1500 + "x" + ")" * 1500
+_DEEP_BODY = r"(\x. " + "f (" * 1499 + "f x" + ")" * 1499 + ") y"
+
+
+def test_a_deeply_nested_term_parses_and_its_tree_stops_at_the_depth():
+    # The parser is a loop, so the CLI takes a closed nest of any depth
+    res = _fresh_cli("bt", _DEEP)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == "".join("  " * k + "[0] f\n" for k in range(12)) + "  " * 12 + "? (depth)\n"
+    res = _fresh_cli("compare", _DEEP, "x")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.startswith("inconvertible (different-bt)\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["bt", _DEEP_BODY], ["compare", _DEEP_BODY, "x"],
+     ["bt", r"Y1 (\g x. f (g (s x))) z", "--depth", "1500"]],
+    ids=["bt-open-body", "compare-open-body", "bt-build"],
+)
+def test_too_deeply_nested_a_term_exits_3_without_a_traceback(args):
+    # Substitution and the tree builder recurse once per nesting level,
+    # so a fresh interpreter cannot take these; the error is reported,
+    # with the exit code for a budget that ran out, not raised.
+    res = _fresh_cli(*args)
     assert res.returncode == 3, res.stderr[-2000:]
     assert res.stdout == ""
     assert res.stderr == (

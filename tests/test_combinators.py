@@ -121,32 +121,31 @@ def test_guarded_variant_annotations_all_zero(y):
 # -- coded combinatory logic -------------------------------------------------
 
 
-def test_cl_parse_print_round_trip():
-    for text in ("K", "S", "KS", "S(KS)K", "SKK(KS)"):
-        assert str(C.parse_cl(text)) == text
-
-
-@pytest.mark.parametrize("text", ["", "(", ")", "K)", "(K", "()", "KX"])
-def test_cl_parse_rejects_malformed_input(text):
+@pytest.mark.parametrize("text", ["", "(", ")", "K)", "(K", "()", "KX", "K X", r"\x.x"])
+def test_cl_parse_rejects_malformed_input(text, defs):
+    # a text that does not parse, or whose term has a leaf other than K
+    # and S, is no combinatory term
     with pytest.raises(ValueError):
-        C.parse_cl(text)
+        C.encode_cl(parse(text, defs))
 
 
-def test_cl_parse_any_depth():
-    # S(S(...(SK)...)), far deeper than the recursion limit
+def test_cl_parse_any_depth(defs, default_recursion_limit):
+    # S (S (... K)), far deeper than the recursion limit, parses and codes
     n = 5000
-    t = C.parse_cl("S(" * n + "K" + ")" * n)
+    code = C.encode_cl(parse("S (" * n + "K" + ")" * n, defs))
+    k, s = C.encode_cl(C.K), C.encode_cl(C.S)
     depth = 0
-    while t.kind == "app":
-        assert t.left.kind == "S"
-        t = t.right
+    while code is not k:
+        tag, fn, code = code.body.fn.fn.arg, code.body.fn.arg, code.body.arg
+        assert (tag, fn) == (App(C.K, C.I), s)
         depth += 1
-    assert (depth, t.kind) == (n, "K")
+    assert depth == n
 
 
-def test_cl_to_lambda():
-    assert C.cl_to_lambda(C.CL_K) == C.K
-    assert C.cl_to_lambda(C.CL_S) == C.S
+def test_encode_cl_codes_an_alpha_variant_leaf_as_the_constant(defs):
+    k = parse(r"\a b.a")
+    assert k is not C.K and C.encode_cl(k) is C.encode_cl(C.K)
+    assert pretty(C.encode_cl(parse(r"S (\a b.a)", defs))) == pretty(C.encode_cl(parse("S K", defs)))
 
 
 def test_enumerator_spellings_frozen():
@@ -154,16 +153,15 @@ def test_enumerator_spellings_frozen():
     assert gold == pretty(C.E1) + "\n" + pretty(C.E2) + "\n" + pretty(C.E3) + "\n"
 
 
-def test_evaluator_check():
-    assert C.evaluator_check(C.E1, C.CL_K)
-    assert C.evaluator_check(C.E2, C.CL_K)
-    assert C.evaluator_check(C.E3, C.CL_S)
-    skks = C.parse_cl("SK(KS)")
-    assert C.evaluator_check(C.E3, skks)
+def test_evaluator_check(defs):
+    assert C.evaluator_check(C.E1, C.K)
+    assert C.evaluator_check(C.E2, C.K)
+    assert C.evaluator_check(C.E3, C.S)
+    assert C.evaluator_check(C.E3, parse("S K (K S)", defs))
 
 
 def test_identity_is_not_an_evaluator(defs):
-    assert not C.evaluator_check(parse("I", defs), C.CL_K)
+    assert not C.evaluator_check(parse("I", defs), C.K)
 
 
 # -- atomic spine patterns ---------------------------------------------------

@@ -1,6 +1,6 @@
 """Randomized law checks: clock acceleration, annotation drift bounds,
 subsequence-order laws, printer/parser round trips, the printer, the
-head step, ``normalize``, ``replace_at``, ``develop`` and term
+parser, the head step, ``normalize``, ``replace_at``, ``develop`` and term
 equality (``==`` and the hint-exact ``_identical``) against their
 lookup and recursive references, the product graph's peel
 against brute force, acyclic trees with shared subtrees against their
@@ -30,7 +30,7 @@ from lamclock.compare import (
 )
 from lamclock import reduction, trees
 from lamclock.cli import _dumps
-from lamclock.parser import _pick_name, parse, pretty
+from lamclock.parser import ParseError, _parse_tokens, _pick_name, _tokenize, parse, pretty
 from lamclock.reduction import (
     FUEL_EXHAUSTED,
     PROVEN_DIVERGENT,
@@ -327,6 +327,142 @@ _colliding_terms = st.recursive(
 @given(t=_colliding_terms, compact_lambda=st.booleans())
 def test_pretty_matches_the_recursive_reference(t, compact_lambda):
     assert pretty(t, compact_lambda) == _pretty_reference(t, compact_lambda)
+
+
+# -- the parser against the recursive reference -------------------------------
+
+
+def _parse_tokens_reference(text, toks, defs):
+    """``_parse_tokens`` by recursive descent, one call per nesting level."""
+
+    def parse_term(i, scope):
+        if toks[i][0] == "lam":
+            i += 1
+            names = []
+            while toks[i][0] == "ident":
+                names.append(toks[i][1])
+                i += 1
+            if not names:
+                raise ParseError("expected binder name", text, toks[i][2])
+            if toks[i][0] != "dot":
+                raise ParseError("expected '.' after binders", text, toks[i][2])
+            body, i = parse_term(i + 1, scope + names)
+            for n in reversed(names):
+                body = Lam(n, body)
+            return body, i
+        return parse_app(i, scope)
+
+    def parse_app(i, scope):
+        t, i = parse_atom(i, scope)
+        if t is None:
+            raise ParseError(f"expected a term, got {toks[i][1] or 'end of input'!r}", text, toks[i][2])
+        while True:
+            nxt, j = parse_atom(i, scope)
+            if nxt is None:
+                return t, i
+            t = App(t, nxt)
+            i = j
+
+    def parse_atom(i, scope):
+        kind, val, pos = toks[i]
+        if kind == "ident":
+            for depth, n in enumerate(reversed(scope)):
+                if n == val:
+                    return Var(depth), i + 1
+            if defs is not None and val in defs:
+                return defs[val], i + 1
+            return Free(val), i + 1
+        if kind == "lp":
+            t, i = parse_term(i + 1, scope)
+            if toks[i][0] != "rp":
+                raise ParseError("expected ')'", text, toks[i][2])
+            return t, i + 1
+        return None, i
+
+    t, i = parse_term(0, [])
+    if toks[i][0] != "eof":
+        raise ParseError(f"trailing input {toks[i][1]!r}", text, toks[i][2])
+    return t, i
+
+
+_TEXT_NAMES = ("x", "y", "f", "x'", "K", "S", "I", "Y0")
+# one-character edits, and the pieces of token soup: every token kind,
+# a comment, and a character no token starts with
+_EDIT_CHARS = "\\λ.() ;=#\nxKS@"
+_SOUP = ("\\", "λ", "x", "y", "K", "S", "Y0", ".", "(", ")", " ", ";", "=", "# c\n", "@")
+
+
+def _valid_text(rng, depth=0):
+    """A random well-formed term text: binder blocks, applications,
+    parentheses (some redundant), defined and free names, comments."""
+    if depth < 4 and rng.random() < 0.3:
+        names = " ".join(rng.choice(_TEXT_NAMES[:4]) for _ in range(rng.randint(1, 3)))
+        return rng.choice("\\λ") + f"{names}.{_valid_text(rng, depth + 1)}"
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        if depth < 4 and rng.random() < 0.3:
+            atoms.append(f"({_valid_text(rng, depth + 1)})")
+        else:
+            atoms.append(rng.choice(_TEXT_NAMES))
+    return rng.choice((" ", "  ", " # c\n")).join(atoms)
+
+
+def _random_text(rng, kind):
+    if kind == "soup":
+        return "".join(rng.choice(_SOUP) for _ in range(rng.randint(0, 12)))
+    text = _valid_text(rng)
+    if kind == "mutated":
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(text) + 1)
+            text = rng.choice((text[:k] + text[k + 1:], text[:k] + rng.choice(_EDIT_CHARS) + text[k:]))
+    return text
+
+
+def _parsed_shape(t, shared):
+    """``t`` in preorder, binder hints included, with each node that is
+    one of the ``shared`` objects given by its name instead of walked."""
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if id(u) in shared:
+            out.append(shared[id(u)])
+        elif type(u) is App:
+            out.append("@")
+            todo += (u.arg, u.fn)
+        elif type(u) is Lam:
+            out.append(("\\", u.hint))
+            todo.append(u.body)
+        else:
+            out.append(u)
+    return out
+
+
+def _parse_outcome(parse_tokens, text, toks, defs, shared):
+    try:
+        t, i = parse_tokens(text, toks, defs)
+    except ParseError as e:
+        return "error", str(e), e.offset
+    return "term", _parsed_shape(t, shared), i
+
+
+@pytest.mark.parametrize("kind", ["valid", "mutated", "soup"])
+def test_parse_matches_the_recursive_reference(kind):
+    # The same term, binder hints and the definition table's own objects
+    # included, or the same error at the same byte offset.
+    rng = random.Random(f"parse:{kind}")
+    shared = {id(DEFS[n]): n for n in _TEXT_NAMES if n in DEFS}
+    outcomes = set()
+    for _ in range(3000):
+        text = _random_text(rng, kind)
+        try:
+            toks = _tokenize(text)
+        except ParseError:
+            continue  # the tokenizer is shared; no parser sees this text
+        for defs in (None, DEFS):
+            want = _parse_outcome(_parse_tokens_reference, text, toks, defs, shared)
+            assert _parse_outcome(_parse_tokens, text, toks, defs, shared) == want, text
+            outcomes.add(want[0])
+    assert outcomes == ({"term"} if kind == "valid" else {"term", "error"})
 
 
 # -- term equality against the per-class recursive reference -----------------

@@ -214,7 +214,6 @@ TESTED_ONLY = [
     "head_redex_position",  # criterion 8's e2 derivations; direction 9
     "holds_globally",  # direction 10's atlas
     "label_plotkin_A",  # criterion 7: the labelled duplicator
-    "parse_cl",  # writes the coded terms that evaluator_check reads
     "spine_evidence",  # criterion 1's fixed-point spine, depth-bounded
 ]
 
@@ -484,9 +483,6 @@ def test_the_check_finds_self_calls():
 # (ROADMAP K1); a new one shows here.  ``_drive`` recurses one probe
 # level only.
 RECURSION_SITES = [
-    "combinators.cl_to_lambda",
-    "combinators.encode_cl",
-    "parser._parse_tokens.parse_term",
     "reduction._drive",
     "terms._inst",
     "terms.shift",

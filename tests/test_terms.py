@@ -1,7 +1,5 @@
 """Term construction, navigation, shifting, and the concrete syntax."""
 
-import sys
-
 import pytest
 
 from lamclock.parser import ParseError, parse, pretty
@@ -19,15 +17,6 @@ from lamclock.terms import (
     subterm_at,
 )
 from lamclock.trees import _identical
-
-
-@pytest.fixture
-def default_recursion_limit():
-    """A fresh interpreter's recursion limit for one test, restored after it."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(limit)
 
 
 def test_parse_identity():
@@ -62,9 +51,34 @@ def test_parse_reads_undefined_names_as_free_variables(defs):
 
 
 def test_parse_reports_byte_offset():
-    with pytest.raises(ParseError) as e:
-        parse(r"\x.x )")
-    assert "byte" in str(e.value)
+    for text, msg in [
+        (r"\x.x )", "trailing input ')' (byte 5)"),
+        ("", "expected a term, got 'end of input' (byte 0)"),
+        ("(", "expected a term, got 'end of input' (byte 1)"),
+        (")", "expected a term, got ')' (byte 0)"),
+        ("K)", "trailing input ')' (byte 1)"),
+        ("(K", "expected ')' (byte 2)"),
+        ("()", "expected a term, got ')' (byte 1)"),
+        ("λx.(λ.x)", "expected binder name (byte 7)"),  # λ is two bytes
+        (r"\x y x", "expected '.' after binders (byte 6)"),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == msg
+
+
+def test_parse_reads_a_deep_nest_at_the_default_recursion_limit(default_recursion_limit):
+    # f (\x. f (\x. ... x)), 5,000 binders deep, the x bound by the
+    # nearest one: a parser that recursed once per level raised
+    # RecursionError (K1)
+    n = 5000
+    t = parse(r"f (\x. " * n + "x" + ")" * n)
+    depth = 0
+    while type(t) is App:
+        assert t.fn == Free("f") and type(t.arg) is Lam and t.arg.hint == "x"
+        t = t.arg.body
+        depth += 1
+    assert (depth, t) == (n, Var(0))
 
 
 def test_pretty_round_trips_basics(defs):
