@@ -215,7 +215,7 @@ def pretty(t: Term, compact_lambda: bool = False) -> str:
     out: list[str] = []
     # pending work, next item last: text to write, or a subterm with the
     # names in scope, the names taken and its context ("top", "fn", "arg")
-    todo: list = [(t, [], set(t.names), "top")]
+    todo: list = [(t, [], free_vars(t), "top")]
     while todo:
         item = todo.pop()
         if type(item) is str:

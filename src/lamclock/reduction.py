@@ -22,6 +22,7 @@ from .terms import (
     Term,
     TermError,
     Var,
+    free_vars,
     instantiate,
     pos_str,
     replace_at,
@@ -491,7 +492,7 @@ def reducing_fpc_order(y: Term, fuel: int = DEFAULT_FUEL) -> int | None:
     that term (within fuel) — i.e. the operator does not *reduce* to its
     unfolding, even if it is convertible with it.
     """
-    x = Free(_pick_name("x", y.names))
+    x = Free(_pick_name("x", free_vars(y)))
     goal = App(x, App(y, x))
     # ``goal`` is a head normal form, so the head reduction can only
     # meet it as its result.

@@ -7,7 +7,10 @@ alpha-equivalence.
 
 Terms cache their hash, size and "openness" (how many enclosing binders
 the term needs) at construction, which keeps substitution and the
-reduction loops cheap on shared structure.
+reduction loops cheap on shared structure.  They keep no set of free
+names: as in the locally nameless style (Charguéraud, "The Locally
+Nameless Representation", JAR 49, 2012), the free names are a function,
+``free_vars``, computed by one walk where they are read.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 from typing import Iterator
 
 Position = tuple[int, ...]
-
-EMPTY_FVS: frozenset[str] = frozenset()
 
 
 class TermError(ValueError):
@@ -30,12 +31,11 @@ class PositionError(TermError):
 class Term:
     """Base class; concrete terms are Var, Free, Lam and App."""
 
-    __slots__ = ("size", "open_n", "names", "_h")
+    __slots__ = ("size", "open_n", "_h")
 
-    size: int
-    open_n: int          # least n such that the term is valid under n binders
-    names: frozenset[str]  # free *named* variables
-    _h: int
+    size: int    # number of nodes, counted as a tree
+    open_n: int  # least n such that the term is valid under n binders
+    _h: int      # structural hash, binder hints ignored
 
     def __hash__(self) -> int:
         return self._h
@@ -97,7 +97,6 @@ class Var(Term):
         self.index = index
         self.size = 1
         self.open_n = index + 1
-        self.names = EMPTY_FVS
         self._h = hash((0, index))
 
 
@@ -111,7 +110,6 @@ class Free(Term):
         self.name = name
         self.size = 1
         self.open_n = 0
-        self.names = frozenset((name,))
         self._h = hash((1, name))
 
 
@@ -126,7 +124,6 @@ class Lam(Term):
         self.body = body
         self.size = body.size + 1
         self.open_n = max(0, body.open_n - 1)
-        self.names = body.names
         self._h = hash((2, body._h))
 
 
@@ -142,12 +139,6 @@ class App(Term):
         self.size = fn.size + arg.size + 1
         n, m = fn.open_n, arg.open_n
         self.open_n = n if n >= m else m  # faster than max() on this hot path
-        if fn.names is EMPTY_FVS:
-            self.names = arg.names
-        elif arg.names is EMPTY_FVS:
-            self.names = fn.names
-        else:
-            self.names = fn.names | arg.names
         self._h = hash((3, fn._h, arg._h))
 
 
@@ -169,7 +160,32 @@ def lam(hints: str | list[str], body: Term) -> Term:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    return t.names
+    """The names of ``t``'s free variables.  One loop over an explicit
+    stack, so a term of any depth is walked; like ``==``, it follows
+    function sides and bodies in place and stacks only arguments.  It
+    enters each distinct inner node once (a leaf is read once per
+    parent), so a term built by sharing, like ``a60`` from ``a0 = \\x.x``
+    and ``a{i} = a{i-1} a{i-1}``, is walked in its 62 objects, not its
+    2^61 positions."""
+    names: set[str] = set()
+    seen: set[int] = set()  # ids of the inner nodes entered
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        while True:
+            kind = type(u)
+            if kind is Free:
+                names.add(u.name)
+                break
+            if kind is Var or id(u) in seen:
+                break
+            seen.add(id(u))
+            if kind is App:
+                stack.append(u.arg)
+                u = u.fn
+            else:
+                u = u.body
+    return frozenset(names)
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Iterator
 
 from .parser import _pick_name
@@ -47,6 +47,7 @@ from .terms import (
     Position,
     Term,
     TermError,
+    free_vars,
     instantiate,
     pos_str,
     spine,
@@ -263,6 +264,12 @@ def _build(
     # (node, escape, complete) of a layer's subtree
     built: dict[tuple, tuple] = {}
     refs = False  # a back edge or shared ref was made
+    # A node's ``taken``, the display names in use above it, is None
+    # until a binder on its path is opened: None stands for ``t0``'s free
+    # names, which are walked for once, when the first binder is opened,
+    # so a build that stops in the root's head reduction walks nothing.
+    # A grown set is never equal to None, so ``built`` keys stay exact.
+    root_names = cache(lambda: free_vars(t0))
 
     def open_binders(t: Term, k: int, taken):
         """Open the first ``k`` binders of ``t`` with fresh internal names:
@@ -271,7 +278,7 @@ def _build(
             return t, (), (), taken
         shown: list[str] = []
         block: list[str] = []
-        taken = set(taken)
+        taken = set(root_names() if taken is None else taken)
         for _ in range(k):
             assert type(t) is Lam
             internal = f"%{next(counter)}"
@@ -393,7 +400,7 @@ def _build(
             built[share] = node, escape, complete
         return node, escape, complete
 
-    root, _, closed = build(t0, 0, frozenset(t0.names), ())
+    root, _, closed = build(t0, 0, None, ())
     tree = ClockTree(root, semantics, atomic, depth, fuel, closed)
     tree.refs = refs
     return tree

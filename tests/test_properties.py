@@ -55,6 +55,7 @@ from lamclock.terms import (
     TermError,
     Var,
     app,
+    free_vars,
     instantiate,
     pos_str,
     positions,
@@ -269,6 +270,45 @@ def test_head_pos_acts_as_its_path(lams, ones):
     assert pos_str(h) == pos_str(p) == ("0" * lams + "1" * ones or "e")
 
 
+# -- free names --------------------------------------------------------------
+
+
+def _free_vars_reference(t):
+    """The free names by the rule terms once kept per node: ``Free``
+    gives ``{name}``, ``Lam`` its body's set, ``App`` the union."""
+    match t:
+        case Free(n):
+            return frozenset((n,))
+        case Lam(_, b):
+            return _free_vars_reference(b)
+        case App(f, a):
+            return _free_vars_reference(f) | _free_vars_reference(a)
+    return frozenset()
+
+
+@settings(**SETTINGS)
+@given(t=random_terms, shared=random_terms, k=st.integers(0, 3))
+def test_free_vars_matches_the_per_node_rule(t, shared, k):
+    # one subterm object in several places, under different binders
+    t = App(App(t, Lam("x", shared)), shared)
+    for _ in range(k):
+        t = App(t, t)
+    assert free_vars(t) == _free_vars_reference(t)
+
+
+@pytest.mark.parametrize("name", C.catalog_names())
+def test_free_vars_matches_the_per_node_rule_on_the_catalog(name):
+    try:
+        t = C.catalog(name)
+    except ValueError:  # a family that needs a count
+        t = C.catalog(name, 3)
+    tx = App(t, Free("x"))
+    # a head normal form shares the arguments its steps substituted
+    hnf = head_reduce(tx, "hnf", 60).result
+    for u in (t, tx, hnf):
+        assert u is None or free_vars(u) == _free_vars_reference(u)
+
+
 # -- printer / parser round trip ---------------------------------------------
 
 
@@ -309,7 +349,7 @@ def _pretty_reference(t, compact_lambda=False):
                 s = f"{go(f, scope, taken, 'fn')} {go(a, scope, taken, 'arg')}"
                 return f"({s})" if ctx == "arg" else s
 
-    return go(t, [], set(t.names), "top")
+    return go(t, [], free_vars(t), "top")
 
 
 # few hints, two with the renamer's own suffixes, and free names among

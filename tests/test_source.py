@@ -7,8 +7,8 @@ and the public ones that only tests read are a pinned list;
 ``compare.py`` reads every ``DiscriminationConfig`` setting and
 expands reducts in ``_frontier`` alone, only ``trees._Exact``
 compares terms with their binder hints, ``Term.__eq__`` is the one
-walk that compares two terms, and no function calls itself by name
-beyond a pinned list."""
+walk that compares two terms, no module reads a free-name set off a
+term, and no function calls itself by name beyond a pinned list."""
 
 import ast
 import importlib
@@ -390,6 +390,18 @@ def test_one_term_equality():
     terms_source = (package / "terms.py").read_text(encoding="utf-8")
     assert _equality_defs(terms_source, "Term") == ["Term.__eq__", "Term.__hash__"]
     assert _loops_in((package / "trees.py").read_text(encoding="utf-8"), "_identical") == []
+
+
+def test_no_module_reads_a_free_name_set():
+    # a term keeps no free-name set; ``terms.free_vars`` walks for the
+    # names where they are read, so no module reads a ``.names``
+    reads = [
+        f"{path.stem}:{n.lineno}"
+        for path in MODULES
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(n, ast.Attribute) and n.attr == "names"
+    ]
+    assert reads == []
 
 
 def test_no_unread_dataclass_fields():

@@ -1,13 +1,17 @@
 """Term construction, navigation, shifting, and the concrete syntax."""
 
+import time
+
 import pytest
 
-from lamclock.parser import ParseError, parse, pretty
+from lamclock import terms
+from lamclock.parser import DefinitionTable, ParseError, parse, pretty
 from lamclock.terms import (
     App,
     Free,
     Lam,
     PositionError,
+    Term,
     Var,
     free_vars,
     iterate,
@@ -16,7 +20,7 @@ from lamclock.terms import (
     shift,
     subterm_at,
 )
-from lamclock.trees import _identical
+from lamclock.trees import _identical, compact_cyclic
 
 
 def test_parse_identity():
@@ -170,6 +174,53 @@ def test_free_vars():
     assert free_vars(parse(r"\x.x")) == set()
     assert free_vars(parse(r"\z.f z z")) == {"f"}
     assert free_vars(parse("x y")) == {"x", "y"}
+
+
+def test_terms_cache_size_openness_and_hash_only():
+    # free names are walked for by ``free_vars`` where they are read;
+    # no term keeps a set of them
+    assert Term.__slots__ == ("size", "open_n", "_h")
+    assert not hasattr(terms, "EMPTY_FVS")
+    for t, own in [
+        (Var(0), ["index"]), (Free("f"), ["name"]),
+        (Lam("x", Var(0)), ["hint", "body"]), (App(Free("f"), Free("x")), ["fn", "arg"]),
+    ]:
+        slots = [a for cls in type(t).__mro__ for a in getattr(cls, "__slots__", ())]
+        assert sorted(slots) == sorted(["size", "open_n", "_h", *own])
+        assert not hasattr(t, "__dict__")
+
+
+def test_free_vars_of_deep_nests_at_the_default_recursion_limit(default_recursion_limit):
+    # 5,000 levels deep through binders and function sides, and 5,000
+    # through arguments: one loop walks both
+    n = 5000
+    t = Free("z")
+    for i in range(n):
+        t = Lam("x", App(App(t, Var(0)), Free(f"f{i % 3}")))
+    assert free_vars(t) == {"z", "f0", "f1", "f2"}
+    assert free_vars(iterate("right", Free("f"), Free("x"), n)) == {"f", "x"}
+
+
+# a60 is a0 doubled 60 times: 62 objects, more than 2^61 positions
+_DOUBLINGS = "a0 = \\x.x;\n" + "".join(f"a{i} = a{i - 1} a{i - 1};\n" for i in range(1, 61))
+
+
+def _timed(f, *args):
+    t0 = time.perf_counter()
+    out = f(*args)
+    return out, time.perf_counter() - t0
+
+
+def test_a_term_of_60_doublings_is_read_walked_and_built_at_once():
+    # a walk that entered a shared subterm once per position never ends
+    table, took = _timed(DefinitionTable.from_text, _DOUBLINGS)
+    assert took < 1
+    t = parse("a60 y", table)
+    assert t.size > 2**61
+    names, took = _timed(free_vars, t)
+    assert names == {"y"} and took < 1
+    tree, took = _timed(compact_cyclic, t, 4, 2000)
+    assert (tree.root.kind, tree.root.reason) == ("unknown", "fuel") and took < 1
 
 
 def test_iterate_left_right(defs):
