@@ -11,7 +11,8 @@ Exit codes: 0 on success (including an Inconvertible verdict), 1 when
 ran out before the requested output could be produced, when a term is
 nested too deeply for the interpreter's recursion limit (parsing is a
 loop, but substitution and tree building still recurse once per nesting
-level), or when a ``repro`` diff is nonzero.
+level), when the process runs out of memory, or when a ``repro`` diff is
+nonzero.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ def _tree_options(f):
 
 
 class _Group(click.Group):
-    """Ends any command on a too deeply nested term with exit code 3."""
+    """Ends any command on a too deeply nested term, or one that runs out
+    of memory, with exit code 3."""
 
     def invoke(self, ctx):
         try:
@@ -149,6 +151,8 @@ class _Group(click.Group):
         except RecursionError:
             _fail("term nested too deeply for the interpreter's recursion limit",
                   _EXIT_EXHAUSTED)
+        except MemoryError:
+            _fail("out of memory", _EXIT_EXHAUSTED)
 
 
 @click.group(cls=_Group)

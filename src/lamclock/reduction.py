@@ -90,12 +90,10 @@ def contract_at(t: Term, pos: Position) -> Term:
 
 
 def _canonical_core_key(t: Term) -> tuple:
-    """Recurrence key for hnf search: the term under its binder prefix,
-    with indices into the prefix and free names both canonicalised by
-    first occurrence.  Two terms with equal keys head-reduce in lockstep
-    forever, so seeing a key twice proves there is no hnf."""
-    while type(t) is Lam:
-        t = t.body
+    """Recurrence key for hnf search: a state's term, which leaves out the
+    λ-prefix, with indices into the prefix and free names both
+    canonicalised by first occurrence.  Two terms with equal keys
+    head-reduce in lockstep forever, so a key seen twice proves no hnf."""
     ranks: dict[tuple, int] = {}
     out: list = []
     stack: list[tuple[Term, int]] = [(t, 0)]
@@ -123,13 +121,12 @@ def _canonical_core_key(t: Term) -> tuple:
 # lambda-calculus machine", HOSC 20, 2007): a state is the hints of the
 # λ-prefix (hnf only), a head that is not an application, and the
 # arguments of the head as a persistent linked stack, innermost on top.
-# A stack node is ``(arg, below, depth, size, gate)``: ``depth`` counts
-# the arguments, ``size`` is their total size plus one application node
-# each, and ``gate`` hashes the argument sequence, ``hash((arg._h,
-# below's gate))``.  A step pops one argument and pushes the spine of the
+# A stack node is ``(arg, below, depth, size)``: ``depth`` counts the
+# arguments and ``size`` is their total size plus one application node
+# each.  A step pops one argument and pushes the spine of the
 # contractum: it substitutes into the arguments and the head of the
 # body's spine, and never builds the spine's application nodes.
-_EMPTY = (None, None, 0, 0, 0)
+_EMPTY = (None, None, 0, 0)
 
 
 def _unwind(t: Term, stack: tuple, hints: list[str] | None) -> tuple[Term, tuple]:
@@ -140,7 +137,7 @@ def _unwind(t: Term, stack: tuple, hints: list[str] | None) -> tuple[Term, tuple
     while True:
         while type(t) is App:
             a = t.arg
-            stack = (a, stack, stack[2] + 1, stack[3] + a.size + 1, hash((a._h, stack[4])))
+            stack = (a, stack, stack[2] + 1, stack[3] + a.size + 1)
             t = t.fn
         if hints is None or type(t) is not Lam or stack[2]:
             return t, stack
@@ -163,7 +160,7 @@ def _contract(body: Term, arg: Term, stack: tuple, hints: list[str] | None) -> t
                 t = arg if t.index == 0 else Var(t.index - 1)
         if type(body) is not App:
             return _unwind(t, stack, hints)
-        stack = (t, stack, stack[2] + 1, stack[3] + t.size + 1, hash((t._h, stack[4])))
+        stack = (t, stack, stack[2] + 1, stack[3] + t.size + 1)
         body = body.fn
 
 
@@ -181,13 +178,11 @@ def _term(hints: list[str], n: int, head: Term, stack: tuple) -> Term:
 
 class _Recurrences:
     """A run's recurrence table, for every target.  Each state is filed
-    under a gate that equal keys share: for hnf the core's size and spine
-    length (cores with equal canonical keys have the same shape), and
-    otherwise the size, the head's hash and the stack's gate hash.  The
-    first state of a gate waits unbuilt; once a second one arrives, both
-    are built and keyed, by the canonical core key for hnf and by the
-    term itself otherwise.  The λ-prefix never enters a key, so no state
-    keeps its hints."""
+    under its gate, the size and spine length of its term, which equal
+    keys share.  The first state of a gate waits unbuilt; once a second
+    one arrives, both are built and keyed, by the canonical core key for
+    hnf and by the term itself otherwise.  The λ-prefix never enters a
+    key, so no state keeps its hints."""
 
     __slots__ = ("core", "keys", "waiting")
 
@@ -202,8 +197,7 @@ class _Recurrences:
 
     def repeats(self, head: Term, stack: tuple) -> bool:
         """Record a state; True when an earlier recorded one has its key."""
-        size = head.size + stack[3]
-        gate = (size, stack[2]) if self.core else (size, head._h, stack[4])
+        gate = (head.size + stack[3], stack[2])
         if gate not in self.waiting:
             self.waiting[gate] = (head, stack)
             return False

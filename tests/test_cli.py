@@ -248,6 +248,25 @@ def test_bt_of_a_growing_term_at_the_default_fuel_fits_in_2_gb(term):
     assert res.stdout == "? (fuel)\n"
 
 
+def _limit_address_space_to_200_mb():
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (200 << 20, hard))
+
+
+def test_a_run_out_of_memory_exits_3_without_a_traceback():
+    # K9: the hnf tree of Y0 S grows without bound in memory; run it
+    # only under an address-space cap.
+    src = str(Path(lamclock.__file__).parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "lamclock.cli", "bt", "Y0 S", "--depth", "3"],
+        capture_output=True, text=True, encoding="utf-8",
+        env=os.environ | {"PYTHONPATH": src},
+        preexec_fn=_limit_address_space_to_200_mb, timeout=60,
+    )
+    assert res.returncode == 3, res.stderr[-2000:]
+    assert (res.stdout, res.stderr) == ("", "error: out of memory\n")
+
+
 def _limit_cpu_time():
     resource.setrlimit(resource.RLIMIT_CPU, (120, 120))
 

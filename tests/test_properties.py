@@ -687,6 +687,13 @@ def test_normalize_matches_the_reference_loop(t, fuel):
 # -- the machine's head steps against contraction at a looked-up position --
 
 
+def _core(t):
+    """``t`` under its λ-prefix."""
+    while type(t) is Lam:
+        t = t.body
+    return t
+
+
 def _head_reduce_reference(t, target, fuel):
     """``head_reduce`` as a position lookup: each step is ``contract_at``
     at the head redex's position, and the hnf search keys every visited
@@ -724,7 +731,7 @@ def _head_reduce_reference(t, target, fuel):
                     return RESOLVED, steps, t, trace
                 pos = position(t, False)
             if len(seen) < cap:
-                k = _canonical_core_key(t) if target == "hnf" else t
+                k = _canonical_core_key(_core(t)) if target == "hnf" else t
                 if k in seen:
                     return PROVEN_DIVERGENT, steps, None, trace
                 seen[k] = len(steps)
@@ -829,6 +836,59 @@ def test_root_stable_probe_reuse_matches_the_reference_run(term, cap, monkeypatc
         _same_head_runs(term, fuel, ("root_stable",))
 
 
+class _EagerRecurrences:
+    """``reduction._Recurrences`` without its gate: every recorded state
+    is built and keyed at once, with the same key functions."""
+
+    def __init__(self, core):
+        self.core = core
+        self.keys = set()
+
+    def repeats(self, head, stack):
+        t = reduction._term([], 0, head, stack)
+        k = _canonical_core_key(t) if self.core else t
+        if k in self.keys:
+            return True
+        self.keys.add(k)
+        return False
+
+
+def _head_runs(t, fuels):
+    return [
+        (out.status, out.steps, _with_hints(out.result))
+        for target in ("hnf", "whnf", "root_stable")
+        for fuel in fuels
+        for out in [head_reduce(t, target, fuel)]
+    ]
+
+
+def _same_runs_without_the_gate(t, fuels=range(201)):
+    gated = _head_runs(t, fuels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_Recurrences", _EagerRecurrences)
+        assert _head_runs(t, fuels) == gated
+
+
+@settings(**SETTINGS)
+@given(t=random_terms)
+@example(t=parse(f"({_LOOP6}) ({_LOOP6})", DEFS))
+@example(t=parse(_REPEAT_IN_PROBE, DEFS))
+def test_gating_the_recurrence_table_is_exact(t):
+    # A gate that is not a function of the key would let an equal state
+    # go unmatched, and the run would end later or differently.
+    _same_runs_without_the_gate(t)
+
+
+@pytest.mark.parametrize("name", C.catalog_names())
+def test_gating_the_recurrence_table_is_exact_on_the_catalog(name):
+    try:
+        t = C.catalog(name)
+    except ValueError:  # a family that needs a count
+        t = C.catalog(name, 3)
+    _same_runs_without_the_gate(t)
+    _same_runs_without_the_gate(App(t, Free("x")))
+
+
 # -- one head step against unwinding the instantiated body ------------------
 
 # open terms: indices 0 .. nbound - 1 occur free at the top
@@ -844,12 +904,18 @@ _step_args = st.integers(0, 2).flatmap(_open_terms)  # nbound 0: closed
 
 
 def _stack_nodes(stack):
-    """A machine stack's nodes, top first, as ``(arg, depth, size, gate)``."""
+    """A machine stack's nodes, top first, as ``(arg, depth, size)``."""
     out = []
     while stack[2]:
-        out.append((stack[0], stack[2], stack[3], stack[4]))
-        stack = stack[1]
+        arg, stack, depth, size = stack
+        out.append((arg, depth, size))
     return out
+
+
+def test_a_stack_node_has_four_fields():
+    assert reduction._EMPTY == (None, None, 0, 0)
+    stack = reduction._unwind(parse("s a (b c)"), reduction._EMPTY, None)[1]
+    assert _stack_nodes(stack) == [(parse("a"), 2, 6), (parse("b c"), 1, 4)]
 
 
 @settings(**SETTINGS)
