@@ -41,9 +41,10 @@ Workshop 2006): two ``functools.lru_cache``s keep a term's
 ``check_simple`` report and, once searched for, its simple reduct.
 Both are keyed on ``trees._Exact(term)``, so a hit must be the same
 term with the same binder hints, and on the bounds each reads: the
-report on ``depth`` and ``fuel``, the reduct on all five bounds of
-``DiscriminationConfig`` (neither on ``atomic``, since a tree records
-every step's position either way).  Each holds at most
+report on ``depth`` and ``fuel``, the reduct on those and
+``reduct_limit`` (neither on ``atomic``, since a tree records every
+step's position either way; the size rule follows from the term, and
+``CHECK_LIMIT`` is fixed).  Each holds at most
 ``PROFILE_LIMIT`` entries, evicts the least recently used first, and
 stores nothing for a call that raises.  A family's fpcs are shown new
 pair by pair, so a matrix over up to ``PROFILE_LIMIT`` terms profiles
@@ -376,22 +377,23 @@ def _eventually(prod: _Product) -> EventualResult:
 # ---------------------------------------------------------------------------
 # reduct search
 
-# The search bounds: terms made, the largest term kept, and the
-# simplicity checks after the term itself.
+# The search bounds: terms made (``reduct_limit``), the floor of the
+# size rule (``_frontier``), and the simplicity checks after the term
+# itself (``find_simple_reduct``).
 REDUCT_LIMIT = 2000
 SIZE_LIMIT = 500
 CHECK_LIMIT = 200
 
 
-def _frontier(
-    t: Term, limit: int, size_limit: int, smallest_first: bool
-) -> Iterator[Term]:
+def _frontier(t: Term, limit: int, smallest_first: bool) -> Iterator[Term]:
     """Yield ``t``, then the one-step reducts of each term yielded, in
-    redex order: each once up to renaming, none larger than
-    ``size_limit``, at most ``limit`` made, ``t`` included.  They come in
-    the order made, or smallest first (ties in the order made).  A
-    term's reducts are made only when the next term is asked for, and
-    not walked at all once ``limit`` terms are made."""
+    redex order: each once up to renaming, at most ``limit`` made, ``t``
+    included, and none larger than ``max(SIZE_LIMIT, 2 * t.size)``, the
+    one size rule of every search, so that a larger input keeps room to
+    reduce.  They come in the order made, or smallest first (ties in the
+    order made).  A term's reducts are made only when the next term is
+    asked for, and not walked at all once ``limit`` terms are made."""
+    size_limit = max(SIZE_LIMIT, 2 * t.size)
     seen = {t}
     heap = [(0, 0, t)]
     while heap:
@@ -405,31 +407,26 @@ def _frontier(
             heappush(heap, (r.size if smallest_first else 0, len(seen), r))
 
 
-def enumerate_reducts(
-    t: Term, limit: int = REDUCT_LIMIT, size_limit: int = SIZE_LIMIT
-) -> list[Term]:
+def enumerate_reducts(t: Term, limit: int = REDUCT_LIMIT) -> list[Term]:
     """Breadth-first closure of ``t`` under single reduction steps (the
-    term itself first), deduplicated up to renaming; terms larger than
-    ``size_limit`` are pruned, at most ``limit`` terms are produced."""
-    return list(_frontier(t, limit, size_limit, False))
+    term itself first), deduplicated up to renaming; terms over
+    ``_frontier``'s size rule are pruned, at most ``limit`` terms are
+    produced."""
+    return list(_frontier(t, limit, False))
 
 
-def bounded_joinable(
-    a: Term, b: Term, limit: int = REDUCT_LIMIT, size_limit: int = SIZE_LIMIT
-) -> Term | None:
+def bounded_joinable(a: Term, b: Term, limit: int = REDUCT_LIMIT) -> Term | None:
     """A common reduct of ``a`` and ``b``, up to renaming, or None.
 
     Best-first on term size, as ``find_simple_reduct``: the two sides
     take turns, each taking the smallest term left on its frontier (at
-    most ``limit`` made, none larger than ``size_limit``), and they meet
+    most ``limit`` made, each side's size rule its own), and they meet
     when one side takes a term the other has taken.  The first side's
     term is returned, so ``bounded_joinable(a, a)`` is ``a``.  None when
     both frontiers run dry without a meeting."""
     left: dict[Term, Term] = {}
     right: set[Term] = set()
-    for x, y in zip_longest(
-        _frontier(a, limit, size_limit, True), _frontier(b, limit, size_limit, True)
-    ):
+    for x, y in zip_longest(_frontier(a, limit, True), _frontier(b, limit, True)):
         if x is not None:
             if x in right:
                 return x
@@ -446,8 +443,6 @@ def find_simple_reduct(
     depth: int = DEFAULT_DEPTH,
     fuel: int = DEFAULT_FUEL,
     limit: int = REDUCT_LIMIT,
-    size_limit: int = SIZE_LIMIT,
-    check_limit: int = CHECK_LIMIT,
     *,
     report: SimplicityReport | None = None,
 ) -> tuple[Term, SimplicityReport] | None:
@@ -456,13 +451,13 @@ def find_simple_reduct(
     Best-first on term size (Hart, Nilsson and Raphael 1968): check the
     smallest term made so far, ``t`` first, and make the new reducts of
     one that is not simple.  At most ``limit`` terms are made, ``t``
-    included, and at most ``check_limit`` are checked after ``t``.
+    included, none over ``_frontier``'s size rule, and at most
+    ``CHECK_LIMIT`` are checked after ``t``.
     ``report``, when given, is ``check_simple(t, depth, fuel)``, made
     by the caller and not made again.  A candidate's check stops at its
     first non-simple step, since the search needs no more of its tree.
     """
-    candidates = _frontier(t, limit, size_limit, True)
-    for cur in islice(candidates, max(check_limit + 1, 0)):
+    for cur in islice(_frontier(t, limit, True), CHECK_LIMIT + 1):
         if cur is t and report is not None:
             rep = report if report.status == "simple" else None
         else:
@@ -505,8 +500,6 @@ class DiscriminationConfig:
     fuel: int = DEFAULT_FUEL
     atomic: bool = False
     reduct_limit: int = REDUCT_LIMIT
-    size_limit: int = SIZE_LIMIT
-    simple_check_limit: int = CHECK_LIMIT
 
 
 PROFILE_LIMIT = 256  # entries of each profile cache (module docstring)
@@ -521,13 +514,12 @@ def _report(key: _Exact, depth: int, fuel: int) -> SimplicityReport:
 
 @lru_cache(maxsize=PROFILE_LIMIT)
 def _simple_reduct(
-    key: _Exact, depth: int, fuel: int, reduct_limit: int, size_limit: int,
-    check_limit: int,
+    key: _Exact, depth: int, fuel: int, reduct_limit: int
 ) -> tuple[Term, SimplicityReport] | None:
     """The key's term's simple reduct, a simple term being its own."""
     rep = _report(key, depth, fuel)
     return (key.term, rep) if rep else find_simple_reduct(
-        key.term, depth, fuel, reduct_limit, size_limit, check_limit, report=rep)
+        key.term, depth, fuel, reduct_limit, report=rep)
 
 
 def discriminate(
@@ -543,9 +535,9 @@ def discriminate(
     side improving eventually on the other is definitive.  Otherwise the
     verdict is inconclusive, and its evidence's ``simple_reduct`` says
     for each side whether a simple term or simple reduct was found
-    within ``reduct_limit`` and ``simple_check_limit``: a ``False``
-    names a side whose search ran out, and two ``True`` mean both closed
-    trees agree eventually.
+    within ``reduct_limit``, ``CHECK_LIMIT`` and the size rule of
+    ``_frontier``: a ``False`` names a side whose search ran out, and
+    two ``True`` mean both closed trees agree eventually.
 
     Each side's simplicity report and simple reduct come from the
     module's profile caches (``_report`` and ``_simple_reduct``), so a
@@ -583,9 +575,8 @@ def discriminate(
 
     # (2)/(3) need simple reducts, a simple side being its own; a simple
     # report's tree is closed, and it is the tree to compare
-    bounds = (cfg.depth, cfg.fuel, cfg.reduct_limit, cfg.size_limit,
-              cfg.simple_check_limit)
-    sm, sn = _simple_reduct(km, *bounds), _simple_reduct(kn, *bounds)
+    sm = _simple_reduct(km, cfg.depth, cfg.fuel, cfg.reduct_limit)
+    sn = _simple_reduct(kn, cfg.depth, cfg.fuel, cfg.reduct_limit)
     tsm = sm[1].tree if sm else None
     tsn = sn[1].tree if sn else None
 

@@ -1,7 +1,10 @@
+import contextlib
 import sys
+from unittest import mock
 
 import pytest
 
+import lamclock.compare as compare
 from lamclock.combinators import standard_definitions
 
 
@@ -17,3 +20,29 @@ def default_recursion_limit():
     sys.setrecursionlimit(1000)
     yield
     sys.setrecursionlimit(limit)
+
+
+@pytest.fixture(scope="session")
+def search_bounds():
+    """A context manager that sets ``compare``'s fixed search bounds
+    (``SIZE_LIMIT``, ``CHECK_LIMIT``) to its keyword arguments.  Neither
+    is part of a profile cache's key, so both caches are emptied on
+    entry and on exit: no verdict made under other bounds is served.
+    Session-scoped, so that Hypothesis tests may use it too."""
+
+    def clear():
+        compare._report.cache_clear()
+        compare._simple_reduct.cache_clear()
+
+    @contextlib.contextmanager
+    def setting(**bounds):
+        with contextlib.ExitStack() as patches:
+            for name, value in bounds.items():
+                patches.enter_context(mock.patch.object(compare, name, value))
+            clear()
+            try:
+                yield
+            finally:
+                clear()
+
+    return setting

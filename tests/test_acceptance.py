@@ -216,7 +216,7 @@ def test_criterion_08_enumerator_figures():
     v12 = discriminate(E1, E2, DiscriminationConfig())
     if v12.conclusion != INCONCLUSIVE:
         problems.append(f"e1/e2 verdict {v12.conclusion}")
-    if bounded_joinable(E1, E2, limit=2000, size_limit=500) is None:
+    if bounded_joinable(E1, E2, limit=2000) is None:
         problems.append("e1/e2 common reduct not found")
     _report(8, "enumerator trees match the stored annotation lists; verdicts agree", problems)
 

@@ -34,7 +34,7 @@ from lamclock.compare import (
     subseq_le,
 )
 from lamclock.parser import parse, pretty
-from lamclock.reduction import gross_knuth
+from lamclock.reduction import gross_knuth, one_step_reducts
 from lamclock.terms import Free, HeadPos, iterate
 from lamclock.trees import (
     ClockTree,
@@ -329,18 +329,18 @@ def test_globally_tells_binders_apart_on_cyclic_trees(defs, semantics):
 
 
 def test_enumerate_reducts_small(defs):
-    rs = enumerate_reducts(parse("I I", defs), limit=10, size_limit=50)
+    rs = enumerate_reducts(parse("I I", defs), limit=10)
     assert sorted(pretty(r) for r in rs) == [r"(\x.x) (\x.x)", r"\x.x"]
 
 
 def test_bounded_joinable_finds_common_reduct():
-    j = bounded_joinable(E1, E2, limit=2000, size_limit=500)
+    j = bounded_joinable(E1, E2, limit=2000)
     assert j is not None
     assert j == E1
 
 
 def test_bounded_joinable_negative(defs):
-    assert bounded_joinable(parse("I", defs), parse(r"\x. x x"), limit=200, size_limit=100) is None
+    assert bounded_joinable(parse("I", defs), parse(r"\x. x x"), limit=200) is None
 
 
 @pytest.mark.parametrize(
@@ -365,27 +365,63 @@ def test_bounded_joinable_returns_the_first_sides_term():
     assert pretty(bounded_joinable(y, x)) == r"\y.y"
 
 
-def test_size_pruned_pool_is_not_exhaustive():
-    # Every reduct of scott_seq(1) is larger than 30, so its pool holds the
-    # term alone: short of the limit, but not closed under reduction; with
-    # no check past the terms themselves, neither side finds a simple term.
-    assert len(enumerate_reducts(scott_seq(1), size_limit=30)) == 1
-    cfg = DiscriminationConfig(size_limit=30, simple_check_limit=0)
-    v = discriminate(scott_seq(1), scott_seq(0), cfg)
+def test_size_pruned_pool_is_not_exhaustive(search_bounds):
+    # The one reduct of this 21-node term, M M M, has 44 nodes: more than
+    # twice the term, so under a 30-node floor its pool holds the term
+    # alone, short of the limit but not closed under reduction.  With no
+    # check past the terms themselves, neither side finds a simple term.
+    t = parse(r"(\x. x x x) (\y. f y y y y y y)")
+    assert t.size == 21 and [r.size for r in one_step_reducts(t)] == [44]
+    with search_bounds(SIZE_LIMIT=30):
+        assert enumerate_reducts(t) == [t]
+    with search_bounds(CHECK_LIMIT=0):
+        v = discriminate(scott_seq(1), scott_seq(0))
     assert v.conclusion == INCONCLUSIVE
     assert v.evidence["simple_reduct"] == [False, False]
 
 
-def test_size_pruned_pool_never_certifies_a_convertible_pair(defs):
+def test_size_pruned_pool_never_certifies_a_convertible_pair(defs, search_bounds):
     # Y0 f has infinitely many reducts, 47 of them of size at most 60;
     # f^30 ((\x.f (x x)) (\x.f (x x))) is one of the others.
     m = parse("Y0 f", defs)
     n = iterate("right", Free("f"), parse(r"(\x. f (x x)) (\x. f (x x))"), 30)
-    assert len(enumerate_reducts(m, size_limit=60)) == 47
-    v = discriminate(m, n, DiscriminationConfig(size_limit=60))
+    with search_bounds(SIZE_LIMIT=60):
+        assert len(enumerate_reducts(m)) == 47
+        v = discriminate(m, n)
     assert v.conclusion == INCONCLUSIVE
     # Y0 f is simple; the search from n runs out without a simple reduct
     assert v.evidence["simple_reduct"] == [True, False]
+
+
+# Family neighbours past SIZE_LIMIT (500 nodes): each side's search keeps
+# terms of up to twice its size, so it still reaches a simple reduct.
+_FAMILIES = {
+    "scott_seq": scott_seq,
+    "gvector(Y0)": functools.partial(gvector, Y0),
+    "gvector(Y1)": functools.partial(gvector, Y1),
+}
+
+
+@pytest.mark.parametrize("n", [24, 48, 64])
+@pytest.mark.parametrize("family", _FAMILIES.values(), ids=_FAMILIES.keys())
+def test_family_neighbours_are_told_apart_past_the_size_floor(family, n):
+    m = family(n)
+    assert (m.size > compare.SIZE_LIMIT) == (n >= 48)
+    v = discriminate(m, family(n + 1))
+    assert (v.conclusion, v.justification) == (INCONVERTIBLE, "simple-eventual-mismatch")
+
+
+def test_bbb_scheme_neighbours_need_more_terms_made():
+    # bbb_scheme(Y0, 48) has 1,007 nodes.  Its simple reduct is among the
+    # first CHECK_LIMIT terms checked, but the frontier makes REDUCT_LIMIT
+    # terms before it gets there: the default search ends open on both
+    # sides, and twice the limit certifies the pair.
+    m, n = bbb_scheme(Y0, 48), bbb_scheme(Y0, 49)
+    v = discriminate(m, n)
+    assert (v.conclusion, v.justification) == (INCONCLUSIVE, "none")
+    assert v.evidence["simple_reduct"] == [False, False]
+    v = discriminate(m, n, DiscriminationConfig(reduct_limit=2 * compare.REDUCT_LIMIT))
+    assert (v.conclusion, v.justification) == (INCONVERTIBLE, "simple-eventual-mismatch")
 
 
 def test_no_caller_certificate_for_unimproved_pools():
@@ -477,11 +513,12 @@ def _count_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [0, 3])
-def test_find_simple_reduct_check_limit(k, monkeypatch):
-    # check_limit caps the checks after the term itself
+def test_find_simple_reduct_check_limit(k, monkeypatch, search_bounds):
+    # CHECK_LIMIT caps the checks after the term itself
     checked = _count_checks(monkeypatch)
     term = bbb_scheme(Y0, 1)
-    assert find_simple_reduct(term, check_limit=k) is None
+    with search_bounds(CHECK_LIMIT=k):
+        assert find_simple_reduct(term) is None
     assert checked[0] == term
     assert len(checked) == k + 1
     # limit caps the terms made, the term itself included, so at most
@@ -492,13 +529,14 @@ def test_find_simple_reduct_check_limit(k, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [0, 3])
-def test_find_simple_reduct_starts_from_a_given_report(k, monkeypatch):
+def test_find_simple_reduct_starts_from_a_given_report(k, monkeypatch, search_bounds):
     # the given report stands for the check of the term itself, and
-    # check_limit still caps the checks after it
+    # CHECK_LIMIT still caps the checks after it
     term = bbb_scheme(Y0, 1)
     report = compare.check_simple(term)
     checked = _count_checks(monkeypatch)
-    assert find_simple_reduct(term, check_limit=k, report=report) is None
+    with search_bounds(CHECK_LIMIT=k):
+        assert find_simple_reduct(term, report=report) is None
     assert term not in checked
     assert len(checked) == k
 
@@ -593,8 +631,7 @@ def _calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("bound", ["depth", "fuel", "reduct_limit", "size_limit",
-                                   "simple_check_limit"])
+@pytest.mark.parametrize("bound", ["depth", "fuel", "reduct_limit"])
 def test_profile_table_keys_on_every_bound(bound, monkeypatch):
     checked = _count_checks(monkeypatch)
     m, n = scott_seq(1), bbb_scheme(Y0, 1)

@@ -28,7 +28,7 @@ from lamclock.compare import (
     holds_globally,
     subseq_le,
 )
-from lamclock import reduction, trees
+from lamclock import compare, reduction, trees
 from lamclock.cli import _dumps
 from lamclock.parser import ParseError, _parse_tokens, _pick_name, _tokenize, parse, pretty
 from lamclock.reduction import (
@@ -608,9 +608,10 @@ def _redex_positions_reference(t):
     return [p for p in sorted(positions(t)) if is_redex(subterm_at(t, p))]
 
 
-def _enumerate_reducts_reference(t, limit, size_limit=500):
+def _enumerate_reducts_reference(t, limit):
     """Breadth-first reduct search with the redexes found by the reference
-    lookup above."""
+    lookup above, under the search's size rule."""
+    size_limit = max(compare.SIZE_LIMIT, 2 * t.size)
     seen = {t}
     out = [t]
     i = 0
@@ -1048,17 +1049,18 @@ def test_develop_matches_the_recursive_reference(t, keep, extra):
 
 
 @pytest.mark.parametrize(
-    "pool, size",
+    "pool, bounds, size",
     [
-        (lambda: enumerate_reducts(C.scott_seq(1), limit=300), 300),
-        (lambda: enumerate_reducts(parse("Y0 f", DEFS), size_limit=60), 47),
+        (lambda: enumerate_reducts(C.scott_seq(1), limit=300), {}, 300),
+        (lambda: enumerate_reducts(parse("Y0 f", DEFS)), {"SIZE_LIMIT": 60}, 47),
         # omega reduces to itself, and the whole term to \y.y
-        (lambda: enumerate_reducts(parse(r"(\x y. y) ((\x. x x) (\x. x x))")), 2),
+        (lambda: enumerate_reducts(parse(r"(\x y. y) ((\x. x x) (\x. x x))")), {}, 2),
     ],
     ids=["scott_seq(1)", "Y0 f, size_limit=60", "K* omega"],
 )
-def test_enumerate_reducts_pool_size(pool, size):
-    assert len(pool()) == size
+def test_enumerate_reducts_pool_size(pool, bounds, size, search_bounds):
+    with search_bounds(**bounds):
+        assert len(pool()) == size
 
 
 # -- the product graph's peel -------------------------------------------------
@@ -1244,15 +1246,9 @@ def _redex_ancestor(rng):
     return ancestor
 
 
-def test_no_false_separation_on_convertible_corpus(defs):
+def test_no_false_separation_on_convertible_corpus(defs, search_bounds):
     rng = random.Random(20260822)
-    cfg = DiscriminationConfig(
-        depth=6,
-        fuel=1000,
-        reduct_limit=100,
-        size_limit=200,
-        simple_check_limit=20,
-    )
+    cfg = DiscriminationConfig(depth=6, fuel=1000, reduct_limit=100)
     handpicked = [
         (parse("Y0", defs), gross_knuth(gross_knuth(parse("Y0", defs)))),
         (C.E1, C.E2),
@@ -1269,33 +1265,52 @@ def test_no_false_separation_on_convertible_corpus(defs):
     # pairs of one term twice test nothing
     assert sum(a != b for a, b in pairs) >= 150
     false_separations = []
-    for i, (a, b) in enumerate(pairs):
-        v = discriminate(a, b, cfg)
-        if v.conclusion == INCONVERTIBLE:
-            false_separations.append((i, pretty(a), pretty(b), v.justification))
+    with search_bounds(SIZE_LIMIT=200, CHECK_LIMIT=20):
+        for i, (a, b) in enumerate(pairs):
+            v = discriminate(a, b, cfg)
+            if v.conclusion == INCONVERTIBLE:
+                false_separations.append((i, pretty(a), pretty(b), v.justification))
     assert false_separations == []
 
 
-def test_every_meeting_term_is_a_reduct_of_both_sides():
+@pytest.mark.parametrize(
+    "ancestor",
+    [C.scott_seq(48), C.gvector(C.Y0, 48), C.gvector(C.Y1, 64)],
+    ids=["scott_seq(48)", "gvector(Y0, 48)", "gvector(Y1, 64)"],
+)
+def test_walks_past_the_size_floor_are_never_separated(ancestor):
+    # Walks from a term over SIZE_LIMIT: each side's search still finds
+    # a simple reduct, and the two closed trees must agree eventually.
+    rng = random.Random(20261020)
+    cap = 2 * ancestor.size
+    pairs = [(_random_walk(rng, ancestor, cap), _random_walk(rng, ancestor, cap))
+             for _ in range(4)]
+    assert sum(a != b for a, b in pairs) >= 3
+    for a, b in pairs:
+        v = discriminate(a, b)
+        assert v.conclusion == compare.INCONCLUSIVE
+        assert v.evidence["simple_reduct"] == [True, True]
+
+
+def test_every_meeting_term_is_a_reduct_of_both_sides(search_bounds):
     # The join's frontier is checked against the reference search: with
-    # the same size bound and no limit hit, that is the whole closure.
+    # the same size rule and no limit hit, that is the whole closure.
     rng = random.Random(20261019)
-    limit, size_limit, closure_limit = 200, 60, 400
+    limit, closure_limit = 200, 400
     checked = 0
-    for _ in range(100):
-        ancestor = _redex_ancestor(rng)
-        a = _random_walk(rng, ancestor)
-        b = _random_walk(rng, ancestor)
-        j = bounded_joinable(a, b, limit=limit, size_limit=size_limit)
-        if j is None:
-            continue
-        closures = [
-            _enumerate_reducts_reference(t, closure_limit, size_limit) for t in (a, b)
-        ]
-        if any(len(c) >= closure_limit for c in closures):
-            continue
-        assert all(j in c for c in closures), (pretty(a), pretty(b), pretty(j))
-        checked += 1
+    with search_bounds(SIZE_LIMIT=60):
+        for _ in range(100):
+            ancestor = _redex_ancestor(rng)
+            a = _random_walk(rng, ancestor)
+            b = _random_walk(rng, ancestor)
+            j = bounded_joinable(a, b, limit=limit)
+            if j is None:
+                continue
+            closures = [_enumerate_reducts_reference(t, closure_limit) for t in (a, b)]
+            if any(len(c) >= closure_limit for c in closures):
+                continue
+            assert all(j in c for c in closures), (pretty(a), pretty(b), pretty(j))
+            checked += 1
     assert checked >= 80
 
 

@@ -4,19 +4,24 @@ top level; every module-level private helper and every ``__slots__``
 name is read somewhere in the package, every public one and every
 dataclass field somewhere in the package, the tests or the benchmark,
 and the public ones that only tests read are a pinned list;
-``compare.py`` reads every ``DiscriminationConfig`` setting and
-expands reducts in ``_frontier`` alone, only ``trees._Exact``
+``DiscriminationConfig`` holds exactly the bounds ``lamclock compare``
+sets, ``compare.py`` reads every one of them, expands reducts in
+``_frontier`` alone and reads each fixed search bound in one function,
+only ``trees._Exact``
 compares terms with their binder hints, ``Term.__eq__`` is the one
 walk that compares two terms, no module reads a free-name set off a
 term, and no function calls itself by name beyond a pinned list."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import pytest
 
 import lamclock
+from lamclock.cli import compare_cmd
+from lamclock.compare import DiscriminationConfig
 
 MODULES = sorted(Path(lamclock.__file__).parent.glob("*.py"))
 
@@ -281,6 +286,14 @@ def test_every_discrimination_setting_is_read():
     assert [f for f in unread if f.startswith("DiscriminationConfig.")] == []
 
 
+def test_the_config_holds_the_compare_options():
+    # every discrimination bound is one that ``lamclock compare`` sets:
+    # the command's options less those naming its input and output
+    options = {p.name for p in compare_cmd.params if p.param_type_name == "option"}
+    fields = {f.name for f in dataclasses.fields(DiscriminationConfig)}
+    assert options - {"defs_file", "as_json"} == fields
+
+
 def _readers_of(source: str, name: str) -> list[str]:
     """The top-level functions and classes of ``source`` that read
     ``name``, as a name or an attribute; any other top-level statement
@@ -313,6 +326,15 @@ def test_only_the_frontier_expands_reducts():
     # walks the reducts itself would read one_step_reducts
     source = (Path(lamclock.__file__).parent / "compare.py").read_text(encoding="utf-8")
     assert _readers_of(source, "one_step_reducts") == ["_frontier"]
+
+
+def test_one_reader_for_each_fixed_search_bound():
+    # the size rule is made from its floor in _frontier alone, and the
+    # check bound is read by the one search that checks; a second reader
+    # would be a second rule, or a parameter that sets one
+    source = (Path(lamclock.__file__).parent / "compare.py").read_text(encoding="utf-8")
+    assert _readers_of(source, "SIZE_LIMIT") == ["_frontier"]
+    assert _readers_of(source, "CHECK_LIMIT") == ["find_simple_reduct"]
 
 
 def test_one_node_test_table():
