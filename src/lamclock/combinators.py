@@ -1,12 +1,12 @@
-"""A catalog of combinators, fixed-point constructions, and related tooling.
+"""A catalog of combinators and fixed-point constructions.
 
-Everything here is a plain constructor: named standard combinators, the
+Most names here are plain constructors: named standard combinators, the
 two classic fixed-point combinators and the sequences generated from
 them (postfixed owls, composition vectors, iterated argument schemes),
-the self-application terms used to probe duplication behaviour, three
-evaluators for coded combinatory-logic terms, and the labeling /
-balancedness machinery for tracking how a marked free variable's
-descendants spread through reducts.
+and the self-application terms used to probe duplication behaviour.
+Beside them sit the scan for a nonzero clock on a duplicator's right
+forks, the pulse count of an atomic spine clock, and the lookup of a
+construction by name.
 
 A combinatory term is an ordinary term built by application from K and
 S, such as ``parse("S K (K S)", standard_definitions())``.
@@ -14,26 +14,9 @@ S, such as ``parse("S K (K S)", standard_definitions())``.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-
-from .parser import DefinitionTable, pretty
-from .reduction import DEFAULT_FUEL, RESOLVED, gross_knuth, normalize, one_step_reducts
-from .terms import (
-    App,
-    Free,
-    Lam,
-    Position,
-    Term,
-    Var,
-    app,
-    free_vars,
-    iterate,
-    lam,
-    replace_at,
-    subterms,
-)
-from .trees import DEFAULT_DEPTH, clocked_bt, compact_cyclic, node_at
+from .parser import DefinitionTable
+from .terms import App, Free, Lam, Position, Term, Var, app, iterate, lam
+from .trees import DEFAULT_DEPTH, compact_cyclic, node_at
 
 _DEFS_TEXT = r"""
 I = \x.x;
@@ -79,11 +62,9 @@ E2 = _d("E2")
 E3 = _d("E3")
 
 
-def omega_of(f: Term | str = "f") -> Term:
-    """λx.f(xx) for a free variable or term f."""
-    if isinstance(f, str):
-        f = Free(f)
-    return Lam("x", App(f, App(Var(0), Var(0))))
+def omega_of() -> Term:
+    """λx.f(xx) with f free."""
+    return Lam("x", App(Free("f"), App(Var(0), Var(0))))
 
 
 def bohm_seq(n: int) -> Term:
@@ -213,121 +194,11 @@ def plotkin_Bprime(y: Term | None = None) -> Term:
     return App(y, Lam("x", body))
 
 
-# ---------------------------------------------------------------------------
-# the label/balance machinery
-
-
-@dataclass(frozen=True)
-class LabeledTerm:
-    """A term with one designated free variable marking tracked
-    occurrences; the marker must not occur in the unlabeled original."""
-
-    term: Term
-    label: str = "f_star"
-
-
-def label_plotkin_A(y: Term | None = None, label: str = "f_star") -> LabeledTerm:
-    """y(λz.f★zz) with the duplicating argument's head marked."""
-    if y is None:
-        y = Y1
-    if label in free_vars(y):
-        raise ValueError(f"label {label!r} already occurs in the combinator")
-    return LabeledTerm(App(y, lam("z", app(Free(label), Var(0), Var(0)))), label)
-
-
-def is_balanced(t: LabeledTerm | Term, label: str = "f_star") -> bool:
-    """Does every subterm of shape (label s) u have s α-equal to u?"""
-    if isinstance(t, LabeledTerm):
-        t, label = t.term, t.label
-    for _, sub in subterms(t):
-        match sub:
-            case App(App(Free(name), s), u) if name == label:
-                if s != u:
-                    return False
-    return True
-
-
-def balanced_reducts(t: LabeledTerm, count: int, expand_cap: int = 400) -> list[Term]:
-    """Sample up to ``count`` distinct balanced reducts.
-
-    Worklist closure over balanced reducts only: from each one, take
-    its full development (which preserves balance), its one-step
-    reducts that happen to stay balanced, and symmetric two-step
-    reducts contracting the same redex inside both copies of a
-    duplicated argument of the label.  ``expand_cap`` bounds how many
-    terms get expanded.
-    """
-    out: list[Term] = []
-    seen: set[Term] = {t.term}
-    frontier: deque[Term] = deque()
-    if is_balanced(t.term, t.label):
-        out.append(t.term)
-        frontier.append(t.term)
-
-    def add(r: Term) -> bool:
-        if r not in seen:
-            seen.add(r)
-            if is_balanced(r, t.label):
-                out.append(r)
-                frontier.append(r)
-        return len(out) >= count
-
-    expanded = 0
-    while frontier and len(out) < count and expanded < expand_cap:
-        cur = frontier.popleft()
-        expanded += 1
-        if add(gross_knuth(cur)):
-            break
-        if any(add(r) for r in one_step_reducts(cur)):
-            break
-        done = False
-        for pos, sub in subterms(cur):
-            if done:
-                break
-            match sub:
-                case App(App(Free(name), s), u) if name == t.label and s == u:
-                    for mirrored in one_step_reducts(s):
-                        paired = App(App(Free(name), mirrored), mirrored)
-                        if add(replace_at(cur, pos, paired)):
-                            done = True
-                            break
-    return out[:count]
-
-
-def spine_evidence(
-    t: Term, var: str = "x", depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL
-) -> int:
-    """Depth-bounded fixed-point evidence.
-
-    Applies ``t`` to the fresh variable ``var`` and counts how many
-    consecutive levels of the resulting clocked tree form the pure
-    unary spine ``var(var(...))``.  A term whose tree is that spine to
-    the full requested depth behaves as a fixed-point builder as far
-    as the bound can see.
-    """
-    tree = clocked_bt(App(t, Free(var)), depth, fuel)
-    node = tree.root
-    levels = 0
-    while (
-        node.kind == "hnf"
-        and not node.binders
-        and node.head_ref == ("f", var)
-        and len(node.children) == 1
-    ):
-        levels += 1
-        node = node.children[0]
-    return levels
-
-
-def plotkin_nonzero_witness(
-    t: LabeledTerm | Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL
-) -> Position | None:
+def plotkin_nonzero_witness(t: Term, depth: int = DEFAULT_DEPTH) -> Position | None:
     """First position of shape (12)*2 whose clock annotation is
     nonzero, scanning the cyclic clocked tree; None if all such
     positions resolved within ``depth`` are zero."""
-    if isinstance(t, LabeledTerm):
-        t = t.term
-    tree = compact_cyclic(t, depth, fuel)
+    tree = compact_cyclic(t, depth)
     for m in range(depth):
         pos = (1, 2) * m + (2,)
         node = node_at(tree, pos)
@@ -336,46 +207,6 @@ def plotkin_nonzero_witness(
         if node.count:
             return pos
     return None
-
-
-# ---------------------------------------------------------------------------
-# coded combinatory logic
-
-
-_LEAF_CODES = {c: Lam("z", app(Var(0), K, c, I)) for c in (K, S)}
-
-
-def encode_cl(m: Term) -> Term:
-    """The self-describing coding of a combinatory term: leaves carry a
-    K tag and themselves, applications a KI tag and the coded parts.
-
-    A leaf counts as K or S when it is α-equal to it, and codes as the
-    module's own constant; any other leaf is a ``ValueError``.  One loop
-    over an explicit stack, so a term of any depth codes."""
-    done: list[Term] = []
-    # pending work, next item last: a subterm to code, or None to join
-    # the last two codes as an application's
-    todo: list[Term | None] = [m]
-    while todo:
-        u = todo.pop()
-        if u is None:
-            b, a = done.pop(), done.pop()
-            done.append(Lam("z", app(Var(0), App(K, I), a, b)))
-        elif type(u) is App:
-            todo += (None, u.arg, u.fn)
-        elif u in _LEAF_CODES:
-            done.append(_LEAF_CODES[u])
-        else:
-            raise ValueError(f"not a combinatory term: leaf {pretty(u)!r} is neither K nor S")
-    return done[0]
-
-
-def evaluator_check(e: Term, m: Term, fuel: int = DEFAULT_FUEL) -> bool:
-    """Does the evaluator applied to the coded combinatory term ``m``
-    recover ``m`` itself?  Both sides are normalized and compared."""
-    ne = normalize(App(e, encode_cl(m)), fuel)
-    nm = normalize(m, fuel)
-    return ne.status == nm.status == RESOLVED and ne.result == nm.result
 
 
 # ---------------------------------------------------------------------------

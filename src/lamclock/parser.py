@@ -204,14 +204,13 @@ def _pick_name(base: str, taken: set[str]) -> str:
     return f"{stem}{k}"
 
 
-def pretty(t: Term, compact_lambda: bool = False) -> str:
+def pretty(t: Term) -> str:
     """Print with minimal parentheses; ``parse(pretty(t))`` is alpha-equal to ``t``.
 
     Binder hints are kept where possible and renamed with a numeric
     suffix where they would collide with a name already in scope.  One
     loop over an explicit stack, so a term of any depth prints.
     """
-    lam_sym = "λ" if compact_lambda else "\\"
     out: list[str] = []
     # pending work, next item last: text to write, or a subterm with the
     # names in scope, the names taken and its context ("top", "fn", "arg")
@@ -236,7 +235,7 @@ def pretty(t: Term, compact_lambda: bool = False) -> str:
                     names.append(n)
                     inner_taken.add(n)
                     body = body.body
-                parts = [f"{lam_sym}{' '.join(names)}.", (body, scope + names, inner_taken, "top")]
+                parts = [f"\\{' '.join(names)}.", (body, scope + names, inner_taken, "top")]
                 todo.extend(reversed(["(", *parts, ")"] if ctx in ("fn", "arg") else parts))
             case App(f, a):
                 parts = [(f, scope, taken, "fn"), " ", (a, scope, taken, "arg")]

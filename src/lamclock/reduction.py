@@ -1,4 +1,4 @@
-"""Reduction: head steps toward a chosen target, developments, normalization.
+"""Reduction: head steps toward a chosen target, redex bookkeeping, normalization.
 
 ``head_reduce`` drives a term toward head normal form, weak head normal
 form, or a root-stable form, logging the position of every contracted
@@ -413,36 +413,6 @@ def is_normal(t: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# developments
-
-
-def develop(t: Term, marks: set[Position] | list[Position]) -> Term:
-    """Complete development of the marked redexes, contracted inside-out.
-
-    Every mark must address a redex of ``t``; residuals of one mark
-    under another are contracted as part of the development, and no
-    newly created redex is touched.  Each mark is contracted in turn by
-    ``contract_at``, in reverse lexicographic order of the positions:
-    as directions run ``0 < 1 < 2`` that is reverse preorder, so a mark
-    comes after every mark inside it.  A contraction changes only its
-    own subtree, so every mark outside it keeps its position, and one
-    around it still addresses a redex.
-    """
-    markset = {tuple(p) for p in marks}
-    for p in markset:
-        if not is_redex(subterm_at(t, p)):
-            raise TermError(f"development mark {pos_str(p)} is not a redex")
-    for p in sorted(markset, reverse=True):
-        t = contract_at(t, p)
-    return t
-
-
-def gross_knuth(t: Term) -> Term:
-    """Develop every redex of ``t`` at once."""
-    return develop(t, set(redex_positions(t)))
-
-
-# ---------------------------------------------------------------------------
 # full normalization
 
 
@@ -479,16 +449,16 @@ def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeOutcome:
 # fixed point combinator order
 
 
-def reducing_fpc_order(y: Term, fuel: int = DEFAULT_FUEL) -> int | None:
+def reducing_fpc_order(y: Term) -> int | None:
     """Least k such that ``y x`` head-reduces in k steps to ``x (y x)``.
 
     Returns None when the head trace of ``y x`` never passes through
-    that term (within fuel) — i.e. the operator does not *reduce* to its
+    that term (within the default fuel) — i.e. the operator does not *reduce* to its
     unfolding, even if it is convertible with it.
     """
     x = Free(_pick_name("x", free_vars(y)))
     goal = App(x, App(y, x))
     # ``goal`` is a head normal form, so the head reduction can only
     # meet it as its result.
-    out = head_reduce(App(y, x), "hnf", fuel)
+    out = head_reduce(App(y, x))
     return out.step_count if out.result == goal else None

@@ -34,9 +34,8 @@ from .terms import App, Free, Term, app, pos_str
 from .trees import check_simple, compact_cyclic, node_at
 
 
-def _cyclic_block(title: str, t: Term, *, semantics: str = "bt",
-                  atomic: bool = False, depth: int = 12) -> str:
-    tree = compact_cyclic(t, depth, semantics=semantics, atomic=atomic)
+def _cyclic_block(title: str, t: Term, *, semantics: str = "bt", atomic: bool = False) -> str:
+    tree = compact_cyclic(t, semantics=semantics, atomic=atomic)
     status = "closed" if tree.closed else "open"
     return f"-- {title} ({status}) --\n{render_text(tree)}"
 

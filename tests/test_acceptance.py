@@ -6,6 +6,7 @@ also prints ``criterion N: PASS|FAIL`` (visible with ``-s`` or on failure).
 
 import pathlib
 
+from fixtures import balanced_reducts
 from lamclock.combinators import (
     E1,
     E2,
@@ -15,10 +16,8 @@ from lamclock.combinators import (
     THETA,
     Y0,
     Y1,
-    balanced_reducts,
     bohm_seq,
     gvector,
-    label_plotkin_A,
     ones_exponents,
     plotkin_A,
     plotkin_B,
@@ -182,9 +181,9 @@ def test_criterion_07_balance_and_witnesses():
         w = plotkin_nonzero_witness(plotkin_Bprime(y), depth=8)
         if w is not None:
             problems.append(f"guarded/{name}: nonzero at {pos_str(w)}")
-    # (d) but every balanced reduct of the duplicator still ticks somewhere
-    lt = label_plotkin_A(Y1)
-    sample = balanced_reducts(lt, 50)
+    # (d) but every balanced reduct of the duplicator, whose free name f
+    # marks the tracked occurrences, still ticks somewhere
+    sample = balanced_reducts(plotkin_A(Y1), "f", 50)
     if len(sample) != 50:
         problems.append(f"only {len(sample)} balanced reducts")
     missing = sum(

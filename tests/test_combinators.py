@@ -1,14 +1,15 @@
-"""The term catalog, balance machinery, and coded-evaluator checks."""
+"""The term catalog, the duplicators' clock witnesses, and the balance law
+and coded evaluators from the test fixtures."""
 
 import importlib.resources as resources
 
 import pytest
 
 import lamclock.combinators as C
+from fixtures import balanced_reducts, encode_cl, evaluator_check, gross_knuth, is_balanced
 from lamclock.parser import parse, pretty
-from lamclock.reduction import gross_knuth
 from lamclock.terms import App, Free
-from lamclock.trees import compact_cyclic
+from lamclock.trees import compact_cyclic, node_at
 
 
 # -- generator schemes -------------------------------------------------------
@@ -62,55 +63,49 @@ FPC_CANDIDATES = [
 
 @pytest.mark.parametrize("name,mk", FPC_CANDIDATES, ids=[n for n, _ in FPC_CANDIDATES])
 def test_fixed_point_spine(name, mk):
-    # applied to a free variable, each candidate's tree is x(x(x(...)))
-    # for as many levels as we compute
-    assert C.spine_evidence(mk()) == 12
+    # applied to a free variable, each candidate's tree is x(x(x(...))):
+    # the cyclic tree closes, and reads as that spine at every level
+    tree = compact_cyclic(App(mk(), Free("x")))
+    assert tree.closed
+    for k in range(12):
+        node = node_at(tree, (2,) * k)
+        assert node.kind == "hnf" and not node.binders
+        assert node.head_ref == ("f", "x") and len(node.children) == 1
 
 
 # -- balance -----------------------------------------------------------------
 
 
-def test_labeled_duplicator_shape():
-    lt = C.label_plotkin_A(C.Y1)
-    assert lt.label == "f_star"
-    assert lt.term == parse(r"Y1 (\z. f_star z z)", C.standard_definitions())
-
-
-def test_label_collision_rejected():
-    with pytest.raises(ValueError):
-        C.label_plotkin_A(Free("f_star"))
+# The duplicator's free name f is its label: the tracked occurrences.
 
 
 def test_is_balanced():
-    lt = C.label_plotkin_A(C.Y0)
-    assert C.is_balanced(lt)
-    lopsided = App(App(Free("f_star"), C.I), C.K)
-    assert not C.is_balanced(lopsided)
+    assert is_balanced(C.plotkin_A(C.Y0), "f")
+    lopsided = App(App(Free("f"), C.I), C.K)
+    assert not is_balanced(lopsided, "f")
     # unmarked terms are vacuously balanced
-    assert C.is_balanced(C.Y1)
+    assert is_balanced(C.Y1, "f")
 
 
 @pytest.mark.parametrize("y", [lambda: C.Y0, lambda: C.Y1], ids=["curry", "turing"])
 def test_full_development_preserves_balance(y):
-    lt = C.label_plotkin_A(y())
-    t = lt.term
+    t = C.plotkin_A(y())
     for _ in range(5):
-        assert C.is_balanced(t, lt.label)
+        assert is_balanced(t, "f")
         t = gross_knuth(t)
 
 
 @pytest.mark.parametrize("y", [lambda: C.Y0, lambda: C.Y1], ids=["curry", "turing"])
 def test_balanced_reduct_sampler(y):
-    lt = C.label_plotkin_A(y())
-    rs = C.balanced_reducts(lt, 50)
+    rs = balanced_reducts(C.plotkin_A(y()), "f", 50)
     assert len(rs) == 50
     assert len(set(rs)) == 50
-    assert all(C.is_balanced(r, lt.label) for r in rs)
+    assert all(is_balanced(r, "f") for r in rs)
 
 
 def test_duplicator_tree_has_nonzero_annotation():
-    assert C.plotkin_nonzero_witness(C.label_plotkin_A(C.Y1)) == (2,)
-    assert C.plotkin_nonzero_witness(C.label_plotkin_A(C.Y0)) == (2,)
+    assert C.plotkin_nonzero_witness(C.plotkin_A(C.Y1)) == (2,)
+    assert C.plotkin_nonzero_witness(C.plotkin_A(C.Y0)) == (2,)
 
 
 @pytest.mark.parametrize("y", [lambda: C.Y0, lambda: C.Y1], ids=["curry", "turing"])
@@ -126,14 +121,14 @@ def test_cl_parse_rejects_malformed_input(text, defs):
     # a text that does not parse, or whose term has a leaf other than K
     # and S, is no combinatory term
     with pytest.raises(ValueError):
-        C.encode_cl(parse(text, defs))
+        encode_cl(parse(text, defs))
 
 
 def test_cl_parse_any_depth(defs, default_recursion_limit):
     # S (S (... K)), far deeper than the recursion limit, parses and codes
     n = 5000
-    code = C.encode_cl(parse("S (" * n + "K" + ")" * n, defs))
-    k, s = C.encode_cl(C.K), C.encode_cl(C.S)
+    code = encode_cl(parse("S (" * n + "K" + ")" * n, defs))
+    k, s = encode_cl(C.K), encode_cl(C.S)
     depth = 0
     while code is not k:
         tag, fn, code = code.body.fn.fn.arg, code.body.fn.arg, code.body.arg
@@ -144,8 +139,8 @@ def test_cl_parse_any_depth(defs, default_recursion_limit):
 
 def test_encode_cl_codes_an_alpha_variant_leaf_as_the_constant(defs):
     k = parse(r"\a b.a")
-    assert k is not C.K and C.encode_cl(k) is C.encode_cl(C.K)
-    assert pretty(C.encode_cl(parse(r"S (\a b.a)", defs))) == pretty(C.encode_cl(parse("S K", defs)))
+    assert k is not C.K and encode_cl(k) is encode_cl(C.K)
+    assert pretty(encode_cl(parse(r"S (\a b.a)", defs))) == pretty(encode_cl(parse("S K", defs)))
 
 
 def test_enumerator_spellings_frozen():
@@ -154,14 +149,14 @@ def test_enumerator_spellings_frozen():
 
 
 def test_evaluator_check(defs):
-    assert C.evaluator_check(C.E1, C.K)
-    assert C.evaluator_check(C.E2, C.K)
-    assert C.evaluator_check(C.E3, C.S)
-    assert C.evaluator_check(C.E3, parse("S K (K S)", defs))
+    assert evaluator_check(C.E1, C.K)
+    assert evaluator_check(C.E2, C.K)
+    assert evaluator_check(C.E3, C.S)
+    assert evaluator_check(C.E3, parse("S K (K S)", defs))
 
 
 def test_identity_is_not_an_evaluator(defs):
-    assert not C.evaluator_check(parse("I", defs), C.K)
+    assert not evaluator_check(parse("I", defs), C.K)
 
 
 # -- atomic spine patterns ---------------------------------------------------

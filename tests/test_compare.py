@@ -8,6 +8,7 @@ import random
 import pytest
 
 import lamclock.compare as compare
+from fixtures import gross_knuth
 from lamclock.combinators import (
     E1,
     E2,
@@ -34,7 +35,7 @@ from lamclock.compare import (
     subseq_le,
 )
 from lamclock.parser import parse, pretty
-from lamclock.reduction import gross_knuth, one_step_reducts
+from lamclock.reduction import one_step_reducts
 from lamclock.terms import Free, HeadPos, iterate
 from lamclock.trees import (
     ClockTree,

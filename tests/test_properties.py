@@ -1,10 +1,11 @@
 """Randomized law checks: clock acceleration, annotation drift bounds,
 subsequence-order laws, printer/parser round trips, the printer, the
-parser, the head step, ``normalize``, ``replace_at``, ``develop`` and term
-equality (``==`` and the hint-exact ``_identical``) against their
-lookup and recursive references, the product graph's peel
+parser, the head step, ``normalize``, ``replace_at``, the fixtures'
+``develop`` and term equality (``==`` and the hint-exact ``_identical``)
+against their lookup and recursive references, the product graph's peel
 against brute force, acyclic trees with shared subtrees against their
-copies with a node per position, balance preservation, soundness of the
+copies with a node per position, balance preservation on the fixtures'
+balanced reducts of the duplicator, soundness of the
 discrimination verdict and of the join on convertible pairs, and the
 CLI's JSON writer against the standard encoder."""
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lamclock.combinators as C
+from fixtures import balanced_reducts, develop, gross_knuth, is_balanced
 from lamclock.compare import (
     INCONVERTIBLE,
     DiscriminationConfig,
@@ -38,8 +40,6 @@ from lamclock.reduction import (
     NormalizeOutcome,
     _canonical_core_key,
     contract_at,
-    develop,
-    gross_knuth,
     head_reduce,
     is_redex,
     normalize,
@@ -321,12 +321,12 @@ def test_parse_pretty_round_trip(t):
 @settings(**SETTINGS)
 @given(t=random_terms)
 def test_compact_lambda_round_trip(t):
-    assert parse(pretty(t, compact_lambda=True)) == t
+    # the parser reads a λ binder as it reads a backslash
+    assert parse(pretty(t).replace("\\", "λ")) == t
 
 
-def _pretty_reference(t, compact_lambda=False):
+def _pretty_reference(t):
     """``pretty`` by recursion, one call per subterm."""
-    lam_sym = "λ" if compact_lambda else "\\"
 
     def go(u, scope, taken, ctx):
         match u:
@@ -343,7 +343,7 @@ def _pretty_reference(t, compact_lambda=False):
                     names.append(n)
                     inner_taken.add(n)
                     body = body.body
-                s = f"{lam_sym}{' '.join(names)}.{go(body, scope + names, inner_taken, 'top')}"
+                s = f"\\{' '.join(names)}.{go(body, scope + names, inner_taken, 'top')}"
                 return f"({s})" if ctx in ("fn", "arg") else s
             case App(f, a):
                 s = f"{go(f, scope, taken, 'fn')} {go(a, scope, taken, 'arg')}"
@@ -364,9 +364,9 @@ _colliding_terms = st.recursive(
 
 
 @settings(**SETTINGS)
-@given(t=_colliding_terms, compact_lambda=st.booleans())
-def test_pretty_matches_the_recursive_reference(t, compact_lambda):
-    assert pretty(t, compact_lambda) == _pretty_reference(t, compact_lambda)
+@given(t=_colliding_terms)
+def test_pretty_matches_the_recursive_reference(t):
+    assert pretty(t) == _pretty_reference(t)
 
 
 # -- the parser against the recursive reference -------------------------------
@@ -1123,8 +1123,11 @@ def test_peel_matches_the_brute_force_definitions(graph):
 
 # -- balance preservation ----------------------------------------------------
 
-_LABELED = {name: C.label_plotkin_A(y) for name, y in [("curry", C.Y0), ("turing", C.Y1)]}
-_SAMPLES = {name: C.balanced_reducts(lt, 40) for name, lt in _LABELED.items()}
+# the duplicator's free name f is its label
+_SAMPLES = {
+    name: balanced_reducts(C.plotkin_A(y), "f", 40)
+    for name, y in [("curry", C.Y0), ("turing", C.Y1)]
+}
 
 
 @settings(**SETTINGS)
@@ -1134,11 +1137,10 @@ _SAMPLES = {name: C.balanced_reducts(lt, 40) for name, lt in _LABELED.items()}
     rounds=st.integers(1, 3),
 )
 def test_full_development_keeps_balance(which, idx, rounds):
-    label = _LABELED[which].label
     t = _SAMPLES[which][idx]
     for _ in range(rounds):
         t = gross_knuth(t)
-        assert C.is_balanced(t, label)
+        assert is_balanced(t, "f")
 
 
 # -- shared subtrees of acyclic builds ---------------------------------------

@@ -1,10 +1,12 @@
-"""Reduction machinery: head steps, developments, classification, normalization."""
+"""Reduction machinery: head steps, classification, normalization, and the
+fixtures' developments."""
 
 import sys
 import tracemalloc
 
 import pytest
 
+from fixtures import develop, gross_knuth
 from lamclock.parser import parse
 from lamclock.reduction import (
     DEFAULT_FUEL,
@@ -13,8 +15,6 @@ from lamclock.reduction import (
     RESOLVED,
     classify_redex,
     contract_at,
-    develop,
-    gross_knuth,
     head_redex_position,
     head_reduce,
     normalize,

@@ -4,6 +4,7 @@ top level; every module-level private helper and every ``__slots__``
 name is read somewhere in the package, every public one and every
 dataclass field somewhere in the package, the tests or the benchmark,
 and the public ones that only tests read are a pinned list;
+no module but ``trees`` reads the acyclic builders;
 ``DiscriminationConfig`` holds exactly the bounds ``lamclock compare``
 sets, ``compare.py`` reads every one of them, expands reducts in
 ``_frontier`` alone and reads each fixed search bound in one function,
@@ -208,18 +209,15 @@ def test_no_unread_public_defs():
 
 
 # The public functions that only tests call, each with what keeps it.
-# The check is not transitive: a function that only one of these calls,
-# such as ``gross_knuth`` under ``balanced_reducts``, counts as read, so
-# it does not show here.  A new helper that only tests call does.
+# The check is not transitive: a function that only one of these calls
+# counts as read, so it would not show here.  A new helper that only
+# tests call does.
 TESTED_ONLY = [
-    "balanced_reducts",  # criterion 7: balance keeps the duplicator's beat
     "bounded_joinable",  # criterion 8's e1/e2 join; direction 2 calls it
     "classify_redex",  # direction 9's certificate checker
-    "evaluator_check",  # the enumerators e1-e3 as evaluators (criterion 8's terms)
     "head_redex_position",  # criterion 8's e2 derivations; direction 9
     "holds_globally",  # direction 10's atlas
-    "label_plotkin_A",  # criterion 7: the labelled duplicator
-    "spine_evidence",  # criterion 1's fixed-point spine, depth-bounded
+    "normalize",  # direction 15's oracle on normalising terms
 ]
 
 
@@ -342,6 +340,20 @@ def test_one_node_test_table():
     # tests, so neither keeps a relation's test of its own
     source = (Path(lamclock.__file__).parent / "compare.py").read_text(encoding="utf-8")
     assert _readers_of(source, "_NODE_TEST") == ["Relation", "_explore"]
+
+
+def test_only_the_tree_module_reads_the_acyclic_builders():
+    # every product path builds with compact_cyclic; the acyclic builders
+    # are for the benchmark and the tests, so retiring them touches no
+    # other module
+    readers = [
+        f"{path.stem}.{reader}"
+        for path in MODULES
+        if path.stem != "trees"
+        for name in ("clocked_bt", "clocked_llt", "clocked_bet")
+        for reader in _readers_of(path.read_text(encoding="utf-8"), name)
+    ]
+    assert readers == []
 
 
 def test_only_the_exact_key_reads_identical():
