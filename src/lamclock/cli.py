@@ -12,19 +12,24 @@ ran out before the requested output could be produced, when a term is
 nested too deeply for the interpreter's recursion limit (parsing is a
 loop, but substitution and tree building still recurse once per nesting
 level), when the process runs out of memory, or when a ``repro`` diff is
-nonzero.
+nonzero.  Ctrl-C, or a reader that closes the output before it is all
+written, ends the process with exit code 1 and no traceback.
+
+The front end is the standard library's ``argparse``, and the package
+imports nothing outside the standard library.  Its parsers are built
+once, at import.  A command's options may come before, between or after
+its arguments, as ``--opt value`` or ``--opt=value``; an option name is
+never abbreviated, and ``--`` ends the options.  Output is UTF-8
+whatever encoding the standard streams were opened with.
 """
 
 from __future__ import annotations
 
-import difflib
+import argparse
 import json
+import os
 import sys
-from importlib import resources
 from json.encoder import encode_basestring
-from pathlib import Path
-
-import click
 
 from .combinators import catalog, catalog_names, standard_definitions
 from .compare import REDUCT_LIMIT, DiscriminationConfig, discriminate
@@ -43,12 +48,16 @@ from .reduction import DEFAULT_FUEL
 _EXIT_INCONCLUSIVE = 1
 _EXIT_USAGE = 2
 _EXIT_EXHAUSTED = 3
-# depth, fuel and the reduct limit are counts: a negative one is a usage error
-_BUDGET = click.IntRange(min=0)
+
+
+def _echo(text: str, err: bool = False, nl: bool = True) -> None:
+    """Write ``text`` and flush, so that stdout and stderr lines keep
+    their order and a closed reader is seen at the write."""
+    print(text, end="\n" if nl else "", file=sys.stderr if err else sys.stdout, flush=True)
 
 
 def _fail(msg: str, code: int) -> None:
-    click.echo(f"error: {msg}", err=True)
+    _echo(f"error: {msg}", err=True)
     sys.exit(code)
 
 
@@ -56,9 +65,9 @@ def _defs_from(defs_file: str | None) -> DefinitionTable:
     table = standard_definitions()
     if defs_file:
         try:
-            text = Path(defs_file).read_text(encoding="utf-8")
-            table = DefinitionTable.from_text(text, table)
-        except OSError as e:
+            with open(defs_file, encoding="utf-8") as f:
+                table = DefinitionTable.from_text(f.read(), table)
+        except (OSError, UnicodeDecodeError) as e:
             _fail(f"cannot read definitions file: {e}", _EXIT_USAGE)
         except (ParseError, TermError) as e:
             _fail(f"bad definitions file: {e}", _EXIT_USAGE)
@@ -120,50 +129,13 @@ def _dumps(obj) -> str:
 
 
 def _emit_json(obj) -> None:
-    click.echo(_dumps(obj))
+    _echo(_dumps(obj))
 
 
-def _tree_options(f):
-    for opt in reversed(
-        [
-            click.option("--depth", type=_BUDGET, default=DEFAULT_DEPTH, show_default=True),
-            click.option("--fuel", type=_BUDGET, default=DEFAULT_FUEL, show_default=True),
-            click.option("--atomic", is_flag=True, help="Annotate with step positions."),
-            click.option("--defs", "defs_file", type=str, default=None,
-                         help="Extra definitions file (name = term; ...)."),
-            click.option("--json", "as_json", is_flag=True, help="Machine output."),
-            click.option("--dot", "as_dot", is_flag=True, help="DOT graph output."),
-            click.option("--closed-only", is_flag=True,
-                         help="Fail (exit 3) unless the tree closed."),
-        ]
-    ):
-        f = opt(f)
-    return f
-
-
-class _Group(click.Group):
-    """Ends any command on a too deeply nested term, or one that runs out
-    of memory, with exit code 3."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except RecursionError:
-            _fail("term nested too deeply for the interpreter's recursion limit",
-                  _EXIT_EXHAUSTED)
-        except MemoryError:
-            _fail("out of memory", _EXIT_EXHAUSTED)
-
-
-@click.group(cls=_Group)
-def main() -> None:
-    """Clocked-tree calculator for lambda terms."""
-
-
-def _tree_command(term_text, semantics, depth, fuel, atomic, defs_file,
+def _tree_command(term, semantics, depth, fuel, atomic, defs_file,
                   as_json, as_dot, closed_only) -> None:
     defs = _defs_from(defs_file)
-    t = _parse_term(term_text, defs)
+    t = _parse_term(term, defs)
     tree = compact_cyclic(t, depth, fuel, semantics, atomic)
     if closed_only and not tree.closed:
         _fail("tree did not close within depth/fuel", _EXIT_EXHAUSTED)
@@ -172,43 +144,12 @@ def _tree_command(term_text, semantics, depth, fuel, atomic, defs_file,
         payload["periodicity"] = periodicity_report(tree)
         _emit_json(payload)
     elif as_dot:
-        click.echo(render_dot(tree), nl=False)
+        _echo(render_dot(tree), nl=False)
     else:
-        click.echo(render_text(tree), nl=False)
+        _echo(render_text(tree), nl=False)
 
 
-for _sem, _help in (
-    ("bt", "Clocked tree of head normal forms."),
-    ("llt", "Clocked tree of weak head normal forms."),
-    ("bet", "Clocked tree of root-stable layers."),
-):
-
-    def _make(sem: str, help_text: str):
-        @main.command(sem, help=help_text)
-        @click.argument("term")
-        @_tree_options
-        def _cmd(term, depth, fuel, atomic, defs_file, as_json, as_dot,
-                 closed_only, _sem=sem):
-            _tree_command(term, _sem, depth, fuel, atomic, defs_file,
-                          as_json, as_dot, closed_only)
-
-        return _cmd
-
-    _make(_sem, _help)
-
-
-@main.command("compare")
-@click.argument("left")
-@click.argument("right")
-@click.option("--depth", type=_BUDGET, default=DEFAULT_DEPTH, show_default=True)
-@click.option("--fuel", type=_BUDGET, default=DEFAULT_FUEL, show_default=True)
-@click.option("--atomic", is_flag=True, help="Compare step-position lists.")
-@click.option("--defs", "defs_file", type=str, default=None)
-@click.option("--json", "as_json", is_flag=True)
-@click.option("--reduct-limit", type=_BUDGET, default=REDUCT_LIMIT, show_default=True,
-              help="Bound for the reduct search phase.")
 def compare_cmd(left, right, depth, fuel, atomic, defs_file, as_json, reduct_limit):
-    """Try to certify that LEFT and RIGHT are not interconvertible."""
     defs = _defs_from(defs_file)
     lt = _parse_term(left, defs)
     rt = _parse_term(right, defs)
@@ -219,30 +160,20 @@ def compare_cmd(left, right, depth, fuel, atomic, defs_file, as_json, reduct_lim
     if as_json:
         _emit_json(verdict.to_dict())
     else:
-        click.echo(f"{verdict.conclusion} ({verdict.justification})")
+        _echo(f"{verdict.conclusion} ({verdict.justification})")
         for key in sorted(verdict.evidence):
-            click.echo(f"  {key}: {verdict.evidence[key]}")
+            _echo(f"  {key}: {verdict.evidence[key]}")
     sys.exit(0 if verdict else _EXIT_INCONCLUSIVE)
 
 
-@main.command("catalog")
-@click.argument("name", required=False)
-@click.argument("params", nargs=-1)
-@click.option("--defs", "defs_file", type=str, default=None)
-@click.option("--json", "as_json", is_flag=True)
 def catalog_cmd(name, params, defs_file, as_json):
-    """List catalog names, or print the named construction.
-
-    Numeric PARAMS are taken as counts, anything else is parsed as a
-    term (useful for entries taking a combinator argument).
-    """
     if name is None:
         names = catalog_names()
         if as_json:
             _emit_json(names)
         else:
             for n in names:
-                click.echo(n)
+                _echo(n)
         return
     defs = _defs_from(defs_file)
     args = []
@@ -258,17 +189,10 @@ def catalog_cmd(name, params, defs_file, as_json):
     if as_json:
         _emit_json({"name": name, "term": pretty(term)})
     else:
-        click.echo(pretty(term))
+        _echo(pretty(term))
 
 
-@main.command("check-simple")
-@click.argument("term")
-@click.option("--depth", type=_BUDGET, default=DEFAULT_DEPTH, show_default=True)
-@click.option("--fuel", type=_BUDGET, default=DEFAULT_FUEL, show_default=True)
-@click.option("--defs", "defs_file", type=str, default=None)
-@click.option("--json", "as_json", is_flag=True)
 def check_simple_cmd(term, depth, fuel, defs_file, as_json):
-    """Classify every head step in the term's tree unfolding."""
     defs = _defs_from(defs_file)
     t = _parse_term(term, defs)
     report = check_simple(t, depth, fuel)
@@ -283,10 +207,10 @@ def check_simple_cmd(term, depth, fuel, defs_file, as_json):
     if as_json:
         _emit_json(payload)
     else:
-        click.echo(report.status)
+        _echo(report.status)
         if report.witness is not None:
             w = payload["witness"]
-            click.echo(f"  first offending step: #{w['step']} at node {w['path']} ({w['kind']})")
+            _echo(f"  first offending step: #{w['step']} at node {w['path']} ({w['kind']})")
     if report.status == "unknown":
         sys.exit(_EXIT_EXHAUSTED)
 
@@ -302,15 +226,13 @@ def _repro_specs() -> dict:
     return _repro.SPECS
 
 
-@main.command("repro")
-@click.argument("ids", nargs=-1)
-@click.option("--list", "list_only", is_flag=True, help="List known ids.")
 def repro_cmd(ids, list_only):
-    """Recompute stored reference outputs and diff against goldens."""
+    from importlib import resources  # only ``repro`` reads package data
+
     specs = _repro_specs()
     if list_only:
         for rid in specs:
-            click.echo(rid)
+            _echo(rid)
         return
     chosen = list(ids) if ids else list(specs)
     unknown = [rid for rid in chosen if rid not in specs]
@@ -326,19 +248,163 @@ def repro_cmd(ids, list_only):
         except FileNotFoundError:
             _fail(f"missing golden for {rid}", _EXIT_USAGE)
         if actual == expected:
-            click.echo(f"{rid}: PASS")
+            _echo(f"{rid}: PASS")
         else:
+            import difflib  # only a diff needs it
+
             failed = True
-            click.echo(f"{rid}: DIFF")
+            _echo(f"{rid}: DIFF")
             diff = difflib.unified_diff(
                 expected.splitlines(keepends=True),
                 actual.splitlines(keepends=True),
                 fromfile=f"goldens/{rid}.txt",
                 tofile="recomputed",
             )
-            click.echo("".join(diff), nl=False)
+            _echo("".join(diff), nl=False)
     if failed:
         sys.exit(_EXIT_EXHAUSTED)
+
+
+# --------------------------------------------------------------------------
+# the parsers
+
+
+def _budget(text: str) -> int:
+    """``--depth``, ``--fuel`` and ``--reduct-limit`` are counts: a
+    negative one is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"Invalid value {text!r}: not an integer >= 0")
+    return n
+
+
+_HELP = "Show this message and exit."
+_MAIN = argparse.ArgumentParser(
+    prog="lamclock", description="Clocked-tree calculator for lambda terms.",
+    add_help=False, allow_abbrev=False,
+)
+_MAIN.add_argument("--help", action="help", help=_HELP)
+_COMMANDS = _MAIN.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+
+def _command(name: str, run, summary: str, details: str = "") -> argparse.ArgumentParser:
+    """The parser of the command ``name``, which ``run`` carries out with
+    the parsed values as keyword arguments; ``details`` follows the
+    summary in the command's help, line breaks kept."""
+    parser = _COMMANDS.add_parser(
+        name, help=summary, description=summary + details,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        add_help=False, allow_abbrev=False,
+    )
+    parser.set_defaults(run=run)
+    return parser
+
+
+def _options(parser: argparse.ArgumentParser, *specs: tuple) -> None:
+    """Add each ``(flag, dest, default, help)``: a count when the default
+    is an int, an on/off switch when it is False, a string otherwise;
+    then ``--help``."""
+    for flag, dest, default, help_text in specs:
+        if default is False:
+            parser.add_argument(flag, dest=dest, action="store_true", help=help_text)
+        elif isinstance(default, int):
+            shown = f"[default: {default}; x>=0]"
+            parser.add_argument(flag, dest=dest, type=_budget, default=default, metavar="N",
+                                help=f"{help_text}  {shown}" if help_text else shown)
+        else:
+            parser.add_argument(flag, dest=dest, metavar="FILE", help=help_text)
+    parser.add_argument("--help", action="help", help=_HELP)
+
+
+_DEPTH = ("--depth", "depth", DEFAULT_DEPTH, None)
+_FUEL = ("--fuel", "fuel", DEFAULT_FUEL, None)
+_DEFS = ("--defs", "defs_file", None, None)
+_JSON = ("--json", "as_json", False, None)
+
+for _sem, _summary in (
+    ("bt", "Clocked tree of head normal forms."),
+    ("llt", "Clocked tree of weak head normal forms."),
+    ("bet", "Clocked tree of root-stable layers."),
+):
+    _p = _command(_sem, _tree_command, _summary)
+    _p.set_defaults(semantics=_sem)
+    _p.add_argument("term", metavar="TERM")
+    _options(
+        _p, _DEPTH, _FUEL,
+        ("--atomic", "atomic", False, "Annotate with step positions."),
+        ("--defs", "defs_file", None, "Extra definitions file (name = term; ...)."),
+        ("--json", "as_json", False, "Machine output."),
+        ("--dot", "as_dot", False, "DOT graph output."),
+        ("--closed-only", "closed_only", False, "Fail (exit 3) unless the tree closed."),
+    )
+
+_p = _command("compare", compare_cmd,
+              "Try to certify that LEFT and RIGHT are not interconvertible.")
+_p.add_argument("left", metavar="LEFT")
+_p.add_argument("right", metavar="RIGHT")
+_options(
+    _p, _DEPTH, _FUEL,
+    ("--atomic", "atomic", False, "Compare step-position lists."),
+    _DEFS, _JSON,
+    ("--reduct-limit", "reduct_limit", REDUCT_LIMIT, "Bound for the reduct search phase."),
+)
+
+_p = _command(
+    "catalog", catalog_cmd, "List catalog names, or print the named construction.",
+    "\n\nNumeric PARAMS are taken as counts, anything else is parsed as a term\n"
+    "(useful for entries taking a combinator argument).",
+)
+_p.add_argument("name", nargs="?", metavar="NAME")
+_p.add_argument("params", nargs="*", metavar="PARAMS")
+_options(_p, _DEFS, _JSON)
+
+_p = _command("check-simple", check_simple_cmd,
+              "Classify every head step in the term's tree unfolding.")
+_p.add_argument("term", metavar="TERM")
+_options(_p, _DEPTH, _FUEL, _DEFS, _JSON)
+
+_p = _command("repro", repro_cmd,
+              "Recompute stored reference outputs and diff against goldens.")
+_p.add_argument("ids", nargs="*", metavar="IDS")
+_options(_p, ("--list", "list_only", False, "List known ids."))
+
+
+def main(argv: list[str] | None = None) -> None:
+    """Run the command that ``argv`` (by default the process's
+    arguments) names; the ``lamclock`` entry point."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    for stream in (sys.stdout, sys.stderr):
+        reconfigure = getattr(stream, "reconfigure", None)
+        if reconfigure is not None:
+            reconfigure(encoding="utf-8")
+    try:
+        if not args:
+            _MAIN.print_help(sys.stderr)
+            sys.exit(_EXIT_USAGE)
+        command = _COMMANDS.choices.get(args[0])
+        if command is None:
+            # ``--help``, or a usage error: either exits
+            _MAIN.parse_args(args[:1])
+        # intermixed, so that an option may come between the values of a
+        # variadic argument (``catalog gvector --json Y0 1``)
+        options = vars(command.parse_intermixed_args(args[1:]))
+        options.pop("run")(**options)
+    except RecursionError:
+        _fail("term nested too deeply for the interpreter's recursion limit",
+              _EXIT_EXHAUSTED)
+    except MemoryError:
+        _fail("out of memory", _EXIT_EXHAUSTED)
+    except KeyboardInterrupt:
+        _echo("\nAborted!", err=True)
+        sys.exit(1)
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at the null device, so that
+        # the interpreter's last flush of what is still buffered succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Iterator
 
 from .parser import _pick_name
@@ -269,16 +269,21 @@ def _build(
     # names, which are walked for once, when the first binder is opened,
     # so a build that stops in the root's head reduction walks nothing.
     # A grown set is never equal to None, so ``built`` keys stay exact.
-    root_names = cache(lambda: free_vars(t0))
+    root_names: frozenset[str] | None = None  # ``t0``'s, once walked
 
     def open_binders(t: Term, k: int, taken):
         """Open the first ``k`` binders of ``t`` with fresh internal names:
         the body, the display and internal names, and ``taken`` grown."""
+        nonlocal root_names
         if not k:
             return t, (), (), taken
+        if taken is None:
+            if root_names is None:
+                root_names = free_vars(t0)
+            taken = root_names
         shown: list[str] = []
         block: list[str] = []
-        taken = set(root_names() if taken is None else taken)
+        taken = set(taken)
         for _ in range(k):
             assert type(t) is Lam
             internal = f"%{next(counter)}"

@@ -1,6 +1,7 @@
-"""Source hygiene: every package module uses each name it imports, and
-imports inside a function only from modules it does not import from at
-top level; every module-level private helper and every ``__slots__``
+"""Source hygiene: every package module imports only the standard library
+and the package itself, uses each name it imports, and imports inside a
+function only from modules it does not import from at top level; every
+module-level private helper and every ``__slots__``
 name is read somewhere in the package, every public one and every
 dataclass field somewhere in the package, the tests or the benchmark,
 and the public ones that only tests read are a pinned list;
@@ -16,15 +17,45 @@ term, and no function calls itself by name beyond a pinned list."""
 import ast
 import dataclasses
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
 
 import lamclock
-from lamclock.cli import compare_cmd
+from lamclock import cli
 from lamclock.compare import DiscriminationConfig
 
 MODULES = sorted(Path(lamclock.__file__).parent.glob("*.py"))
+
+
+def _outside_imports(source: str) -> list[str]:
+    """The top-level names of the modules an import reads, anywhere in
+    ``source``, that are neither in the standard library nor ``lamclock``
+    (a relative import reads the package)."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names - {"lamclock"})
+
+
+def test_the_check_finds_imports_outside_the_standard_library():
+    source = (
+        "from __future__ import annotations\nimport os.path, click\n"
+        "from json.encoder import encode_basestring\nfrom . import terms\n"
+        "from .trees import walk\nfrom lamclock.parser import parse\n"
+        "def f():\n    import numpy as np\n    from yaml.loader import Loader\n"
+    )
+    assert _outside_imports(source) == ["click", "numpy", "yaml"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_standard_library_is_imported(path):
+    # ``lamclock`` has no runtime dependency; a new one shows here
+    assert _outside_imports(path.read_text(encoding="utf-8")) == []
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -287,7 +318,8 @@ def test_every_discrimination_setting_is_read():
 def test_the_config_holds_the_compare_options():
     # every discrimination bound is one that ``lamclock compare`` sets:
     # the command's options less those naming its input and output
-    options = {p.name for p in compare_cmd.params if p.param_type_name == "option"}
+    parsed = vars(cli._COMMANDS.choices["compare"].parse_args(["LEFT", "RIGHT"]))
+    options = set(parsed) - {"left", "right", "run"}
     fields = {f.name for f in dataclasses.fields(DiscriminationConfig)}
     assert options - {"defs_file", "as_json"} == fields
 

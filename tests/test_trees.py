@@ -448,6 +448,29 @@ _BUILDS = [clocked_bt, clocked_llt, clocked_bet,
            *(partial(compact_cyclic, semantics=s) for s in ("bt", "llt", "bet"))]
 
 
+# The root's free names are walked once per build, when the first binder
+# is opened: never when the build stops in the root's head reduction (Ω
+# diverges, ``(\x. x x x)(\x. x x x)`` runs out of fuel at 50 steps, a
+# bare name has no binder), once however many binders are opened.
+@pytest.mark.parametrize(("text", "walks"), [
+    (OMEGA, 0), (r"(\x. x x x)(\x. x x x)", 0), ("x", 0),
+    (r"\x. x (\y. y x)", 1), (r"(\w z.z (w w) (w w)) (\w z.z (w w) (w w))", 1),
+])
+@pytest.mark.parametrize("build", _BUILDS)
+def test_the_root_names_are_walked_once_when_a_binder_opens(monkeypatch, build, text, walks):
+    calls = []
+    walk_names = trees.free_vars
+
+    def counting(t):
+        calls.append(t)
+        return walk_names(t)
+
+    term = parse(text)
+    monkeypatch.setattr(trees, "free_vars", counting)
+    build(term, 6, fuel=50)
+    assert calls == [term] * walks
+
+
 @pytest.mark.parametrize(
     "term",
     [C.plotkin_B(C.Y1), App(C.bohm_seq(5), Free("x")), C.E1],
