@@ -19,7 +19,8 @@ The front end is the standard library's ``argparse``, and the package
 imports nothing outside the standard library.  Its parsers are built
 once, at import.  A command's options may come before, between or after
 its arguments, as ``--opt value`` or ``--opt=value``; an option name is
-never abbreviated, and ``--`` ends the options.  Output is UTF-8
+never abbreviated, and the first ``--`` ends the options: every
+argument after it is a value, a further ``--`` too.  Output is UTF-8
 whatever encoding the standard streams were opened with.
 """
 
@@ -372,6 +373,30 @@ _p.add_argument("ids", nargs="*", metavar="IDS")
 _options(_p, ("--list", "list_only", False, "List known ids."))
 
 
+# Marks an argument after the end of options: no argument holds a NUL.
+_AFTER_END = "\0"
+
+
+def _parse(command: argparse.ArgumentParser, args: list[str]) -> dict:
+    """The values that ``command`` parses from ``args``, intermixed, so
+    that an option may come between the values of a variadic argument
+    (``catalog gvector --json Y0 1``).  Every argument after the first
+    ``--`` is a value, a further ``--`` too.  argparse before Python 3.12
+    drops every ``--`` it meets, and its intermixed parse reads a value
+    after one as an option when it starts with ``-``: so those arguments
+    go in marked, and their values come back unmarked."""
+    if "--" in args:
+        i = args.index("--") + 1
+        args = args[:i] + [_AFTER_END + a for a in args[i:]]
+
+    def unmark(v):
+        return v[1:] if isinstance(v, str) and v.startswith(_AFTER_END) else v
+
+    options = vars(command.parse_intermixed_args(args))
+    return {k: [unmark(x) for x in v] if isinstance(v, list) else unmark(v)
+            for k, v in options.items()}
+
+
 def main(argv: list[str] | None = None) -> None:
     """Run the command that ``argv`` (by default the process's
     arguments) names; the ``lamclock`` entry point."""
@@ -388,9 +413,7 @@ def main(argv: list[str] | None = None) -> None:
         if command is None:
             # ``--help``, or a usage error: either exits
             _MAIN.parse_args(args[:1])
-        # intermixed, so that an option may come between the values of a
-        # variadic argument (``catalog gvector --json Y0 1``)
-        options = vars(command.parse_intermixed_args(args[1:]))
+        options = _parse(command, args[1:])
         options.pop("run")(**options)
     except RecursionError:
         _fail("term nested too deeply for the interpreter's recursion limit",

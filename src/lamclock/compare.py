@@ -43,13 +43,12 @@ Both are keyed on ``trees._Exact(term)``, so a hit must be the same
 term with the same binder hints, and on the bounds each reads: the
 report on ``depth`` and ``fuel``, the reduct on those and
 ``reduct_limit`` (neither on ``atomic``, since a tree records every
-step's position either way; the size rule follows from the term, and
-``CHECK_LIMIT`` is fixed).  Each holds at most
-``PROFILE_LIMIT`` entries, evicts the least recently used first, and
-stores nothing for a call that raises.  A family's fpcs are shown new
-pair by pair, so a matrix over up to ``PROFILE_LIMIT`` terms profiles
-each term once, and explores each term's tree with tables that its
-first pair filled.
+step's position either way; the size rule follows from the term).
+Each holds at most ``PROFILE_LIMIT`` entries, evicts the least recently
+used first, and stores nothing for a call that raises.  A family's fpcs
+are shown new pair by pair, so a matrix over up to ``PROFILE_LIMIT``
+terms profiles each term once, and explores each term's tree with
+tables that its first pair filled.
 """
 
 from __future__ import annotations
@@ -61,8 +60,15 @@ from heapq import heappop, heappush
 from itertools import islice, zip_longest
 from typing import Iterator
 
-from .reduction import DEFAULT_FUEL, one_step_reducts
-from .terms import Term
+from .reduction import (
+    DEFAULT_FUEL,
+    _count_index,
+    _is_simple,
+    contract_at,
+    is_redex,
+    one_step_reducts,
+)
+from .terms import App, Lam, Term, instantiate, subterms
 from .trees import (
     DEFAULT_DEPTH,
     ClockTree,
@@ -339,8 +345,10 @@ class EventualResult:
 
     ``certified`` distinguishes an exact answer over the finite cycle
     graph from bounded-depth evidence on trees with unresolved parts.
-    For a holding result ``level`` is the least depth that works; for a
-    failing one it is the depth of a witnessing violation.
+    Only a holding result can be uncertified: a failing one rests on a
+    layer difference or a violation that recurs along a cycle, both
+    definite.  For a holding result ``level`` is the least depth that
+    works; for a failing one it is the depth of a witnessing violation.
     """
 
     holds: bool
@@ -377,23 +385,27 @@ def _eventually(prod: _Product) -> EventualResult:
 # ---------------------------------------------------------------------------
 # reduct search
 
-# The search bounds: terms made (``reduct_limit``), the floor of the
-# size rule (``_frontier``), and the simplicity checks after the term
-# itself (``find_simple_reduct``).
+# The search bounds: terms made or contractions (``reduct_limit``), and
+# the floor of the size rule (``_size_limit``).
 REDUCT_LIMIT = 2000
 SIZE_LIMIT = 500
-CHECK_LIMIT = 200
+
+
+def _size_limit(t: Term) -> int:
+    """The one size rule of every search from ``t``: no term larger than
+    ``max(SIZE_LIMIT, 2 * t.size)``, so that a larger input keeps room
+    to reduce."""
+    return max(SIZE_LIMIT, 2 * t.size)
 
 
 def _frontier(t: Term, limit: int, smallest_first: bool) -> Iterator[Term]:
     """Yield ``t``, then the one-step reducts of each term yielded, in
     redex order: each once up to renaming, at most ``limit`` made, ``t``
-    included, and none larger than ``max(SIZE_LIMIT, 2 * t.size)``, the
-    one size rule of every search, so that a larger input keeps room to
-    reduce.  They come in the order made, or smallest first (ties in the
-    order made).  A term's reducts are made only when the next term is
-    asked for, and not walked at all once ``limit`` terms are made."""
-    size_limit = max(SIZE_LIMIT, 2 * t.size)
+    included, and none over ``_size_limit(t)``.  They come in the order
+    made, or smallest first (ties in the order made).  A term's reducts
+    are made only when the next term is asked for, and not walked at all
+    once ``limit`` terms are made."""
+    size_limit = _size_limit(t)
     seen = {t}
     heap = [(0, 0, t)]
     while heap:
@@ -410,7 +422,7 @@ def _frontier(t: Term, limit: int, smallest_first: bool) -> Iterator[Term]:
 def enumerate_reducts(t: Term, limit: int = REDUCT_LIMIT) -> list[Term]:
     """Breadth-first closure of ``t`` under single reduction steps (the
     term itself first), deduplicated up to renaming; terms over
-    ``_frontier``'s size rule are pruned, at most ``limit`` terms are
+    ``_size_limit(t)`` are pruned, at most ``limit`` terms are
     produced."""
     return list(_frontier(t, limit, False))
 
@@ -418,12 +430,12 @@ def enumerate_reducts(t: Term, limit: int = REDUCT_LIMIT) -> list[Term]:
 def bounded_joinable(a: Term, b: Term, limit: int = REDUCT_LIMIT) -> Term | None:
     """A common reduct of ``a`` and ``b``, up to renaming, or None.
 
-    Best-first on term size, as ``find_simple_reduct``: the two sides
-    take turns, each taking the smallest term left on its frontier (at
-    most ``limit`` made, each side's size rule its own), and they meet
-    when one side takes a term the other has taken.  The first side's
-    term is returned, so ``bounded_joinable(a, a)`` is ``a``.  None when
-    both frontiers run dry without a meeting."""
+    Best-first on term size: the two sides take turns, each taking the
+    smallest term left on its frontier (at most ``limit`` made, each
+    side's size rule its own), and they meet when one side takes a term
+    the other has taken.  The first side's term is returned, so
+    ``bounded_joinable(a, a)`` is ``a``.  None when both frontiers run
+    dry without a meeting."""
     left: dict[Term, Term] = {}
     right: set[Term] = set()
     for x, y in zip_longest(_frontier(a, limit, True), _frontier(b, limit, True)):
@@ -438,6 +450,81 @@ def bounded_joinable(a: Term, b: Term, limit: int = REDUCT_LIMIT) -> Term | None
     return None
 
 
+def _passed_over(u: App, room: int) -> bool:
+    """Does the closure pass over the redex ``u``?  It does when ``u`` is
+    a non-linear self-application ``W W``, whose contractum gives ``u``
+    back, and when its contractum would add more than ``room`` nodes to
+    the term.  A linear redex does neither."""
+    k = _count_index(u.fn.body, 0)
+    return k > 1 and (u.fn == u.arg or (k - 1) * (u.arg.size - 1) - 3 > room)
+
+
+def _plug(parent: Term, side: int, u: Term) -> Term:
+    """``parent`` with ``u`` for its child on ``side`` (0 body, 1
+    function, 2 argument); ``parent`` itself when that child is ``u``."""
+    if side == 0:
+        return parent if u is parent.body else Lam(parent.hint, u)
+    if side == 1:
+        return parent if u is parent.fn else App(u, parent.arg)
+    return parent if u is parent.arg else App(parent.fn, u)
+
+
+def _closure(t: Term, limit: int) -> Term:
+    """The simple-redex closure of ``t``, stopped after ``limit``
+    contractions.
+
+    A walk in postorder (function side, argument side, then the node)
+    contracts each simple redex it meets, as ``_is_simple`` tells, and
+    walks the contractum next.  The walk leaves all that it has passed
+    unchanged, and whether a redex is simple depends on the redex alone,
+    so each time it contracts the leftmost innermost simple redex.  When
+    a walk ends at the root without one, the outermost redex is
+    contracted and a new walk starts.  Both steps pass over the redexes
+    that ``_passed_over`` names, against the room left under
+    ``_size_limit(t)``.
+
+    The walk is a zipper (Huet, "The Zipper", JFP 7(5), 1997): ``path``
+    holds the ancestors of the focus ``u``, each with the side the walk
+    went down, and a subterm is rebuilt only when the walk leaves it
+    changed."""
+    room = _size_limit(t) - t.size
+    u = t
+    path: list[tuple[Term, int]] = []
+    down = True
+    made = 0
+    while made < limit:
+        while down and type(u) in (App, Lam):
+            if type(u) is App:
+                path.append((u, 1))
+                u = u.fn
+            else:
+                path.append((u, 0))
+                u = u.body
+        down = False
+        if is_redex(u) and _is_simple(u.fn.body, u.arg) and not _passed_over(u, room):
+            r = instantiate(u.fn.body, u.arg)
+        elif path:
+            parent, side = path.pop()
+            u = _plug(parent, side, u)
+            if side == 1:
+                path.append((u, 2))
+                u, down = u.arg, True
+            continue
+        else:  # a walk without a simple redex: the outermost redex
+            p = next((p for p, v in subterms(u)
+                      if is_redex(v) and not _passed_over(v, room)), None)
+            if p is None:
+                break
+            r = contract_at(u, p)
+        room -= r.size - u.size
+        u, down = r, True
+        made += 1
+    while path:
+        parent, side = path.pop()
+        u = _plug(parent, side, u)
+    return u
+
+
 def find_simple_reduct(
     t: Term,
     depth: int = DEFAULT_DEPTH,
@@ -448,23 +535,20 @@ def find_simple_reduct(
 ) -> tuple[Term, SimplicityReport] | None:
     """A reduct of ``t`` whose every tree-computing head step is simple.
 
-    Best-first on term size (Hart, Nilsson and Raphael 1968): check the
-    smallest term made so far, ``t`` first, and make the new reducts of
-    one that is not simple.  At most ``limit`` terms are made, ``t``
-    included, none over ``_frontier``'s size rule, and at most
-    ``CHECK_LIMIT`` are checked after ``t``.
-    ``report``, when given, is ``check_simple(t, depth, fuel)``, made
-    by the caller and not made again.  A candidate's check stops at its
-    first non-simple step, since the search needs no more of its tree.
+    ``t`` itself when it is simple, else the end of ``_closure(t,
+    limit)`` when that is, and None otherwise: a strategy, not a search,
+    so at most two terms are checked, ``t`` and the closure's end.
+    ``report``, when given, is ``check_simple(t, depth, fuel)``, made by
+    the caller and not made again.  The end's check stops at its first
+    non-simple step, since nothing reads the rest of its tree.
     """
-    for cur in islice(_frontier(t, limit, True), CHECK_LIMIT + 1):
-        if cur is t and report is not None:
-            rep = report if report.status == "simple" else None
-        else:
-            rep = _simple_report(cur, depth, fuel)
-        if rep is not None:
-            return cur, rep
-    return None
+    if report is None:
+        report = _simple_report(t, depth, fuel)
+    if report:
+        return t, report
+    end = _closure(t, limit)
+    rep = _simple_report(end, depth, fuel) if end != t else None
+    return (end, rep) if rep else None
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +618,10 @@ def discriminate(
     (3) when one side has a simple reduct, a certified failure of that
     side improving eventually on the other is definitive.  Otherwise the
     verdict is inconclusive, and its evidence's ``simple_reduct`` says
-    for each side whether a simple term or simple reduct was found
-    within ``reduct_limit``, ``CHECK_LIMIT`` and the size rule of
-    ``_frontier``: a ``False`` names a side whose search ran out, and
-    two ``True`` mean both closed trees agree eventually.
+    for each side whether it is simple or its simple-redex closure
+    (``_closure``, at most ``reduct_limit`` contractions under the size
+    rule) ends at a simple term: a ``False`` names a side whose closure
+    did not, and two ``True`` mean both closed trees agree eventually.
 
     Each side's simplicity report and simple reduct come from the
     module's profile caches (``_report`` and ``_simple_reduct``), so a
@@ -584,7 +668,7 @@ def discriminate(
         # two simple sides are compared as in (1), so its product serves
         same = tsm is tm and tsn is tn
         ev = _eventually(prod if same else _explore(tsm, tsn, eq_rel))
-        if not ev.holds and ev.certified:
+        if not ev.holds:
             return Verdict(
                 INCONVERTIBLE,
                 "simple-eventual-mismatch",
@@ -598,7 +682,7 @@ def discriminate(
         if tree_simple is None:
             continue
         ev = holds_eventually(tree_simple, tree_other, le_rel)
-        if not ev.holds and ev.certified:
+        if not ev.holds:
             return Verdict(
                 INCONVERTIBLE,
                 "simple-no-improvement",

@@ -24,10 +24,10 @@ def default_recursion_limit():
 
 @pytest.fixture(scope="session")
 def search_bounds():
-    """A context manager that sets ``compare``'s fixed search bounds
-    (``SIZE_LIMIT``, ``CHECK_LIMIT``) to its keyword arguments.  Neither
-    is part of a profile cache's key, so both caches are emptied on
-    entry and on exit: no verdict made under other bounds is served.
+    """A context manager that sets ``compare``'s fixed search bound, the
+    floor ``SIZE_LIMIT`` of the size rule, to its keyword argument.  It
+    is not part of a profile cache's key, so both caches are emptied on
+    entry and on exit: no verdict made under another floor is served.
     Session-scoped, so that Hypothesis tests may use it too."""
 
     def clear():

@@ -1,13 +1,17 @@
 """Term machinery that only the tests use: Plotkin's balance law and a
-sampler of balanced reducts, complete developments, and the coding of
-combinatory terms that the enumerators e1-e3 evaluate.
+sampler of balanced reducts, complete developments, the coding of
+combinatory terms that the enumerators e1-e3 evaluate, and a
+best-first search for a simple reduct, the reference for the
+simple-redex closure's reach.
 
 The tests import these by module name (``from fixtures import …``);
 ``tests/`` is no package, so pytest puts it on ``sys.path``."""
 
 from collections import deque
+from itertools import islice
 
 from lamclock.combinators import I, K, S
+from lamclock.compare import _frontier
 from lamclock.parser import pretty
 from lamclock.reduction import (
     DEFAULT_FUEL,
@@ -32,6 +36,7 @@ from lamclock.terms import (
     subterm_at,
     subterms,
 )
+from lamclock.trees import SimplicityReport, _simple_report
 
 # -- the balance law ---------------------------------------------------------
 
@@ -160,3 +165,22 @@ def evaluator_check(e: Term, m: Term, fuel: int = DEFAULT_FUEL) -> bool:
     ne = normalize(App(e, encode_cl(m)), fuel)
     nm = normalize(m, fuel)
     return ne.status == nm.status == RESOLVED and ne.result == nm.result
+
+
+# -- the best-first search for a simple reduct -------------------------------
+
+
+def best_first_simple_reduct(
+    t: Term, depth: int, fuel: int, limit: int, checks: int = 200
+) -> tuple[Term, SimplicityReport] | None:
+    """A simple reduct of ``t`` by best-first search on term size (Hart,
+    Nilsson and Raphael 1968), the reference for the closure's reach:
+    check the smallest term made so far, ``t`` first, and make the new
+    reducts of one that is not simple.  At most ``limit`` terms are made,
+    ``t`` included, none over the size rule, and at most ``checks`` are
+    checked after ``t``."""
+    for cur in islice(_frontier(t, limit, True), checks + 1):
+        rep = _simple_report(cur, depth, fuel)
+        if rep is not None:
+            return cur, rep
+    return None

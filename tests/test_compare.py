@@ -19,6 +19,7 @@ from lamclock.combinators import (
     bohm_seq,
     gvector,
     scott_composite,
+    scott_composite_simplified,
     scott_seq,
 )
 from lamclock.compare import (
@@ -36,7 +37,7 @@ from lamclock.compare import (
 )
 from lamclock.parser import parse, pretty
 from lamclock.reduction import one_step_reducts
-from lamclock.terms import Free, HeadPos, iterate
+from lamclock.terms import App, Free, HeadPos, app, iterate
 from lamclock.trees import (
     ClockTree,
     Node,
@@ -169,6 +170,12 @@ def test_eventually_uncertified_on_open_tree(defs):
     res = holds_eventually(grower, grower, Relation.EQ)
     assert res.holds is True
     assert res.certified is False
+    # only a holding result goes uncertified: a failing one is definite,
+    # on open trees too
+    other = compact_cyclic(parse(r"Y1 (\g. \x. h (g (x x)))", defs))
+    assert not other.closed
+    res = holds_eventually(grower, other, Relation.EQ)
+    assert (res.holds, res.certified) == (False, True)
 
 
 def test_eventually_atomic_refutations(atomic_pair):
@@ -370,15 +377,31 @@ def test_size_pruned_pool_is_not_exhaustive(search_bounds):
     # The one reduct of this 21-node term, M M M, has 44 nodes: more than
     # twice the term, so under a 30-node floor its pool holds the term
     # alone, short of the limit but not closed under reduction.  With no
-    # check past the terms themselves, neither side finds a simple term.
+    # contraction past the terms themselves, neither side finds a simple
+    # term.
     t = parse(r"(\x. x x x) (\y. f y y y y y y)")
     assert t.size == 21 and [r.size for r in one_step_reducts(t)] == [44]
     with search_bounds(SIZE_LIMIT=30):
         assert enumerate_reducts(t) == [t]
-    with search_bounds(CHECK_LIMIT=0):
-        v = discriminate(scott_seq(1), scott_seq(0))
+    v = discriminate(scott_seq(1), scott_seq(0), DiscriminationConfig(reduct_limit=0))
     assert v.conclusion == INCONCLUSIVE
     assert v.evidence["simple_reduct"] == [False, False]
+
+
+def test_the_closure_keeps_to_the_size_rule(search_bounds):
+    # Each redex copies its normal argument four times, so each is simple
+    # and none copies a redex: the closure contracts one that keeps the
+    # term within the rule, and passes over one that would take it past,
+    # however many contractions are left.
+    arg = app(Free("f"), *[Free("a")] * 10)
+    r = App(parse(r"\x. g x x x x"), arg)
+    c = app(Free("g"), arg, arg, arg, arg)
+    t = app(Free("h"), r, r)
+    one, two = app(Free("h"), c, r), app(Free("h"), c, c)
+    assert t.size < one.size <= 2 * t.size < two.size
+    for floor, end in ((0, one), (two.size - 1, one), (two.size, two)):
+        with search_bounds(SIZE_LIMIT=floor):
+            assert compare._closure(t, compare.REDUCT_LIMIT) == end
 
 
 def test_size_pruned_pool_never_certifies_a_convertible_pair(defs, search_bounds):
@@ -394,34 +417,24 @@ def test_size_pruned_pool_never_certifies_a_convertible_pair(defs, search_bounds
     assert v.evidence["simple_reduct"] == [True, False]
 
 
-# Family neighbours past SIZE_LIMIT (500 nodes): each side's search keeps
-# terms of up to twice its size, so it still reaches a simple reduct.
+# Family neighbours past SIZE_LIMIT (500 nodes), each family with the
+# first count whose member is past it: each side's closure keeps terms of
+# up to twice its size, so it still reaches a simple reduct.
 _FAMILIES = {
-    "scott_seq": scott_seq,
-    "gvector(Y0)": functools.partial(gvector, Y0),
-    "gvector(Y1)": functools.partial(gvector, Y1),
+    "scott_seq": (scott_seq, 48),
+    "gvector(Y0)": (functools.partial(gvector, Y0), 48),
+    "gvector(Y1)": (functools.partial(gvector, Y1), 48),
+    "bbb_scheme(Y0)": (functools.partial(bbb_scheme, Y0), 24),
 }
 
 
-@pytest.mark.parametrize("n", [24, 48, 64])
+@pytest.mark.parametrize("n", [24, 40, 48, 64, 128])
 @pytest.mark.parametrize("family", _FAMILIES.values(), ids=_FAMILIES.keys())
 def test_family_neighbours_are_told_apart_past_the_size_floor(family, n):
-    m = family(n)
-    assert (m.size > compare.SIZE_LIMIT) == (n >= 48)
-    v = discriminate(m, family(n + 1))
-    assert (v.conclusion, v.justification) == (INCONVERTIBLE, "simple-eventual-mismatch")
-
-
-def test_bbb_scheme_neighbours_need_more_terms_made():
-    # bbb_scheme(Y0, 48) has 1,007 nodes.  Its simple reduct is among the
-    # first CHECK_LIMIT terms checked, but the frontier makes REDUCT_LIMIT
-    # terms before it gets there: the default search ends open on both
-    # sides, and twice the limit certifies the pair.
-    m, n = bbb_scheme(Y0, 48), bbb_scheme(Y0, 49)
-    v = discriminate(m, n)
-    assert (v.conclusion, v.justification) == (INCONCLUSIVE, "none")
-    assert v.evidence["simple_reduct"] == [False, False]
-    v = discriminate(m, n, DiscriminationConfig(reduct_limit=2 * compare.REDUCT_LIMIT))
+    make, past = family
+    m = make(n)
+    assert (m.size > compare.SIZE_LIMIT) == (n >= past)
+    v = discriminate(m, make(n + 1))
     assert (v.conclusion, v.justification) == (INCONVERTIBLE, "simple-eventual-mismatch")
 
 
@@ -463,11 +476,21 @@ def test_discriminate_enumerates_no_reducts(defs, monkeypatch):
 
 
 def test_find_simple_reduct():
+    # E2 closes to W W, where E1 = (\x. x x) W: E1's one-step reduct
     got = find_simple_reduct(E2)
     assert got is not None
     reduct, report = got
     assert report.status == "simple"
-    assert reduct == E1
+    assert reduct == App(E1.arg, E1.arg) == next(one_step_reducts(E1))
+
+
+@pytest.mark.parametrize("ns", [[0], [1], [2], [3], [4], [2, 0, 1]], ids=str)
+def test_find_simple_reduct_is_the_papers_simplified_form(ns):
+    # Example 4.20: the simple reduct of a Scott composite is θθ S…S I,
+    # then per further entry the normal form of SS with its S's and I
+    got = find_simple_reduct(scott_composite(ns))
+    assert got is not None
+    assert got[0] == scott_composite_simplified(ns)
 
 
 def test_find_simple_reduct_identity(defs):
@@ -481,7 +504,7 @@ def test_find_simple_reduct_identity(defs):
 )
 def test_find_simple_reduct_beyond_breadth_first(term):
     # Neither term has a simple reduct among the first 2000 in
-    # breadth-first order; size order reaches one within 20 checks.
+    # breadth-first order; the closure reaches a smaller one.
     got = find_simple_reduct(term)
     assert got is not None
     reduct, report = got
@@ -514,32 +537,30 @@ def _count_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [0, 3])
-def test_find_simple_reduct_check_limit(k, monkeypatch, search_bounds):
-    # CHECK_LIMIT caps the checks after the term itself
+def test_find_simple_reduct_limit(k, monkeypatch):
+    # limit caps the contractions: bbb_scheme(Y0, 1) is more than 3 from
+    # its simple reduct.  The term is checked, then the closure's end
+    # once, unless no contraction was made.
     checked = _count_checks(monkeypatch)
     term = bbb_scheme(Y0, 1)
-    with search_bounds(CHECK_LIMIT=k):
-        assert find_simple_reduct(term) is None
-    assert checked[0] == term
-    assert len(checked) == k + 1
-    # limit caps the terms made, the term itself included, so at most
-    # that many can be checked
+    assert find_simple_reduct(term, limit=k) is None
+    ends = [compare._closure(term, k)] if k else []
+    assert checked == [term, *ends]
     checked.clear()
-    assert find_simple_reduct(term, limit=k + 1) is None
-    assert len(checked) == k + 1
+    assert find_simple_reduct(term) is not None
+    assert len(checked) == 2
 
 
 @pytest.mark.parametrize("k", [0, 3])
-def test_find_simple_reduct_starts_from_a_given_report(k, monkeypatch, search_bounds):
-    # the given report stands for the check of the term itself, and
-    # CHECK_LIMIT still caps the checks after it
+def test_find_simple_reduct_starts_from_a_given_report(k, monkeypatch):
+    # the given report stands for the check of the term itself, so only
+    # the closure's end is checked, and only when it is another term
     term = bbb_scheme(Y0, 1)
     report = compare.check_simple(term)
     checked = _count_checks(monkeypatch)
-    with search_bounds(CHECK_LIMIT=k):
-        assert find_simple_reduct(term, report=report) is None
+    assert find_simple_reduct(term, limit=k, report=report) is None
     assert term not in checked
-    assert len(checked) == k
+    assert len(checked) == (k > 0)
 
 
 def test_discriminate_checks_each_side_once(monkeypatch):
@@ -547,7 +568,8 @@ def test_discriminate_checks_each_side_once(monkeypatch):
     m, n = scott_seq(1), scott_seq(2)
     v = discriminate(m, n)
     assert v.justification == "simple-eventual-mismatch"
-    assert len(checked) == 26
+    # each side, then each side's closure end
+    assert len(checked) == 4
     assert checked.count(m) == checked.count(n) == 1
     # the profile table serves the same call again without a check
     checked.clear()

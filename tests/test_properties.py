@@ -6,8 +6,9 @@ against their lookup and recursive references, the product graph's peel
 against brute force, acyclic trees with shared subtrees against their
 copies with a node per position, balance preservation on the fixtures'
 balanced reducts of the duplicator, soundness of the
-discrimination verdict and of the join on convertible pairs, and the
-CLI's JSON writer against the standard encoder."""
+discrimination verdict and of the join on convertible pairs, the
+simple-redex closure's reach against the fixtures' best-first search,
+and the CLI's JSON writer against the standard encoder."""
 
 import itertools
 import json
@@ -17,7 +18,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lamclock.combinators as C
-from fixtures import balanced_reducts, develop, gross_knuth, is_balanced
+from fixtures import (
+    balanced_reducts,
+    best_first_simple_reduct,
+    develop,
+    gross_knuth,
+    is_balanced,
+)
 from lamclock.compare import (
     INCONVERTIBLE,
     DiscriminationConfig,
@@ -26,6 +33,7 @@ from lamclock.compare import (
     bounded_joinable,
     discriminate,
     enumerate_reducts,
+    find_simple_reduct,
     holds_eventually,
     holds_globally,
     subseq_le,
@@ -1171,6 +1179,7 @@ def _tree_views(tree):
 
 def _lifted(a, b, rel):
     ev = holds_eventually(a, b, rel)
+    assert ev.holds or ev.certified  # a failing result is always certified
     return ev.holds, ev.level, ev.certified, holds_globally(a, b, rel)
 
 
@@ -1267,12 +1276,45 @@ def test_no_false_separation_on_convertible_corpus(defs, search_bounds):
     # pairs of one term twice test nothing
     assert sum(a != b for a, b in pairs) >= 150
     false_separations = []
-    with search_bounds(SIZE_LIMIT=200, CHECK_LIMIT=20):
+    with search_bounds(SIZE_LIMIT=200):
         for i, (a, b) in enumerate(pairs):
             v = discriminate(a, b, cfg)
             if v.conclusion == INCONVERTIBLE:
                 false_separations.append((i, pretty(a), pretty(b), v.justification))
     assert false_separations == []
+
+
+# The catalog's fixed-point combinators, each family's first few members.
+_FPCS = (
+    [C.Y0, C.Y1, C.E1, C.E2, C.E3, C.wfpc_flipflop(0), C.wfpc_flipflop(1)]
+    + [C.bohm_seq(n) for n in range(1, 6)]
+    + [C.scott_seq(n) for n in range(5)]
+    + [C.gvector(y, n) for y in (C.Y0, C.Y1) for n in range(4)]
+    + [C.bbb_scheme(C.Y0, n) for n in range(4)]
+    + [C.scott_composite(ns) for ns in ([0], [1], [0, 0], [1, 0], [0, 1], [2, 0, 1])]
+)
+
+
+def test_the_closure_reaches_a_simple_reduct_wherever_the_search_does():
+    # A best-first search over the reduct frontier is the reference:
+    # on walks from random redex ancestors (at the corpus's bounds) and
+    # on walks from the catalog's fpcs (at the default bounds), the
+    # closure finds a simple reduct for every term the search does.
+    rng = random.Random(20261021)
+    walks = [_random_walk(rng, a) for a in (_redex_ancestor(rng) for _ in range(300))
+             for _ in range(2)]
+    fpc_walks = [_random_walk(rng, y, 2 * y.size) for y in _FPCS for _ in range(6)]
+    for terms, bounds in ((walks, (6, 1000, 100)),
+                          (_FPCS + fpc_walks, (12, 10_000, compare.REDUCT_LIMIT))):
+        reached = searched = 0
+        for t in terms:
+            found = best_first_simple_reduct(t, *bounds) is not None
+            closed = find_simple_reduct(t, *bounds) is not None
+            assert closed or not found, pretty(t)
+            reached += closed
+            searched += found
+        # most terms have a simple reduct, so the check has teeth
+        assert searched >= 0.95 * len(terms) and reached >= searched
 
 
 @pytest.mark.parametrize(

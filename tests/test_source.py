@@ -8,8 +8,8 @@ and the public ones that only tests read are a pinned list;
 no module but ``trees`` reads the acyclic builders;
 ``DiscriminationConfig`` holds exactly the bounds ``lamclock compare``
 sets, ``compare.py`` reads every one of them, expands reducts in
-``_frontier`` alone and reads each fixed search bound in one function,
-only ``trees._Exact``
+``_frontier`` alone, finds a simple reduct without it and reads each
+fixed search bound in one function, only ``trees._Exact``
 compares terms with their binder hints, ``Term.__eq__`` is the one
 walk that compares two terms, no module reads a free-name set off a
 term, and no function calls itself by name beyond a pinned list."""
@@ -359,12 +359,22 @@ def test_only_the_frontier_expands_reducts():
 
 
 def test_one_reader_for_each_fixed_search_bound():
-    # the size rule is made from its floor in _frontier alone, and the
-    # check bound is read by the one search that checks; a second reader
+    # the size rule is made from its floor in one helper, which the
+    # frontier and the closure both call; a second reader of the floor
     # would be a second rule, or a parameter that sets one
     source = (Path(lamclock.__file__).parent / "compare.py").read_text(encoding="utf-8")
-    assert _readers_of(source, "SIZE_LIMIT") == ["_frontier"]
-    assert _readers_of(source, "CHECK_LIMIT") == ["find_simple_reduct"]
+    assert _readers_of(source, "SIZE_LIMIT") == ["_size_limit"]
+    assert _readers_of(source, "_size_limit") == ["_closure", "_frontier"]
+
+
+def test_the_simple_reduct_is_found_by_strategy_not_search():
+    # the simple-redex closure follows one line of reduction: neither
+    # find_simple_reduct nor its closure walks a frontier of reducts
+    source = (Path(lamclock.__file__).parent / "compare.py").read_text(encoding="utf-8")
+    for name in ("_frontier", "one_step_reducts"):
+        readers = _readers_of(source, name)
+        assert "find_simple_reduct" not in readers and "_closure" not in readers
+    assert _readers_of(source, "_closure") == ["find_simple_reduct"]
 
 
 def test_one_node_test_table():
