@@ -22,6 +22,12 @@ its arguments, as ``--opt value`` or ``--opt=value``; an option name is
 never abbreviated, and the first ``--`` ends the options: every
 argument after it is a value, a further ``--`` too.  Output is UTF-8
 whatever encoding the standard streams were opened with.
+
+Every command loads the term, parser, reduction, tree, rendering and
+catalog modules.  ``compare`` alone loads the ``compare`` module, and
+``repro`` alone loads ``repro`` (which loads ``compare`` too), each
+when the command runs: the other commands start without compiling
+them.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ import sys
 from json.encoder import encode_basestring
 
 from .combinators import catalog, catalog_names, standard_definitions
-from .compare import REDUCT_LIMIT, DiscriminationConfig, discriminate
 from .parser import DefinitionTable, ParseError, parse, pretty
 from .render import render_dot, render_text
 from .terms import TermError
@@ -44,7 +49,7 @@ from .trees import (
     periodicity_report,
     tree_to_dict,
 )
-from .reduction import DEFAULT_FUEL
+from .reduction import DEFAULT_FUEL, REDUCT_LIMIT
 
 _EXIT_INCONCLUSIVE = 1
 _EXIT_USAGE = 2
@@ -151,6 +156,8 @@ def _tree_command(term, semantics, depth, fuel, atomic, defs_file,
 
 
 def compare_cmd(left, right, depth, fuel, atomic, defs_file, as_json, reduct_limit):
+    from .compare import DiscriminationConfig, discriminate  # only this command compares
+
     defs = _defs_from(defs_file)
     lt = _parse_term(left, defs)
     rt = _parse_term(right, defs)

@@ -53,15 +53,15 @@ tables that its first pair filled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import islice, zip_longest
-from typing import Iterator
 
 from .reduction import (
     DEFAULT_FUEL,
+    REDUCT_LIMIT,
     _count_index,
     _is_simple,
     contract_at,
@@ -186,10 +186,10 @@ def _slots(n: Node) -> tuple[tuple[Node, int], ...]:
     return tuple([(c.target or c, len(child_step(n, i))) for i, c in enumerate(n.children)])
 
 
-@dataclass
 class _Product:
     """Exploration of the paired unfolding of two trees."""
 
+    __slots__ = ("states", "edges", "depth", "shape_bad", "ann_bad", "unknown")
     states: list[tuple]
     edges: dict[int, list[tuple[int, int]]]  # state -> [(child state, digits)]
     # digit-depth from the root pair: the shortest when both trees may
@@ -198,6 +198,16 @@ class _Product:
     shape_bad: int | None  # first state whose layers differ
     ann_bad: set[int]  # states where the relation fails
     unknown: bool  # some reachable state is unresolved
+
+    def __init__(self, states: list[tuple], edges: dict[int, list[tuple[int, int]]],
+                 depth: dict[int, int], shape_bad: int | None, ann_bad: set[int],
+                 unknown: bool) -> None:
+        self.states = states
+        self.edges = edges
+        self.depth = depth
+        self.shape_bad = shape_bad
+        self.ann_bad = ann_bad
+        self.unknown = unknown
 
     def peel(self) -> dict[int, int]:
         """The states not reachable from a cycle, each mapped to its
@@ -339,7 +349,6 @@ def holds_globally(t1: ClockTree, t2: ClockTree, rel: Relation) -> bool | None:
     return None if prod.unknown else True
 
 
-@dataclass(frozen=True)
 class EventualResult:
     """Outcome of an eventual (from some depth on) tree comparison.
 
@@ -349,11 +358,27 @@ class EventualResult:
     layer difference or a violation that recurs along a cycle, both
     definite.  For a holding result ``level`` is the least depth that
     works; for a failing one it is the depth of a witnessing violation.
+    Compared and hashed by value.
     """
 
+    __slots__ = ("holds", "level", "certified")
     holds: bool
     level: int
     certified: bool
+
+    def __init__(self, holds: bool, level: int, certified: bool) -> None:
+        self.holds = holds
+        self.level = level
+        self.certified = certified
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not EventualResult:
+            return NotImplemented
+        return (self.holds, self.level, self.certified) == (
+            other.holds, other.level, other.certified)
+
+    def __hash__(self) -> int:
+        return hash((self.holds, self.level, self.certified))
 
 
 def holds_eventually(t1: ClockTree, t2: ClockTree, rel: Relation) -> EventualResult:
@@ -385,9 +410,9 @@ def _eventually(prod: _Product) -> EventualResult:
 # ---------------------------------------------------------------------------
 # reduct search
 
-# The search bounds: terms made or contractions (``reduct_limit``), and
-# the floor of the size rule (``_size_limit``).
-REDUCT_LIMIT = 2000
+# The search bounds: terms made or contractions (``reduct_limit``, by
+# default ``REDUCT_LIMIT``), and the floor of the size rule
+# (``_size_limit``).
 SIZE_LIMIT = 500
 
 
@@ -559,13 +584,18 @@ INCONVERTIBLE = "inconvertible"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
 class Verdict:
     """What the comparison established about β-convertibility."""
 
+    __slots__ = ("conclusion", "justification", "evidence")
     conclusion: str  # INCONVERTIBLE | INCONCLUSIVE
     justification: str  # see discriminate
     evidence: dict
+
+    def __init__(self, conclusion: str, justification: str, evidence: dict) -> None:
+        self.conclusion = conclusion
+        self.justification = justification
+        self.evidence = evidence
 
     def __bool__(self) -> bool:
         return self.conclusion == INCONVERTIBLE
@@ -578,12 +608,19 @@ class Verdict:
         }
 
 
-@dataclass
 class DiscriminationConfig:
-    depth: int = DEFAULT_DEPTH
-    fuel: int = DEFAULT_FUEL
-    atomic: bool = False
-    reduct_limit: int = REDUCT_LIMIT
+    __slots__ = ("depth", "fuel", "atomic", "reduct_limit")
+    depth: int
+    fuel: int
+    atomic: bool
+    reduct_limit: int
+
+    def __init__(self, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL,
+                 atomic: bool = False, reduct_limit: int = REDUCT_LIMIT) -> None:
+        self.depth = depth
+        self.fuel = fuel
+        self.atomic = atomic
+        self.reduct_limit = reduct_limit
 
 
 PROFILE_LIMIT = 256  # entries of each profile cache (module docstring)

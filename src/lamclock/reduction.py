@@ -8,9 +8,8 @@ running out of fuel is a separate outcome and never claims divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import partial
-from typing import Iterator, Literal
 
 from .parser import _pick_name
 from .terms import (
@@ -32,15 +31,16 @@ from .terms import (
 
 DEFAULT_FUEL = 10_000
 TRACE_CAP = 10_000
-
-Target = Literal["hnf", "whnf", "root_stable"]
+# The reduct searches' bound on terms made or contractions
+# (``compare``'s ``reduct_limit``), here so that the CLI can show it
+# without loading ``compare``.
+REDUCT_LIMIT = 2000
 
 RESOLVED = "resolved"
 PROVEN_DIVERGENT = "proven_divergent"
 FUEL_EXHAUSTED = "fuel_exhausted"
 
 
-@dataclass
 class HeadOutcome:
     """Result of driving a term toward a head target.
 
@@ -50,9 +50,15 @@ class HeadOutcome:
     not kept; ``head_reduce``'s ``on_step`` callback sees each of them.
     """
 
+    __slots__ = ("status", "steps", "result")
     status: str
     steps: list[HeadPos]
     result: Term | None
+
+    def __init__(self, status: str, steps: list[HeadPos], result: Term | None) -> None:
+        self.status = status
+        self.steps = steps
+        self.result = result
 
     @property
     def step_count(self) -> int:
@@ -216,7 +222,7 @@ def _drive(
     hints: list[str],
     head: Term,
     stack: tuple,
-    target: Target,
+    target: str,
     fuel: int,
     base: int,
     steps: list[HeadPos] | None,
@@ -285,9 +291,11 @@ def _drive(
 
 
 def head_reduce(
-    t: Term, target: Target = "hnf", fuel: int = DEFAULT_FUEL, *, on_step=None
+    t: Term, target: str = "hnf", fuel: int = DEFAULT_FUEL, *, on_step=None
 ) -> HeadOutcome:
-    """Reduce toward ``target``, recording one position per step.
+    """Reduce toward ``target``, recording one position per step:
+    ``"hnf"`` (head normal form), ``"whnf"`` (weak head normal form) or
+    ``"root_stable"`` (a root-stable form).
 
     The fuel budget is shared with any stability probes the
     ``root_stable`` target performs on function sides.  ``on_step``, when
@@ -310,17 +318,30 @@ def head_reduce(
 # redex bookkeeping
 
 
-@dataclass(frozen=True)
 class RedexClass:
     """How a redex duplicates work.
 
     ``linear``: the bound variable occurs at most once in the body.
     ``call_by_value``: the argument is a normal form.
-    Either property makes the redex ``simple``.
+    Either property makes the redex ``simple``.  Compared and hashed by
+    value.
     """
 
+    __slots__ = ("linear", "call_by_value")
     linear: bool
     call_by_value: bool
+
+    def __init__(self, linear: bool, call_by_value: bool) -> None:
+        self.linear = linear
+        self.call_by_value = call_by_value
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RedexClass:
+            return NotImplemented
+        return (self.linear, self.call_by_value) == (other.linear, other.call_by_value)
+
+    def __hash__(self) -> int:
+        return hash((self.linear, self.call_by_value))
 
     @property
     def simple(self) -> bool:
@@ -416,11 +437,16 @@ def is_normal(t: Term) -> bool:
 # full normalization
 
 
-@dataclass
 class NormalizeOutcome:
+    __slots__ = ("status", "steps", "result")
     status: str
     steps: int
     result: Term | None
+
+    def __init__(self, status: str, steps: int, result: Term | None) -> None:
+        self.status = status
+        self.steps = steps
+        self.result = result
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeOutcome:

@@ -15,7 +15,7 @@ Nameless Representation", JAR 49, 2012), the free names are a function,
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 Position = tuple[int, ...]
 

@@ -26,9 +26,8 @@ unfolding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from functools import partial
-from typing import Iterator
 
 from .parser import _pick_name
 from .reduction import (
@@ -121,7 +120,6 @@ class Node:
         return self.count
 
 
-@dataclass
 class ClockTree:
     """A built tree plus the parameters it was built with.
 
@@ -137,14 +135,26 @@ class ClockTree:
     back edge or shared reference: a build records whether it does, any
     other tree is taken to."""
 
+    __slots__ = ("root", "semantics", "atomic", "depth", "fuel", "closed", "explored", "refs")
     root: Node
     semantics: str
     atomic: bool
     depth: int
     fuel: int
     closed: bool
-    explored: object = field(default=None, init=False, repr=False, compare=False)
-    refs: bool = field(default=True, init=False, repr=False, compare=False)
+    explored: object
+    refs: bool
+
+    def __init__(self, root: Node, semantics: str, atomic: bool, depth: int, fuel: int,
+                 closed: bool) -> None:
+        self.root = root
+        self.semantics = semantics
+        self.atomic = atomic
+        self.depth = depth
+        self.fuel = fuel
+        self.closed = closed
+        self.explored = None
+        self.refs = True
 
     def node_count(self) -> int:
         return sum(1 for _ in walk(self))
@@ -602,19 +612,30 @@ def periodicity_report(tree: ClockTree) -> dict:
 # simplicity
 
 
-@dataclass
 class SimplicityWitness:
+    __slots__ = ("path", "step", "position", "term")
     path: tuple[int, ...]
     step: int
     position: Position
     term: Term
 
+    def __init__(self, path: tuple[int, ...], step: int, position: Position, term: Term) -> None:
+        self.path = path
+        self.step = step
+        self.position = position
+        self.term = term
 
-@dataclass
+
 class SimplicityReport:
+    __slots__ = ("status", "witness", "tree")
     status: str  # "simple" | "not_simple" | "unknown"
     witness: SimplicityWitness | None
     tree: ClockTree  # the cyclic ``bt`` tree whose steps were classified
+
+    def __init__(self, status: str, witness: SimplicityWitness | None, tree: ClockTree) -> None:
+        self.status = status
+        self.witness = witness
+        self.tree = tree
 
     def __bool__(self) -> bool:
         return self.status == "simple"

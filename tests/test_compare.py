@@ -1,6 +1,5 @@
 """Tree comparison relations and the discrimination pipeline."""
 
-import dataclasses
 import functools
 import itertools
 import random
@@ -662,11 +661,11 @@ def test_profile_table_keys_on_every_bound(bound, monkeypatch):
     discriminate(m, n, cfg)
     # the clock mode is not part of the key
     checked.clear()
-    discriminate(m, n, dataclasses.replace(cfg, atomic=True))
+    discriminate(m, n, DiscriminationConfig(atomic=True))
     assert checked == []
     whole = _calls(monkeypatch, "check_simple")  # not the search's checks
     searched = _calls(monkeypatch, "find_simple_reduct")
-    other = dataclasses.replace(cfg, **{bound: getattr(cfg, bound) - 1})
+    other = DiscriminationConfig(**{bound: getattr(cfg, bound) - 1})
     v = discriminate(m, n, other)
     if bound in ("depth", "fuel"):
         # check_simple reads these, so both sides are checked again

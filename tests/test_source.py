@@ -2,9 +2,12 @@
 and the package itself, uses each name it imports, and imports inside a
 function only from modules it does not import from at top level; every
 module-level private helper and every ``__slots__``
-name is read somewhere in the package, every public one and every
-dataclass field somewhere in the package, the tests or the benchmark,
-and the public ones that only tests read are a pinned list;
+name outside a record is read somewhere in the package, every public one
+and every record field somewhere in the package, the tests or the
+benchmark, and the public ones that only tests read are a pinned list;
+a record keeps exactly its fields in ``__slots__``; ``cli`` imports
+``compare`` in ``compare_cmd`` alone, and the start of a command loads
+neither it nor ``dataclasses`` or ``typing``;
 no module but ``trees`` reads the acyclic builders;
 ``DiscriminationConfig`` holds exactly the bounds ``lamclock compare``
 sets, ``compare.py`` reads every one of them, expands reducts in
@@ -15,8 +18,9 @@ walk that compares two terms, no module reads a free-name set off a
 term, and no function calls itself by name beyond a pinned list."""
 
 import ast
-import dataclasses
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -56,6 +60,68 @@ def test_the_check_finds_imports_outside_the_standard_library():
 def test_only_the_standard_library_is_imported(path):
     # ``lamclock`` has no runtime dependency; a new one shows here
     assert _outside_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Every command runs this before its own work; the benchmark times it as
+# its set-up code.
+START = (
+    "import lamclock.cli\n"
+    "from lamclock.combinators import standard_definitions\n"
+    "standard_definitions()\n"
+)
+
+
+def test_the_start_of_a_command_loads_only_what_it_uses():
+    # ``-S``: no ``site``, whose ``.pth`` files may import modules of
+    # their own.  ``compare`` and ``repro`` load in their commands.
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", START + "import sys\nprint(*sorted(sys.modules))\n"],
+        capture_output=True, text=True, check=True,
+        env=os.environ | {"PYTHONPATH": str(Path(lamclock.__file__).parents[1])},
+    )
+    loaded = set(res.stdout.split())
+    assert {"lamclock.cli", "lamclock.trees", "lamclock.reduction"} <= loaded
+    unused = {"dataclasses", "inspect", "typing", "lamclock.compare", "lamclock.repro",
+              "difflib", "importlib.resources"}
+    assert loaded & unused == set()
+
+
+def _importers_of(source: str, module: str) -> list[str]:
+    """The top-level functions and classes of ``source`` that import
+    from the package module ``module``; an import at top level shows as
+    ``<module>``."""
+    return sorted({
+        getattr(stmt, "name", "<module>")
+        for stmt in ast.parse(source).body
+        for n in ast.walk(stmt)
+        if (1, module) in _import_sources(n)
+    })
+
+
+def test_the_check_finds_importers():
+    source = (
+        "from .terms import App\n"
+        "def f():\n    from .compare import discriminate\n"
+        "def g():\n    from . import compare, repro\n"
+        "def h():\n    import compare\n"
+    )
+    assert _importers_of(source, "compare") == ["f", "g"]
+    assert _importers_of(source, "terms") == ["<module>"]
+
+
+def test_only_the_compare_command_imports_compare():
+    source = (Path(lamclock.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    assert _importers_of(source, "compare") == ["compare_cmd"]
+    assert _importers_of(source, "repro") == ["_repro_specs"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses_or_typing(path):
+    # the records are plain classes, and ``Iterator`` comes from
+    # ``collections.abc``: both modules cost a command's start
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {name for n in ast.walk(tree) for _, name in _import_sources(n)}
+    assert imported & {"dataclasses", "typing"} == set()
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -271,8 +337,31 @@ def test_every_traced_layer_resolves(monkeypatch):
         assert callable(getattr(layer.module, layer.attr)), layer.name
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(
+def _fields(node: ast.ClassDef) -> list[str]:
+    """The names a class body annotates."""
+    return [
+        s.target.id for s in node.body
+        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+    ]
+
+
+def _slots(node: ast.ClassDef) -> list[str] | None:
+    """The names of a class body's ``__slots__``, or None without one."""
+    for s in node.body:
+        if isinstance(s, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in s.targets
+        ):
+            return list(ast.literal_eval(s.value))
+    return None
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass, or a plain record: a class with ``__slots__`` and an
+    ``__init__`` whose body annotates its fields."""
+    plain = _fields(node) and _slots(node) is not None and any(
+        isinstance(s, ast.FunctionDef) and s.name == "__init__" for s in node.body
+    )
+    return bool(plain) or any(
         isinstance(d, ast.Name) and d.id == "dataclass"
         or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
         for d in node.decorator_list
@@ -280,7 +369,7 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def _unread_fields(sources: list[str], readers: list[str]) -> list[str]:
-    """``Class.field`` for every annotated field of a dataclass in
+    """``Class.field`` for every annotated field of a record in
     ``sources`` that neither they nor the ``readers`` read as an
     attribute (``x.field`` in a load context)."""
     fields: list[str] = []
@@ -289,12 +378,8 @@ def _unread_fields(sources: list[str], readers: list[str]) -> list[str]:
         for n in ast.walk(ast.parse(source)):
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 reads.add(n.attr)
-            elif i < len(sources) and isinstance(n, ast.ClassDef) and _is_dataclass(n):
-                fields += [
-                    f"{n.name}.{s.target.id}"
-                    for s in n.body
-                    if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-                ]
+            elif i < len(sources) and isinstance(n, ast.ClassDef) and _is_record(n):
+                fields += [f"{n.name}.{f}" for f in _fields(n)]
     return sorted(f for f in fields if f.split(".", 1)[1] not in reads)
 
 
@@ -302,11 +387,16 @@ def test_the_check_finds_unread_fields():
     source = (
         "@dataclass\nclass Config:\n    a: int = 1\n    b: int = 2\n    c: int = 3\n"
         "@dataclass(frozen=True)\nclass Pair:\n    left: int\n    right: int\n"
+        "class Record:\n    __slots__ = ('seen', 'unseen')\n    seen: int\n    unseen: int\n"
+        "    def __init__(self, seen, unseen):\n"
+        "        self.seen = seen\n        self.unseen = unseen\n"
         "class Plain:\n    unread: int\n"
         "def f(cfg):\n    cfg.b = 5\n    return cfg.a\n"
     )
-    reader = "def g(pair):\n    return pair.left\n"
-    assert _unread_fields([source], [reader]) == ["Config.b", "Config.c", "Pair.right"]
+    reader = "def g(pair, record):\n    return pair.left, record.seen\n"
+    assert _unread_fields([source], [reader]) == [
+        "Config.b", "Config.c", "Pair.right", "Record.unseen",
+    ]
 
 
 def test_every_discrimination_setting_is_read():
@@ -320,8 +410,7 @@ def test_the_config_holds_the_compare_options():
     # the command's options less those naming its input and output
     parsed = vars(cli._COMMANDS.choices["compare"].parse_args(["LEFT", "RIGHT"]))
     options = set(parsed) - {"left", "right", "run"}
-    fields = {f.name for f in dataclasses.fields(DiscriminationConfig)}
-    assert options - {"defs_file", "as_json"} == fields
+    assert options - {"defs_file", "as_json"} == set(DiscriminationConfig.__slots__)
 
 
 def _readers_of(source: str, name: str) -> list[str]:
@@ -492,22 +581,35 @@ def test_no_unread_dataclass_fields():
 
 
 def _unread_slots(sources: list[str]) -> list[str]:
-    """``Class.slot`` for every name in a class's ``__slots__`` that no
-    module reads as an attribute (``x.slot`` in a load context)."""
+    """``Class.slot`` for every name in the ``__slots__`` of a class
+    other than a record that no module reads as an attribute (``x.slot``
+    in a load context).  A record's slots are its fields, which
+    ``_unread_fields`` checks against the tests and the benchmark too."""
     slots: list[str] = []
     reads: set[str] = set()
     for source in sources:
         for n in ast.walk(ast.parse(source)):
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 reads.add(n.attr)
-            elif isinstance(n, ast.ClassDef):
-                for s in n.body:
-                    if (
-                        isinstance(s, ast.Assign)
-                        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in s.targets)
-                    ):
-                        slots += [f"{n.name}.{name}" for name in ast.literal_eval(s.value)]
+            elif isinstance(n, ast.ClassDef) and not _is_record(n):
+                slots += [f"{n.name}.{name}" for name in _slots(n) or ()]
     return sorted(s for s in slots if s.split(".", 1)[1] not in reads)
+
+
+# The package's records: plain classes, each with ``__slots__``, its
+# fields annotated in its body and an ``__init__`` of its own.
+RECORDS = [
+    "compare.DiscriminationConfig",
+    "compare.EventualResult",
+    "compare.Verdict",
+    "compare._Product",
+    "reduction.HeadOutcome",
+    "reduction.NormalizeOutcome",
+    "reduction.RedexClass",
+    "trees.ClockTree",
+    "trees.SimplicityReport",
+    "trees.SimplicityWitness",
+]
 
 
 def test_the_check_finds_unread_slots():
@@ -515,9 +617,25 @@ def test_the_check_finds_unread_slots():
         "class Box:\n    __slots__ = ('kept', 'dead')\n"
         "    def __init__(self):\n        self.kept = self.dead = 0\n"
         "class Empty:\n    __slots__ = ()\n"
+        "class Record:\n    __slots__ = ('outside',)\n    outside: int\n"
+        "    def __init__(self, outside):\n        self.outside = outside\n"
     )
     b = "def f(box):\n    return box.kept\n"
     assert _unread_slots([a, b]) == ["Box.dead"]
+
+
+def test_a_record_keeps_exactly_its_fields_in_its_slots():
+    # so the field check, not the slot check, sees every slot of a record
+    records = {
+        f"{path.stem}.{n.name}": (_fields(n), _slots(n))
+        for path in MODULES
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(n, ast.ClassDef) and _is_record(n)
+    }
+    assert sorted(records) == RECORDS
+    assert {name: fields for name, (fields, _) in records.items()} == {
+        name: slots for name, (_, slots) in records.items()
+    }
 
 
 def test_no_unread_slots():
