@@ -356,15 +356,10 @@ def _slots(node: ast.ClassDef) -> list[str] | None:
 
 
 def _is_record(node: ast.ClassDef) -> bool:
-    """A dataclass, or a plain record: a class with ``__slots__`` and an
-    ``__init__`` whose body annotates its fields."""
-    plain = _fields(node) and _slots(node) is not None and any(
+    """A class with ``__slots__`` and an ``__init__`` whose body
+    annotates its fields."""
+    return bool(_fields(node)) and _slots(node) is not None and any(
         isinstance(s, ast.FunctionDef) and s.name == "__init__" for s in node.body
-    )
-    return bool(plain) or any(
-        isinstance(d, ast.Name) and d.id == "dataclass"
-        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
-        for d in node.decorator_list
     )
 
 
@@ -385,18 +380,16 @@ def _unread_fields(sources: list[str], readers: list[str]) -> list[str]:
 
 def test_the_check_finds_unread_fields():
     source = (
-        "@dataclass\nclass Config:\n    a: int = 1\n    b: int = 2\n    c: int = 3\n"
-        "@dataclass(frozen=True)\nclass Pair:\n    left: int\n    right: int\n"
-        "class Record:\n    __slots__ = ('seen', 'unseen')\n    seen: int\n    unseen: int\n"
-        "    def __init__(self, seen, unseen):\n"
-        "        self.seen = seen\n        self.unseen = unseen\n"
+        "class Config:\n    __slots__ = ('a', 'b', 'c')\n    a: int\n    b: int\n    c: int\n"
+        "    def __init__(self, a=1, b=2, c=3):\n        self.a, self.b, self.c = a, b, c\n"
+        "class Pair:\n    __slots__ = ('left', 'right')\n    left: int\n    right: int\n"
+        "    def __init__(self, left, right):\n        self.left, self.right = left, right\n"
         "class Plain:\n    unread: int\n"
+        "class Node:\n    __slots__ = ('kids',)\n    kids: list\n"
         "def f(cfg):\n    cfg.b = 5\n    return cfg.a\n"
     )
-    reader = "def g(pair, record):\n    return pair.left, record.seen\n"
-    assert _unread_fields([source], [reader]) == [
-        "Config.b", "Config.c", "Pair.right", "Record.unseen",
-    ]
+    reader = "def g(pair):\n    return pair.left\n"
+    assert _unread_fields([source], [reader]) == ["Config.b", "Config.c", "Pair.right"]
 
 
 def test_every_discrimination_setting_is_read():
