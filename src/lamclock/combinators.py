@@ -72,14 +72,14 @@ def bohm_seq(n: int) -> Term:
     n−1 owls (n ≥ 1); each postfix yields a new fixed-point combinator."""
     if n < 1:
         raise ValueError("bohm_seq needs n >= 1")
-    return iterate("left", Y1, DELTA, n - 1)
+    return iterate(Y1, DELTA, n - 1)
 
 
 def scott_seq(n: int) -> Term:
     """(B Y0) S…S I with n composition combinators (n ≥ 0)."""
     if n < 0:
         raise ValueError("scott_seq needs n >= 0")
-    return App(iterate("left", App(B, Y0), S, n), I)
+    return App(iterate(App(B, Y0), S, n), I)
 
 
 def gvector(y: Term | None = None, n: int = 0) -> Term:
@@ -89,7 +89,7 @@ def gvector(y: Term | None = None, n: int = 0) -> Term:
         y = Y1
     if n < 0:
         raise ValueError("gvector needs n >= 0")
-    return App(iterate("left", App(y, App(S, S)), S, n), I)
+    return App(iterate(App(y, App(S, S)), S, n), I)
 
 
 def bbb_scheme(y: Term | None = None, n: int = 0) -> Term:
@@ -99,7 +99,7 @@ def bbb_scheme(y: Term | None = None, n: int = 0) -> Term:
     if n < 0:
         raise ValueError("bbb_scheme needs n >= 0")
     a = App(B, S)
-    return app(iterate("left", app(B, B, B, y), a, n), I, I)
+    return app(iterate(app(B, B, B, y), a, n), I, I)
 
 
 def dummy_scheme(y: Term | None = None, params: tuple[Term, ...] = ()) -> Term:
@@ -133,9 +133,9 @@ def scott_composite_simplified(ns: list[int] | tuple[int, ...]) -> Term:
         raise ValueError("need at least one entry")
     if any(n < 0 for n in ns):
         raise ValueError("entries must be >= 0")
-    t = App(iterate("left", App(THETA, THETA), S, ns[0]), I)
+    t = App(iterate(App(THETA, THETA), S, ns[0]), I)
     for n in ns[1:]:
-        t = App(iterate("left", App(t, SDUP), S, n), I)
+        t = App(iterate(App(t, SDUP), S, n), I)
     return t
 
 

@@ -39,6 +39,9 @@ sides had a simple term or simple reduct within the search bounds.
 process, in the spirit of hash-consing (Filliâtre and Conchon, ML
 Workshop 2006): two ``functools.lru_cache``s keep a term's
 ``check_simple`` report and, once searched for, its simple reduct.
+The simple-reduct search reads the first cache too, for the term and
+for its closure's end, so ``check_simple`` is the one simplicity check
+and a term is checked once whichever role it meets first.
 Both are keyed on ``trees._Exact(term)``, so a hit must be the same
 term with the same binder hints, and on the bounds each reads: the
 report on ``depth`` and ``fuel``, the reduct on those and
@@ -75,7 +78,6 @@ from .trees import (
     Node,
     SimplicityReport,
     _Exact,
-    _simple_report,
     check_simple,
     child_step,
 )
@@ -555,25 +557,24 @@ def find_simple_reduct(
     depth: int = DEFAULT_DEPTH,
     fuel: int = DEFAULT_FUEL,
     limit: int = REDUCT_LIMIT,
-    *,
-    report: SimplicityReport | None = None,
 ) -> tuple[Term, SimplicityReport] | None:
     """A reduct of ``t`` whose every tree-computing head step is simple.
 
     ``t`` itself when it is simple, else the end of ``_closure(t,
     limit)`` when that is, and None otherwise: a strategy, not a search,
-    so at most two terms are checked, ``t`` and the closure's end.
-    ``report``, when given, is ``check_simple(t, depth, fuel)``, made by
-    the caller and not made again.  The end's check stops at its first
-    non-simple step, since nothing reads the rest of its tree.
+    so at most two terms are checked, ``t`` and the closure's end.  Both
+    reports come from the profile cache ``_report``, so a term that
+    ``discriminate`` has checked, or an end that is an already-checked
+    term with the same binder hints, is not checked again.
     """
-    if report is None:
-        report = _simple_report(t, depth, fuel)
+    report = _report(_Exact(t), depth, fuel)
     if report:
         return t, report
     end = _closure(t, limit)
-    rep = _simple_report(end, depth, fuel) if end != t else None
-    return (end, rep) if rep else None
+    if end == t:
+        return None
+    report = _report(_Exact(end), depth, fuel)
+    return (end, report) if report else None
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +639,7 @@ def _simple_reduct(
     key: _Exact, depth: int, fuel: int, reduct_limit: int
 ) -> tuple[Term, SimplicityReport] | None:
     """The key's term's simple reduct, a simple term being its own."""
-    rep = _report(key, depth, fuel)
-    return (key.term, rep) if rep else find_simple_reduct(
-        key.term, depth, fuel, reduct_limit, report=rep)
+    return find_simple_reduct(key.term, depth, fuel, reduct_limit)
 
 
 def discriminate(

@@ -291,21 +291,14 @@ def positions(t: Term) -> list[Position]:
     return [p for p, _ in subterms(t)]
 
 
-def iterate(mode: str, a: Term, b: Term, n: int) -> Term:
-    """Iterated application: ``left`` gives a b b ... b, ``right`` gives a (a (... b))."""
+def iterate(a: Term, b: Term, n: int) -> Term:
+    """Iterated application ``a b b ... b``, with ``n`` copies of ``b``."""
     if n < 0:
         raise TermError("iteration count must be >= 0")
-    if mode == "left":
-        t = a
-        for _ in range(n):
-            t = App(t, b)
-        return t
-    if mode == "right":
-        t = b
-        for _ in range(n):
-            t = App(a, t)
-        return t
-    raise TermError(f"unknown iteration mode {mode!r}")
+    t = a
+    for _ in range(n):
+        t = App(t, b)
+    return t
 
 
 def spine(t: Term) -> tuple[Term, list[Term]]:

@@ -658,27 +658,3 @@ def check_simple(t: Term, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL) 
     if found:
         return SimplicityReport("not_simple", found[0], tree)
     return SimplicityReport("simple" if tree.closed else "unknown", None, tree)
-
-
-class _NotSimple(Exception):
-    """Raised from a reduction hook to stop a build at a non-simple step."""
-
-
-def _simple_report(t: Term, depth: int, fuel: int) -> SimplicityReport | None:
-    """``check_simple(t, depth, fuel)`` when its status is ``simple``,
-    else None.
-
-    The build stops at the first non-simple step, since no later step
-    can make the term simple: a reduct search that only asks *whether*
-    a candidate is simple then spends nothing on the rest of its tree.
-    """
-
-    def hook(path, i, pos, lam, arg, build):
-        if not _is_simple(lam.body, arg):
-            raise _NotSimple
-
-    try:
-        tree = compact_cyclic(t, depth, fuel, "bt", hook=hook)
-    except _NotSimple:
-        return None
-    return SimplicityReport("simple", None, tree) if tree.closed else None

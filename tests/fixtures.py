@@ -36,7 +36,7 @@ from lamclock.terms import (
     subterm_at,
     subterms,
 )
-from lamclock.trees import SimplicityReport, _simple_report
+from lamclock.trees import SimplicityReport, check_simple
 
 # -- the balance law ---------------------------------------------------------
 
@@ -180,7 +180,7 @@ def best_first_simple_reduct(
     ``t`` included, none over the size rule, and at most ``checks`` are
     checked after ``t``."""
     for cur in islice(_frontier(t, limit, True), checks + 1):
-        rep = _simple_report(cur, depth, fuel)
-        if rep is not None:
+        rep = check_simple(cur, depth, fuel)
+        if rep:
             return cur, rep
     return None

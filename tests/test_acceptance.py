@@ -97,7 +97,7 @@ def test_criterion_02_owl_postfix_cycles():
 def test_criterion_03_composition_chain_cycles():
     problems = []
     for n in range(2, 7):
-        t = App(app(iterate("left", App(THETA, THETA), S, n - 2), I), Free("x"))
+        t = App(app(iterate(App(THETA, THETA), S, n - 2), I), Free("x"))
         tree = compact_cyclic(t)
         if not tree.closed or tree.root.count != 3 * n - 2:
             problems.append(f"n={n}: cycle {tree.root.count} (closed={tree.closed})")

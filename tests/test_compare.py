@@ -7,6 +7,7 @@ import random
 import pytest
 
 import lamclock.compare as compare
+import lamclock.trees as trees
 from fixtures import gross_knuth
 from lamclock.combinators import (
     E1,
@@ -35,12 +36,14 @@ from lamclock.compare import (
     subseq_le,
 )
 from lamclock.parser import parse, pretty
-from lamclock.reduction import one_step_reducts
-from lamclock.terms import App, Free, HeadPos, app, iterate
+from lamclock.reduction import DEFAULT_FUEL, one_step_reducts
+from lamclock.terms import App, Free, HeadPos, app
 from lamclock.trees import (
+    DEFAULT_DEPTH,
     ClockTree,
     Node,
     _Exact,
+    _identical,
     clocked_bet,
     clocked_bt,
     clocked_llt,
@@ -407,7 +410,9 @@ def test_size_pruned_pool_never_certifies_a_convertible_pair(defs, search_bounds
     # Y0 f has infinitely many reducts, 47 of them of size at most 60;
     # f^30 ((\x.f (x x)) (\x.f (x x))) is one of the others.
     m = parse("Y0 f", defs)
-    n = iterate("right", Free("f"), parse(r"(\x. f (x x)) (\x. f (x x))"), 30)
+    n = parse(r"(\x. f (x x)) (\x. f (x x))")
+    for _ in range(30):
+        n = App(Free("f"), n)
     with search_bounds(SIZE_LIMIT=60):
         assert len(enumerate_reducts(m)) == 47
         v = discriminate(m, n)
@@ -517,9 +522,9 @@ def _clear_profiles():
 
 
 def _count_checks(monkeypatch):
-    # the whole-tree checks and the reduct search's, which stop at the
-    # first non-simple step; the profile caches start empty, so every
-    # check discriminate needs is made and counted
+    # the simplicity checks, the reduct search's included; the profile
+    # caches start empty, so every check discriminate needs is made and
+    # counted
     checked = []
     _clear_profiles()
 
@@ -530,8 +535,7 @@ def _count_checks(monkeypatch):
 
         return go
 
-    for name in ("check_simple", "_simple_report"):
-        monkeypatch.setattr(compare, name, counting(getattr(compare, name)))
+    monkeypatch.setattr(compare, "check_simple", counting(compare.check_simple))
     return checked
 
 
@@ -539,7 +543,8 @@ def _count_checks(monkeypatch):
 def test_find_simple_reduct_limit(k, monkeypatch):
     # limit caps the contractions: bbb_scheme(Y0, 1) is more than 3 from
     # its simple reduct.  The term is checked, then the closure's end
-    # once, unless no contraction was made.
+    # once, unless no contraction was made; the second call reads the
+    # term's report from the profile cache and checks only its end.
     checked = _count_checks(monkeypatch)
     term = bbb_scheme(Y0, 1)
     assert find_simple_reduct(term, limit=k) is None
@@ -547,19 +552,57 @@ def test_find_simple_reduct_limit(k, monkeypatch):
     assert checked == [term, *ends]
     checked.clear()
     assert find_simple_reduct(term) is not None
-    assert len(checked) == 2
+    assert checked == [compare._closure(term, compare.REDUCT_LIMIT)]
 
 
 @pytest.mark.parametrize("k", [0, 3])
 def test_find_simple_reduct_starts_from_a_given_report(k, monkeypatch):
-    # the given report stands for the check of the term itself, so only
-    # the closure's end is checked, and only when it is another term
-    term = bbb_scheme(Y0, 1)
-    report = compare.check_simple(term)
+    # the report discriminate made of a side stands for the check of the
+    # term itself, so only the closure's end is checked, and only when
+    # it is another term
     checked = _count_checks(monkeypatch)
-    assert find_simple_reduct(term, limit=k, report=report) is None
+    term = bbb_scheme(Y0, 1)
+    assert discriminate(term, Free("x")).justification == "different-bt"
+    assert checked == [term, Free("x")]
+    checked.clear()
+    assert find_simple_reduct(term, limit=k) is None
     assert term not in checked
     assert len(checked) == (k > 0)
+
+
+def test_a_closure_end_that_is_not_simple_is_checked_once(defs, monkeypatch):
+    # I (Y1 (\z. f z z)) closes to Y1 (\z. f z z), binder hints and
+    # all, which duplicates at its first steps: the end's whole report
+    # is kept in the profile cache, so discriminate of the pair builds
+    # the end's tree once, as its second side
+    m, n = parse(r"I (Y1 (\z. f z z))", defs), parse(r"Y1 (\z. f z z)", defs)
+    built = []
+    build = trees.compact_cyclic
+
+    def counting(t, *args, **kwargs):
+        built.append(t)
+        return build(t, *args, **kwargs)
+
+    monkeypatch.setattr(trees, "compact_cyclic", counting)
+    checked = _count_checks(monkeypatch)
+    assert find_simple_reduct(m) is None
+    end = compare._closure(m, compare.REDUCT_LIMIT)
+    assert _identical(end, n) and end.size == 26
+    assert checked == built == [m, end]
+    report = compare._report(_Exact(n), DEFAULT_DEPTH, DEFAULT_FUEL)
+    assert report.status == "not_simple" and report.witness is not None
+    assert checked == [m, end]
+    _clear_profiles()
+    checked.clear()
+    built.clear()
+    v = discriminate(m, n)
+    assert v.to_dict() == {
+        "conclusion": INCONCLUSIVE,
+        "justification": "none",
+        "evidence": {"depth": 12, "fuel": 10000, "atomic": False,
+                     "closed": [True, True], "simple_reduct": [False, False]},
+    }
+    assert checked == built == [m, n]
 
 
 def test_discriminate_checks_each_side_once(monkeypatch):
@@ -663,7 +706,7 @@ def test_profile_table_keys_on_every_bound(bound, monkeypatch):
     checked.clear()
     discriminate(m, n, DiscriminationConfig(atomic=True))
     assert checked == []
-    whole = _calls(monkeypatch, "check_simple")  # not the search's checks
+    whole = _calls(monkeypatch, "check_simple")  # the search's checks too
     searched = _calls(monkeypatch, "find_simple_reduct")
     other = DiscriminationConfig(**{bound: getattr(cfg, bound) - 1})
     v = discriminate(m, n, other)
@@ -671,8 +714,8 @@ def test_profile_table_keys_on_every_bound(bound, monkeypatch):
         # check_simple reads these, so both sides are checked again
         assert m in whole and n in whole
     else:
-        # a search bound: no side is checked again, but neither side is
-        # simple, so each is searched again
+        # a search bound: neither side is simple, so each is searched
+        # again, but no side or closure end is checked again
         assert whole == []
         assert searched == [m, n]
     assert v.to_dict() == _cold(m, n, other)

@@ -235,7 +235,9 @@ def test_classify_redex():
 def test_classify_redex_of_a_deep_body_at_the_default_recursion_limit(bottom, linear):
     # (\x. f (f (... bottom))) y, 5000 deep: counting the bound variable
     # recursed once per level and raised RecursionError (K1)
-    body = iterate("right", Free("f"), parse(rf"\x. {bottom}").body, 5000)
+    body = parse(rf"\x. {bottom}").body
+    for _ in range(5000):
+        body = App(Free("f"), body)
     t = App(Lam("x", body), Free("y"))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
@@ -273,7 +275,7 @@ def test_normalize_omega_ss_gives_owl_shape(defs):
 def test_reducing_fpc_order(defs):
     assert reducing_fpc_order(parse("Y1", defs)) == 2
     assert reducing_fpc_order(parse("Y0", defs)) is None
-    g1 = App(iterate("left", parse("Y1 (S S)", defs), parse("S", defs), 1),
+    g1 = App(iterate(parse("Y1 (S S)", defs), parse("S", defs), 1),
              parse("I", defs))
     assert reducing_fpc_order(g1) == 12
 

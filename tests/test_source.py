@@ -459,6 +459,17 @@ def test_the_simple_reduct_is_found_by_strategy_not_search():
     assert _readers_of(source, "_closure") == ["find_simple_reduct"]
 
 
+def test_one_simplicity_check():
+    # one build classifies a term's steps, and one cache keeps its report
+    # for every reader: the sides' checks and the closure end's alike
+    package = Path(lamclock.__file__).parent
+    trees_source = (package / "trees.py").read_text(encoding="utf-8")
+    assert _readers_of(trees_source, "_is_simple") == ["check_simple"]
+    source = (package / "compare.py").read_text(encoding="utf-8")
+    assert _readers_of(source, "check_simple") == ["_report"]
+    assert _readers_of(source, "_report") == ["discriminate", "find_simple_reduct"]
+
+
 def test_one_node_test_table():
     # holds_for and the product exploration read the one table of node
     # tests, so neither keeps a relation's test of its own

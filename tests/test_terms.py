@@ -109,6 +109,14 @@ def test_alpha_eq_ignores_binder_names():
     assert parse(r"\x y.x") != parse(r"\x y.y")
 
 
+def _nest(n):
+    """``f (f (... x))``, ``n`` applications deep."""
+    t = Free("x")
+    for _ in range(n):
+        t = App(Free("f"), t)
+    return t
+
+
 def test_alpha_eq_is_plain_equality_of_nameless_form(defs):
     # the two spellings of the same combinator
     assert parse("eta eta", defs) == parse(r"(\a b.b (a a b)) (\a b.b (a a b))")
@@ -117,8 +125,7 @@ def test_alpha_eq_is_plain_equality_of_nameless_form(defs):
 def test_deep_nests_compare_at_the_default_recursion_limit(default_recursion_limit):
     # two separately built f (f (... x)) nests, 5,000 deep: comparing
     # them by recursive ``==`` raised RecursionError (K1)
-    a = iterate("right", Free("f"), Free("x"), 5000)
-    b = iterate("right", Free("f"), Free("x"), 5000)
+    a, b = _nest(5000), _nest(5000)
     assert a is not b and a.arg is not b.arg
     assert a == b and not a != b and hash(a) == hash(b) and _identical(a, b)
 
@@ -198,7 +205,7 @@ def test_free_vars_of_deep_nests_at_the_default_recursion_limit(default_recursio
     for i in range(n):
         t = Lam("x", App(App(t, Var(0)), Free(f"f{i % 3}")))
     assert free_vars(t) == {"z", "f0", "f1", "f2"}
-    assert free_vars(iterate("right", Free("f"), Free("x"), n)) == {"f", "x"}
+    assert free_vars(_nest(n)) == {"f", "x"}
 
 
 # a60 is a0 doubled 60 times: 62 objects, more than 2^61 positions
@@ -223,19 +230,18 @@ def test_a_term_of_60_doublings_is_read_walked_and_built_at_once():
     assert (tree.root.kind, tree.root.reason) == ("unknown", "fuel") and took < 1
 
 
-def test_iterate_left_right(defs):
+def test_iterate(defs):
     a, b = Free("A"), Free("B")
-    assert iterate("left", a, b, 0) == a
-    assert iterate("right", a, b, 0) == b
+    assert iterate(a, b, 0) == a
     y1 = parse("eta eta", defs)
     d = parse("delta", defs)
-    assert iterate("left", y1, d, 2) == App(App(y1, d), d)
+    assert iterate(y1, d, 2) == App(App(y1, d), d)
 
 
 @pytest.mark.parametrize("n", range(8))
 def test_iterate_left_unrolls_structurally(n):
     a, b = Free("A"), Free("B")
-    assert iterate("left", a, b, n + 1) == App(iterate("left", a, b, n), b)
+    assert iterate(a, b, n + 1) == App(iterate(a, b, n), b)
 
 
 def test_definition_table_requires_closed_terms(defs):

@@ -536,9 +536,13 @@ def test_deep_identical_terms_are_compared_without_recursion():
     # recursive ``==`` overflowed the default recursion limit, which a
     # fresh interpreter keeps and this suite raises
     code = (
-        "from lamclock.terms import Free, app, iterate\n"
+        "from lamclock.terms import App, Free, app\n"
         "from lamclock.trees import clocked_bt\n"
-        "nest = lambda: iterate('right', Free('g'), Free('x'), 5000)\n"
+        "def nest():\n"
+        "    t = Free('x')\n"
+        "    for _ in range(5000):\n"
+        "        t = App(Free('g'), t)\n"
+        "    return t\n"
         "print(clocked_bt(app(Free('f'), nest(), nest())).node_count())\n"
     )
     src = str(Path(trees.__file__).parents[1])
