@@ -56,6 +56,7 @@ tables that its first pair filled.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
@@ -71,7 +72,7 @@ from .reduction import (
     is_redex,
     one_step_reducts,
 )
-from .terms import App, Lam, Term, instantiate, subterms
+from .terms import App, Lam, Term, instantiate, plug, subterms
 from .trees import (
     DEFAULT_DEPTH,
     ClockTree,
@@ -188,28 +189,19 @@ def _slots(n: Node) -> tuple[tuple[Node, int], ...]:
     return tuple([(c.target or c, len(child_step(n, i))) for i, c in enumerate(n.children)])
 
 
-class _Product:
-    """Exploration of the paired unfolding of two trees."""
+class _Product(namedtuple("_Product", "states edges depth shape_bad ann_bad unknown")):
+    """Exploration of the paired unfolding of two trees.
 
-    __slots__ = ("states", "edges", "depth", "shape_bad", "ann_bad", "unknown")
-    states: list[tuple]
-    edges: dict[int, list[tuple[int, int]]]  # state -> [(child state, digits)]
-    # digit-depth from the root pair: the shortest when both trees may
-    # have references, else that of the state's first position found
-    depth: dict[int, int]
-    shape_bad: int | None  # first state whose layers differ
-    ann_bad: set[int]  # states where the relation fails
-    unknown: bool  # some reachable state is unresolved
+    ``states`` lists the state tuples, and ``edges`` maps a state to its
+    ``(child state, digits)`` pairs.  ``depth`` is each state's
+    digit-depth from the root pair: the shortest when both trees may
+    have references, else that of the state's first position found.
+    ``shape_bad`` is the first state whose layers differ, or None;
+    ``ann_bad`` the states where the relation fails; ``unknown`` says
+    some reachable state is unresolved.
+    """
 
-    def __init__(self, states: list[tuple], edges: dict[int, list[tuple[int, int]]],
-                 depth: dict[int, int], shape_bad: int | None, ann_bad: set[int],
-                 unknown: bool) -> None:
-        self.states = states
-        self.edges = edges
-        self.depth = depth
-        self.shape_bad = shape_bad
-        self.ann_bad = ann_bad
-        self.unknown = unknown
+    __slots__ = ()
 
     def peel(self) -> dict[int, int]:
         """The states not reachable from a cycle, each mapped to its
@@ -351,7 +343,7 @@ def holds_globally(t1: ClockTree, t2: ClockTree, rel: Relation) -> bool | None:
     return None if prod.unknown else True
 
 
-class EventualResult:
+class EventualResult(namedtuple("EventualResult", "holds level certified")):
     """Outcome of an eventual (from some depth on) tree comparison.
 
     ``certified`` distinguishes an exact answer over the finite cycle
@@ -360,27 +352,9 @@ class EventualResult:
     layer difference or a violation that recurs along a cycle, both
     definite.  For a holding result ``level`` is the least depth that
     works; for a failing one it is the depth of a witnessing violation.
-    Compared and hashed by value.
     """
 
-    __slots__ = ("holds", "level", "certified")
-    holds: bool
-    level: int
-    certified: bool
-
-    def __init__(self, holds: bool, level: int, certified: bool) -> None:
-        self.holds = holds
-        self.level = level
-        self.certified = certified
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not EventualResult:
-            return NotImplemented
-        return (self.holds, self.level, self.certified) == (
-            other.holds, other.level, other.certified)
-
-    def __hash__(self) -> int:
-        return hash((self.holds, self.level, self.certified))
+    __slots__ = ()
 
 
 def holds_eventually(t1: ClockTree, t2: ClockTree, rel: Relation) -> EventualResult:
@@ -486,16 +460,6 @@ def _passed_over(u: App, room: int) -> bool:
     return k > 1 and (u.fn == u.arg or (k - 1) * (u.arg.size - 1) - 3 > room)
 
 
-def _plug(parent: Term, side: int, u: Term) -> Term:
-    """``parent`` with ``u`` for its child on ``side`` (0 body, 1
-    function, 2 argument); ``parent`` itself when that child is ``u``."""
-    if side == 0:
-        return parent if u is parent.body else Lam(parent.hint, u)
-    if side == 1:
-        return parent if u is parent.fn else App(u, parent.arg)
-    return parent if u is parent.arg else App(parent.fn, u)
-
-
 def _closure(t: Term, limit: int) -> Term:
     """The simple-redex closure of ``t``, stopped after ``limit``
     contractions.
@@ -532,7 +496,7 @@ def _closure(t: Term, limit: int) -> Term:
             r = instantiate(u.fn.body, u.arg)
         elif path:
             parent, side = path.pop()
-            u = _plug(parent, side, u)
+            u = plug(parent, side, u)
             if side == 1:
                 path.append((u, 2))
                 u, down = u.arg, True
@@ -548,7 +512,7 @@ def _closure(t: Term, limit: int) -> Term:
         made += 1
     while path:
         parent, side = path.pop()
-        u = _plug(parent, side, u)
+        u = plug(parent, side, u)
     return u
 
 
@@ -585,43 +549,24 @@ INCONVERTIBLE = "inconvertible"
 INCONCLUSIVE = "inconclusive"
 
 
-class Verdict:
-    """What the comparison established about β-convertibility."""
+class Verdict(namedtuple("Verdict", "conclusion justification evidence")):
+    """What the comparison established about β-convertibility: the
+    ``conclusion`` (``INCONVERTIBLE`` or ``INCONCLUSIVE``), its
+    ``justification`` (see ``discriminate``) and the ``evidence`` dict."""
 
-    __slots__ = ("conclusion", "justification", "evidence")
-    conclusion: str  # INCONVERTIBLE | INCONCLUSIVE
-    justification: str  # see discriminate
-    evidence: dict
-
-    def __init__(self, conclusion: str, justification: str, evidence: dict) -> None:
-        self.conclusion = conclusion
-        self.justification = justification
-        self.evidence = evidence
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.conclusion == INCONVERTIBLE
 
     def to_dict(self) -> dict:
-        return {
-            "conclusion": self.conclusion,
-            "justification": self.justification,
-            "evidence": self.evidence,
-        }
+        return self._asdict()
 
 
-class DiscriminationConfig:
-    __slots__ = ("depth", "fuel", "atomic", "reduct_limit")
-    depth: int
-    fuel: int
-    atomic: bool
-    reduct_limit: int
-
-    def __init__(self, depth: int = DEFAULT_DEPTH, fuel: int = DEFAULT_FUEL,
-                 atomic: bool = False, reduct_limit: int = REDUCT_LIMIT) -> None:
-        self.depth = depth
-        self.fuel = fuel
-        self.atomic = atomic
-        self.reduct_limit = reduct_limit
+DiscriminationConfig = namedtuple(
+    "DiscriminationConfig", "depth fuel atomic reduct_limit",
+    defaults=(DEFAULT_DEPTH, DEFAULT_FUEL, False, REDUCT_LIMIT),
+)
 
 
 PROFILE_LIMIT = 256  # entries of each profile cache (module docstring)

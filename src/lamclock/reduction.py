@@ -8,6 +8,7 @@ running out of fuel is a separate outcome and never claims divergence.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import partial
 
@@ -23,6 +24,7 @@ from .terms import (
     Var,
     free_vars,
     instantiate,
+    plug,
     pos_str,
     replace_at,
     subterm_at,
@@ -41,7 +43,7 @@ PROVEN_DIVERGENT = "proven_divergent"
 FUEL_EXHAUSTED = "fuel_exhausted"
 
 
-class HeadOutcome:
+class HeadOutcome(namedtuple("HeadOutcome", "status steps result")):
     """Result of driving a term toward a head target.
 
     ``steps`` holds the contracted redex positions in order, each a
@@ -50,15 +52,7 @@ class HeadOutcome:
     not kept; ``head_reduce``'s ``on_step`` callback sees each of them.
     """
 
-    __slots__ = ("status", "steps", "result")
-    status: str
-    steps: list[HeadPos]
-    result: Term | None
-
-    def __init__(self, status: str, steps: list[HeadPos], result: Term | None) -> None:
-        self.status = status
-        self.steps = steps
-        self.result = result
+    __slots__ = ()
 
     @property
     def step_count(self) -> int:
@@ -318,30 +312,15 @@ def head_reduce(
 # redex bookkeeping
 
 
-class RedexClass:
+class RedexClass(namedtuple("RedexClass", "linear call_by_value")):
     """How a redex duplicates work.
 
     ``linear``: the bound variable occurs at most once in the body.
     ``call_by_value``: the argument is a normal form.
-    Either property makes the redex ``simple``.  Compared and hashed by
-    value.
+    Either property makes the redex ``simple``.
     """
 
-    __slots__ = ("linear", "call_by_value")
-    linear: bool
-    call_by_value: bool
-
-    def __init__(self, linear: bool, call_by_value: bool) -> None:
-        self.linear = linear
-        self.call_by_value = call_by_value
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not RedexClass:
-            return NotImplemented
-        return (self.linear, self.call_by_value) == (other.linear, other.call_by_value)
-
-    def __hash__(self) -> int:
-        return hash((self.linear, self.call_by_value))
+    __slots__ = ()
 
     @property
     def simple(self) -> bool:
@@ -402,12 +381,7 @@ def one_step_reducts(t: Term) -> Iterator[Term]:
                 frame = path
                 while frame is not None:
                     parent, d, frame = frame
-                    if d == 0:
-                        r = Lam(parent.hint, r)
-                    elif d == 1:
-                        r = App(r, parent.arg)
-                    else:
-                        r = App(parent.fn, r)
+                    r = plug(parent, d, r)
                 yield r
             stack.append((u.arg, (u, 2, path)))
             stack.append((fn, (u, 1, path)))
@@ -437,16 +411,7 @@ def is_normal(t: Term) -> bool:
 # full normalization
 
 
-class NormalizeOutcome:
-    __slots__ = ("status", "steps", "result")
-    status: str
-    steps: int
-    result: Term | None
-
-    def __init__(self, status: str, steps: int, result: Term | None) -> None:
-        self.status = status
-        self.steps = steps
-        self.result = result
+NormalizeOutcome = namedtuple("NormalizeOutcome", "status steps result")
 
 
 def normalize(t: Term, fuel: int = DEFAULT_FUEL) -> NormalizeOutcome:

@@ -262,13 +262,18 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
                 f"{type(t).__name__} has no direction {d}"
             )
     for u, d in zip(reversed(path), reversed(pos)):
-        if d == 0:
-            new = Lam(u.hint, new)
-        elif d == 1:
-            new = App(new, u.arg)
-        else:
-            new = App(u.fn, new)
+        new = plug(u, d, new)
     return new
+
+
+def plug(parent: Term, side: int, u: Term) -> Term:
+    """``parent`` with ``u`` for its child on ``side`` (0 body, 1
+    function, 2 argument); ``parent`` itself when that child is ``u``."""
+    if side == 0:
+        return parent if u is parent.body else Lam(parent.hint, u)
+    if side == 1:
+        return parent if u is parent.fn else App(u, parent.arg)
+    return parent if u is parent.arg else App(parent.fn, u)
 
 
 def subterms(t: Term) -> Iterator[tuple[Position, Term]]:

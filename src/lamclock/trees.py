@@ -26,6 +26,7 @@ unfolding.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import partial
 
@@ -612,30 +613,16 @@ def periodicity_report(tree: ClockTree) -> dict:
 # simplicity
 
 
-class SimplicityWitness:
-    __slots__ = ("path", "step", "position", "term")
-    path: tuple[int, ...]
-    step: int
-    position: Position
-    term: Term
-
-    def __init__(self, path: tuple[int, ...], step: int, position: Position, term: Term) -> None:
-        self.path = path
-        self.step = step
-        self.position = position
-        self.term = term
+SimplicityWitness = namedtuple("SimplicityWitness", "path step position term")
 
 
-class SimplicityReport:
-    __slots__ = ("status", "witness", "tree")
-    status: str  # "simple" | "not_simple" | "unknown"
-    witness: SimplicityWitness | None
-    tree: ClockTree  # the cyclic ``bt`` tree whose steps were classified
+class SimplicityReport(namedtuple("SimplicityReport", "status witness tree")):
+    """A ``check_simple`` verdict: ``status`` is ``"simple"``,
+    ``"not_simple"`` or ``"unknown"``, ``witness`` the first non-simple
+    step (a ``SimplicityWitness``) or None, and ``tree`` the cyclic
+    ``bt`` tree whose steps were classified."""
 
-    def __init__(self, status: str, witness: SimplicityWitness | None, tree: ClockTree) -> None:
-        self.status = status
-        self.witness = witness
-        self.tree = tree
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.status == "simple"

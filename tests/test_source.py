@@ -5,7 +5,10 @@ module-level private helper and every ``__slots__``
 name outside a record is read somewhere in the package, every public one
 and every record field somewhere in the package, the tests or the
 benchmark, and the public ones that only tests read are a pinned list;
-a record keeps exactly its fields in ``__slots__``; ``cli`` imports
+every record but ``ClockTree`` is a ``namedtuple`` with ``__slots__ =
+()``, an immutable value, and ``ClockTree`` keeps exactly its fields in
+``__slots__``; only ``Term``, ``HeadPos`` and ``_Exact`` define
+``__eq__`` or ``__hash__``; ``cli`` imports
 ``compare`` in ``compare_cmd`` alone, and the start of a command loads
 neither it nor ``dataclasses`` or ``typing``;
 no module but ``trees`` reads the acyclic builders;
@@ -19,6 +22,7 @@ term, and no function calls itself by name beyond a pinned list."""
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -117,7 +121,7 @@ def test_only_the_compare_command_imports_compare():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_dataclasses_or_typing(path):
-    # the records are plain classes, and ``Iterator`` comes from
+    # the records are namedtuples, and ``Iterator`` comes from
     # ``collections.abc``: both modules cost a command's start
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {name for n in ast.walk(tree) for _, name in _import_sources(n)}
@@ -337,7 +341,7 @@ def test_every_traced_layer_resolves(monkeypatch):
         assert callable(getattr(layer.module, layer.attr)), layer.name
 
 
-def _fields(node: ast.ClassDef) -> list[str]:
+def _annotated(node: ast.ClassDef) -> list[str]:
     """The names a class body annotates."""
     return [
         s.target.id for s in node.body
@@ -355,26 +359,63 @@ def _slots(node: ast.ClassDef) -> list[str] | None:
     return None
 
 
-def _is_record(node: ast.ClassDef) -> bool:
-    """A class with ``__slots__`` and an ``__init__`` whose body
-    annotates its fields."""
-    return bool(_fields(node)) and _slots(node) is not None and any(
-        isinstance(s, ast.FunctionDef) and s.name == "__init__" for s in node.body
+def _namedtuple_fields(node: ast.AST) -> list[str] | None:
+    """The field names of a ``namedtuple(name, fields, ...)`` call, given
+    as a string or a list of strings; None for any other node."""
+    if not (isinstance(node, ast.Call) and "namedtuple" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )):
+        return None
+    names = ast.literal_eval(node.args[1])
+    return names.replace(",", " ").split() if isinstance(names, str) else list(names)
+
+
+def _namedtuple_base(node: ast.ClassDef) -> list[str] | None:
+    """The fields of the ``namedtuple`` call among a class's bases, or None."""
+    return next(
+        (f for f in map(_namedtuple_fields, node.bases) if f is not None), None
     )
 
 
+def _fields(node: ast.AST) -> list[str] | None:
+    """The fields of the record ``node`` declares, or None if it declares
+    none.  A record is ``X = namedtuple(...)``, a class with a
+    ``namedtuple(...)`` base, or a class with ``__slots__`` and an
+    ``__init__`` whose body annotates its fields."""
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        return _namedtuple_fields(node.value)
+    if not isinstance(node, ast.ClassDef):
+        return None
+    fields = _namedtuple_base(node)
+    if fields is not None:
+        return fields
+    if _annotated(node) and _slots(node) is not None and any(
+        isinstance(s, ast.FunctionDef) and s.name == "__init__" for s in node.body
+    ):
+        return _annotated(node)
+    return None
+
+
+def _is_record(node: ast.AST) -> bool:
+    return _fields(node) is not None
+
+
+def _record_name(node: ast.ClassDef | ast.Assign) -> str:
+    return node.name if isinstance(node, ast.ClassDef) else node.targets[0].id
+
+
 def _unread_fields(sources: list[str], readers: list[str]) -> list[str]:
-    """``Class.field`` for every annotated field of a record in
-    ``sources`` that neither they nor the ``readers`` read as an
-    attribute (``x.field`` in a load context)."""
+    """``Record.field`` for every field of a record in ``sources`` that
+    neither they nor the ``readers`` read as an attribute (``x.field``
+    in a load context)."""
     fields: list[str] = []
     reads: set[str] = set()
     for i, source in enumerate([*sources, *readers]):
         for n in ast.walk(ast.parse(source)):
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 reads.add(n.attr)
-            elif i < len(sources) and isinstance(n, ast.ClassDef) and _is_record(n):
-                fields += [f"{n.name}.{f}" for f in _fields(n)]
+            elif i < len(sources) and _is_record(n):
+                fields += [f"{_record_name(n)}.{f}" for f in _fields(n)]
     return sorted(f for f in fields if f.split(".", 1)[1] not in reads)
 
 
@@ -386,10 +427,15 @@ def test_the_check_finds_unread_fields():
         "    def __init__(self, left, right):\n        self.left, self.right = left, right\n"
         "class Plain:\n    unread: int\n"
         "class Node:\n    __slots__ = ('kids',)\n    kids: list\n"
-        "def f(cfg):\n    cfg.b = 5\n    return cfg.a\n"
+        "Point = namedtuple('Point', 'x y')\n"
+        "class Span(collections.namedtuple('Span', ['lo', 'hi'])):\n    __slots__ = ()\n"
+        "Other = tuple('xy')\n"
+        "def f(cfg, p, s):\n    cfg.b = 5\n    return cfg.a, p.x, s.lo\n"
     )
     reader = "def g(pair):\n    return pair.left\n"
-    assert _unread_fields([source], [reader]) == ["Config.b", "Config.c", "Pair.right"]
+    assert _unread_fields([source], [reader]) == [
+        "Config.b", "Config.c", "Pair.right", "Point.y", "Span.hi",
+    ]
 
 
 def test_every_discrimination_setting_is_read():
@@ -403,7 +449,7 @@ def test_the_config_holds_the_compare_options():
     # the command's options less those naming its input and output
     parsed = vars(cli._COMMANDS.choices["compare"].parse_args(["LEFT", "RIGHT"]))
     options = set(parsed) - {"left", "right", "run"}
-    assert options - {"defs_file", "as_json"} == set(DiscriminationConfig.__slots__)
+    assert options - {"defs_file", "as_json"} == set(DiscriminationConfig._fields)
 
 
 def _readers_of(source: str, name: str) -> list[str]:
@@ -502,15 +548,16 @@ def test_only_the_exact_key_reads_identical():
     assert readers == ["trees._Exact"]
 
 
-def _equality_defs(source: str, base: str) -> list[str]:
+def _equality_defs(source: str, base: str | None = None) -> list[str]:
     """``Class.__eq__`` and ``Class.__hash__`` wherever a class of
-    ``source`` that is ``base``, or names it among its bases, defines
-    them in its body, by ``def`` or by assignment."""
+    ``source`` that is ``base``, or names it among its bases (any class
+    when ``base`` is None), defines them in its body, by ``def`` or by
+    assignment."""
     found = []
     for c in ast.parse(source).body:
         if not isinstance(c, ast.ClassDef):
             continue
-        if base not in [c.name, *(getattr(b, "id", None) for b in c.bases)]:
+        if base is not None and base not in [c.name, *(getattr(b, "id", None) for b in c.bases)]:
             continue
         for s in c.body:
             if isinstance(s, ast.FunctionDef):
@@ -547,6 +594,9 @@ def test_the_check_finds_term_walks():
     assert _equality_defs(source, "Term") == [
         "Leaf.__eq__", "Leaf.__hash__", "Term.__eq__", "Term.__hash__",
     ]
+    assert _equality_defs(source) == [
+        "Leaf.__eq__", "Leaf.__hash__", "Pos.__eq__", "Term.__eq__", "Term.__hash__",
+    ]
     assert _loops_in(source, "same") == []
     assert sorted(_loops_in(source, "walk")) == ["For", "While", "comprehension"]
 
@@ -559,6 +609,17 @@ def test_one_term_equality():
     terms_source = (package / "terms.py").read_text(encoding="utf-8")
     assert _equality_defs(terms_source, "Term") == ["Term.__eq__", "Term.__hash__"]
     assert _loops_in((package / "trees.py").read_text(encoding="utf-8"), "_identical") == []
+
+
+def test_value_semantics_are_declared_once():
+    # the records get equality and hashing from ``namedtuple``; only the
+    # term, the head position and the hint-exact key define their own
+    found = {
+        d.split(".")[0]
+        for path in MODULES
+        for d in _equality_defs(path.read_text(encoding="utf-8"))
+    }
+    assert sorted(found) == ["HeadPos", "Term", "_Exact"]
 
 
 def test_no_module_reads_a_free_name_set():
@@ -600,8 +661,10 @@ def _unread_slots(sources: list[str]) -> list[str]:
     return sorted(s for s in slots if s.split(".", 1)[1] not in reads)
 
 
-# The package's records: plain classes, each with ``__slots__``, its
-# fields annotated in its body and an ``__init__`` of its own.
+# The package's records: ``namedtuple`` classes, each declaring its
+# fields once, and ``ClockTree``, a class with ``__slots__``, its fields
+# annotated in its body and an ``__init__`` of its own, since its build
+# sets ``refs`` and comparison fills ``explored`` after it is made.
 RECORDS = [
     "compare.DiscriminationConfig",
     "compare.EventualResult",
@@ -629,17 +692,37 @@ def test_the_check_finds_unread_slots():
 
 
 def test_a_record_keeps_exactly_its_fields_in_its_slots():
-    # so the field check, not the slot check, sees every slot of a record
+    # so the field check, not the slot check, sees every slot of a record:
+    # a namedtuple subclass adds no slot to the tuple's items, and without
+    # ``__slots__ = ()`` its records would each carry a ``__dict__``
     records = {
-        f"{path.stem}.{n.name}": (_fields(n), _slots(n))
+        f"{path.stem}.{_record_name(n)}": n
         for path in MODULES
         for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(n, ast.ClassDef) and _is_record(n)
+        if _is_record(n)
     }
     assert sorted(records) == RECORDS
-    assert {name: fields for name, (fields, _) in records.items()} == {
-        name: slots for name, (_, slots) in records.items()
+    slots = {name: _slots(n) for name, n in records.items() if isinstance(n, ast.ClassDef)}
+    assert slots == {
+        name: [] if _namedtuple_base(n) is not None else _fields(n)
+        for name, n in records.items()
+        if isinstance(n, ast.ClassDef)
     }
+
+
+@pytest.mark.parametrize("name", [r for r in RECORDS if r != "trees.ClockTree"])
+def test_records_are_immutable_values(name):
+    # every record but the tree is a namedtuple: equal fields make equal
+    # records, and no field can be set after the record is made
+    module, cls = name.split(".")
+    record = getattr(importlib.import_module(f"lamclock.{module}"), cls)
+    fields = list(inspect.signature(record).parameters)
+    a, b = (record(*[[i] for i in range(len(fields))]) for _ in "ab")
+    assert a == b and a is not b
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+    assert not hasattr(a, "__dict__")
 
 
 def test_no_unread_slots():
