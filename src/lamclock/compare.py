@@ -13,14 +13,13 @@ apart by the build's internal names, which each layer keeps in
 ``block`` and a bound head names in ``head_ref``: two heads match when
 they name the same free variable or binders opened at paired layers.
 
-Each tree keeps what exploration reads of it in ``ClockTree.explored``
-(a ``_Tables``): for every node an exploration has entered, on either
-side, its children with references resolved and the length of each
-child step, filled as nodes are entered; and the binders each node's
-subtree can still name, found over the whole tree the first time it is
-the first side.  Every later exploration that enters the tree reads
-them, so a profiled term's tree is prepared once for all its pairs.
-They live and die with the tree.
+Each built tree keeps what exploration reads of it in
+``ClockTree.explored``, made whole the first time an exploration enters
+it, on either side (``_tables``): for every node object its children
+with references resolved and the length of each child step, and the
+binders its subtree can still name.  Every later exploration that
+enters the tree reads them, so a profiled term's tree is prepared once
+for all its pairs.  They live and die with the tree.
 
 ``discriminate`` turns these checks into verdicts.  It never claims
 convertibility; an ``inconvertible`` verdict always rests on one of
@@ -51,7 +50,7 @@ Each holds at most ``PROFILE_LIMIT`` entries, evicts the least recently
 used first, and stores nothing for a call that raises.  A family's fpcs
 are shown new pair by pair, so a matrix over up to ``PROFILE_LIMIT``
 terms profiles each term once, and explores each term's tree with
-tables that its first pair filled.
+tables that its first pair made.
 """
 
 from __future__ import annotations
@@ -129,64 +128,48 @@ _NODE_TEST = {
 # product-graph machinery
 
 
-def _relevant(tree: ClockTree) -> dict[Node, frozenset[str]]:
-    """For each node of ``tree``, the binders opened above it that its
-    cyclic subtree can still name: its bound head and its children's (a
-    reference's being its target's), less its own block.  A least
-    fixpoint over the distinct node objects, so a node shared by many
-    positions is visited once per pass."""
-    relevant: dict[Node, frozenset[str]] = {}
+def _tables(tree: ClockTree) -> tuple[dict, dict]:
+    """What ``_explore`` reads of ``tree``: ``(slots, relevant)``.
+
+    ``slots`` maps each node object to its child slots as ``(child,
+    digits)`` pairs: the child with a reference resolved to its target,
+    and the length of the child step.  ``relevant`` maps it to the
+    binders opened above it that its cyclic subtree can still name: its
+    bound head and its children's, less its own block.  One preorder
+    pass over the distinct node objects makes ``slots``, so a node shared
+    by many positions is visited once, and a least fixpoint over them
+    then makes ``relevant``.  A build's tree keeps the pair in
+    ``ClockTree.explored`` the first time it is asked for; a tree made by
+    hand is prepared again for each exploration."""
+    kept = tree.explored
+    if kept:
+        return kept[0]
+    slots: dict[Node, tuple[tuple[Node, int], ...]] = {}
     stack = [tree.root]
     while stack:  # each node once, in preorder, however many positions it fills
         n = stack.pop()
-        if n.target is None and n not in relevant:
-            relevant[n] = frozenset()
-            stack.extend(reversed(n.children))
-    nodes = list(relevant)
+        if n not in slots:
+            kids = slots[n] = tuple([(c.target or c, len(child_step(n, i)))
+                                     for i, c in enumerate(n.children)])
+            stack.extend([c for c, _ in reversed(kids)])
+    nodes = list(slots)
+    relevant: dict[Node, frozenset[str]] = dict.fromkeys(nodes, frozenset())
     changed = True
     while changed:
         changed = False
         for n in reversed(nodes):
             r = n.head_ref
             s = {r[1]} if r is not None and r[0] == "b" else set()
-            for c in n.children:
-                s.update(relevant[c.target or c])
+            for c, _ in slots[n]:
+                s.update(relevant[c])
             s.difference_update(n.block)
             fs = frozenset(s)
             if fs != relevant[n]:
                 relevant[n] = fs
                 changed = True
-    return relevant
-
-
-class _Tables:
-    """What ``_explore`` keeps of one tree (``ClockTree.explored``).
-
-    ``slots`` maps each node an exploration has entered, on either
-    side, to its child slots as ``(child, digits)`` pairs: the child
-    with a reference resolved to its target, and the length of the
-    child step.  ``relevant`` is ``_relevant`` of the tree, made the
-    first time the tree is the first side.
-    """
-
-    __slots__ = ("slots", "relevant")
-
-    def __init__(self):
-        self.slots: dict[Node, tuple[tuple[Node, int], ...]] = {}
-        self.relevant: dict[Node, frozenset[str]] | None = None
-
-
-def _tables(tree: ClockTree) -> _Tables:
-    """``tree``'s tables, made empty the first time they are asked for."""
-    tables = tree.explored
-    if tables is None:
-        tables = tree.explored = _Tables()
-    return tables
-
-
-def _slots(n: Node) -> tuple[tuple[Node, int], ...]:
-    """``_Tables.slots`` of ``n``."""
-    return tuple([(c.target or c, len(child_step(n, i))) for i, c in enumerate(n.children)])
+    if kept is not None:
+        kept.append((slots, relevant))
+    return slots, relevant
 
 
 class _Product(namedtuple("_Product", "states edges depth shape_bad ann_bad unknown")):
@@ -241,7 +224,7 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
     restricted to the binders side 1 can still mention below its node.
     References are followed to their targets, so a finite graph gives
     finitely many states.  Each node's children and step lengths come
-    from its tree's ``_Tables``, filled as nodes are entered.
+    from its tree's ``_tables``, made before the loop starts.
 
     A state met again keeps its first depth unless both trees may hold
     references (``ClockTree.refs``).  If either tree has none, each of
@@ -254,11 +237,8 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
         raise ValueError(
             f"cannot compare {t1.semantics!r} tree with {t2.semantics!r} tree"
         )
-    tables = _tables(t1)
-    if tables.relevant is None:
-        tables.relevant = _relevant(t1)
-    relevant = tables.relevant
-    slots_a, slots_b = tables.slots, _tables(t2).slots
+    slots_a, relevant = _tables(t1)
+    slots_b = _tables(t2)[0]
     test = _NODE_TEST[rel]
     lower = t1.refs and t2.refs
 
@@ -301,15 +281,9 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
             continue
         if a.count is not None and b.count is not None and not test(a, b):
             ann_bad.add(i)
-        sa = slots_a.get(a)
-        if sa is None:
-            sa = slots_a[a] = _slots(a)
-        sb = slots_b.get(b)
-        if sb is None:
-            sb = slots_b[b] = _slots(b)
         d = depth[i]
         kid_edges = []
-        for (na, w), (nb, _) in zip(sa, sb):
+        for (na, w), (nb, _) in zip(slots_a[a], slots_b[b]):
             if pairing:
                 keep = relevant[na]
                 rho_c = frozenset([p for p in pairing if p[0] in keep])

@@ -121,7 +121,8 @@ class Node:
         return self.count
 
 
-class ClockTree:
+class ClockTree(namedtuple("ClockTree", "root semantics atomic depth fuel closed refs explored",
+                           defaults=(True, None))):
     """A built tree plus the parameters it was built with.
 
     ``root`` may be a DAG: an acyclic build shares the subtrees it
@@ -130,32 +131,14 @@ class ClockTree:
 
     ``closed``, recorded by the build, says the tree has no ``unknown``
     frontier: the finite structure describes the whole unfolding.
-    ``explored`` holds what product exploration keeps of the tree
-    (``compare._Tables``), made by the first comparison that enters it;
-    it lives and dies with the tree.  ``refs`` says the tree may hold a
-    back edge or shared reference: a build records whether it does, any
-    other tree is taken to."""
+    ``refs`` says the tree may hold a back edge or shared reference: a
+    build records whether it does, any other tree is taken to.
+    ``explored`` is a build's list that keeps what product exploration
+    reads of the tree (``compare._tables``), made whole by the first
+    comparison that enters it; it lives and dies with the tree.  A tree
+    made by hand has None there, and keeps nothing."""
 
-    __slots__ = ("root", "semantics", "atomic", "depth", "fuel", "closed", "explored", "refs")
-    root: Node
-    semantics: str
-    atomic: bool
-    depth: int
-    fuel: int
-    closed: bool
-    explored: object
-    refs: bool
-
-    def __init__(self, root: Node, semantics: str, atomic: bool, depth: int, fuel: int,
-                 closed: bool) -> None:
-        self.root = root
-        self.semantics = semantics
-        self.atomic = atomic
-        self.depth = depth
-        self.fuel = fuel
-        self.closed = closed
-        self.explored = None
-        self.refs = True
+    __slots__ = ()
 
     def node_count(self) -> int:
         return sum(1 for _ in walk(self))
@@ -417,9 +400,7 @@ def _build(
         return node, escape, complete
 
     root, _, closed = build(t0, 0, None, ())
-    tree = ClockTree(root, semantics, atomic, depth, fuel, closed)
-    tree.refs = refs
-    return tree
+    return ClockTree(root, semantics, atomic, depth, fuel, closed, refs, [])
 
 
 def _identical(a: Term, b: Term) -> bool:
@@ -542,10 +523,9 @@ def node_at(tree: ClockTree, pos: Position) -> Node | None:
 # serialization
 
 
-def tree_to_dict(tree: ClockTree, atomic: bool | None = None) -> dict:
+def tree_to_dict(tree: ClockTree) -> dict:
     """JSON-ready form; applicative positions are rendered as strings."""
-    if atomic is None:
-        atomic = tree.atomic
+    atomic = tree.atomic
     ids: dict[int, str] = {}
     path: list[dict] = []
     root: dict = {}

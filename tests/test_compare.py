@@ -267,8 +267,9 @@ def _product_view(prod):
                          ids=["Y0/Y1", "E1/E3", "scott_seq(1)/gvector(Y1,1)",
                               "bohm_seq(2)/bbb_scheme(Y0,1)", "Y0/[1,0]"])
 def test_kept_tables_read_as_fresh_trees(sem, m, n):
-    # a tree's tables are filled on either side and read on both, so each
-    # exploration must pair the trees as freshly built copies do
+    # a tree's tables are made on either side and read on both, so each
+    # exploration must pair the trees as freshly built copies do, and as
+    # copies made by hand, which keep no tables
     def fresh(t):
         return compact_cyclic(t, semantics=sem)
 
@@ -279,6 +280,9 @@ def test_kept_tables_read_as_fresh_trees(sem, m, n):
         got = _product_view(compare._explore(x, y, rel))
         tx, ty = (m if t is a else n for t in (x, y))
         assert got == _product_view(compare._explore(fresh(tx), fresh(ty), rel))
+        hx, hy = x._replace(explored=None), y._replace(explored=None)
+        assert got == _product_view(compare._explore(hx, hy, rel))
+        assert hx.explored is None and hy.explored is None
 
 
 _ACYCLIC = {"bt": clocked_bt, "llt": clocked_llt, "bet": clocked_bet}

@@ -1173,7 +1173,8 @@ def _per_position(tree):
 
 
 def _tree_views(tree):
-    return (tree_to_dict(tree), tree_to_dict(tree, True), render_text(tree), render_dot(tree),
+    return (tree_to_dict(tree), tree_to_dict(tree._replace(atomic=True)),
+            render_text(tree), render_dot(tree),
             periodicity_report(tree), tree.node_count())
 
 

@@ -5,10 +5,10 @@ module-level private helper and every ``__slots__``
 name outside a record is read somewhere in the package, every public one
 and every record field somewhere in the package, the tests or the
 benchmark, and the public ones that only tests read are a pinned list;
-every record but ``ClockTree`` is a ``namedtuple`` with ``__slots__ =
-()``, an immutable value, and ``ClockTree`` keeps exactly its fields in
-``__slots__``; only ``Term``, ``HeadPos`` and ``_Exact`` define
-``__eq__`` or ``__hash__``; ``cli`` imports
+every record is a ``namedtuple`` with ``__slots__ = ()``, an immutable
+value, and only a pinned list of classes declares ``__slots__`` by hand;
+only ``Term``, ``HeadPos`` and ``_Exact`` define ``__eq__`` or
+``__hash__``; ``cli`` imports
 ``compare`` in ``compare_cmd`` alone, and the start of a command loads
 neither it nor ``dataclasses`` or ``typing``;
 no module but ``trees`` reads the acyclic builders;
@@ -662,9 +662,7 @@ def _unread_slots(sources: list[str]) -> list[str]:
 
 
 # The package's records: ``namedtuple`` classes, each declaring its
-# fields once, and ``ClockTree``, a class with ``__slots__``, its fields
-# annotated in its body and an ``__init__`` of its own, since its build
-# sets ``refs`` and comparison fills ``explored`` after it is made.
+# fields once.
 RECORDS = [
     "compare.DiscriminationConfig",
     "compare.EventualResult",
@@ -704,14 +702,14 @@ def test_a_record_keeps_exactly_its_fields_in_its_slots():
     assert sorted(records) == RECORDS
     for name, n in records.items():
         if isinstance(n, ast.ClassDef):
-            own = [] if _namedtuple_base(n) is not None else _fields(n)
-            assert _slots(n) == own, name
+            assert _namedtuple_base(n) is not None and _slots(n) == [], name
 
 
-@pytest.mark.parametrize("name", [r for r in RECORDS if r != "trees.ClockTree"])
+@pytest.mark.parametrize("name", RECORDS)
 def test_records_are_immutable_values(name):
-    # every record but the tree is a namedtuple: equal fields make equal
-    # records, and no field can be set after the record is made
+    # every record is a namedtuple: equal fields make equal records, and
+    # no field can be set after the record is made, a built tree's
+    # ``refs`` and ``explored`` included
     module, cls = name.split(".")
     record = getattr(importlib.import_module(f"lamclock.{module}"), cls)
     fields = list(inspect.signature(record).parameters)
@@ -727,6 +725,54 @@ def test_no_unread_slots():
     package = Path(lamclock.__file__).parent
     sources = [p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))]
     assert _unread_slots(sources) == []
+
+
+def _slotted_classes(source: str) -> list[str]:
+    """The classes in ``source`` that declare ``__slots__`` by hand: every
+    one but a ``namedtuple`` subclass, whose ``__slots__ = ()`` only
+    keeps its records free of a ``__dict__``."""
+    return [
+        n.name for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.ClassDef) and _slots(n) is not None
+        and _namedtuple_base(n) is None
+    ]
+
+
+# The hand-written slotted classes: the term kernel, the tree node, the
+# exact-term key and head reduction's recurrence table.  A record is a
+# ``namedtuple``, and what a comparison keeps of a tree is a pair of
+# dicts, so a new slotted class (a record written by hand, or a table
+# object) shows here.
+SLOTTED_CLASSES = [
+    "reduction._Recurrences",
+    "terms.App",
+    "terms.Free",
+    "terms.HeadPos",
+    "terms.Lam",
+    "terms.Term",
+    "terms.Var",
+    "trees.Node",
+    "trees._Exact",
+]
+
+
+def test_the_check_finds_slotted_classes():
+    source = (
+        "class Box:\n    __slots__ = ('kept',)\n"
+        "class Empty:\n    __slots__ = ()\n"
+        "class Span(namedtuple('Span', 'lo hi')):\n    __slots__ = ()\n"
+        "class Plain:\n    kept = 0\n"
+    )
+    assert _slotted_classes(source) == ["Box", "Empty"]
+
+
+def test_only_the_pinned_classes_declare_slots_by_hand():
+    found = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in _slotted_classes(path.read_text(encoding="utf-8"))
+    ]
+    assert sorted(found) == SLOTTED_CLASSES
 
 
 def _self_calls(source: str, module: str) -> list[str]:
