@@ -13,13 +13,14 @@ apart by the build's internal names, which each layer keeps in
 ``block`` and a bound head names in ``head_ref``: two heads match when
 they name the same free variable or binders opened at paired layers.
 
-Each built tree keeps what exploration reads of it in
-``ClockTree.explored``, made whole the first time an exploration enters
-it, on either side (``_tables``): for every node object its children
-with references resolved and the length of each child step, and the
-binders its subtree can still name.  Every later exploration that
-enters the tree reads them, so a profiled term's tree is prepared once
-for all its pairs.  They live and die with the tree.
+Each tree keeps what exploration reads of it in ``ClockTree.explored``
+(``_tables``): for every node object its children with references
+resolved and the length of each child step, made whole the first time
+an exploration enters the tree, on either side; and the binders each
+node's subtree can still name, made the first time it is the first
+side.  Every later exploration that enters the tree reads them, so a
+profiled term's tree is prepared once for all its pairs.  They live
+and die with the tree.
 
 ``discriminate`` turns these checks into verdicts.  It never claims
 convertibility; an ``inconvertible`` verdict always rests on one of
@@ -128,8 +129,9 @@ _NODE_TEST = {
 # product-graph machinery
 
 
-def _tables(tree: ClockTree) -> tuple[dict, dict]:
-    """What ``_explore`` reads of ``tree``: ``(slots, relevant)``.
+def _tables(tree: ClockTree, first: bool) -> list[dict]:
+    """What ``_explore`` reads of ``tree``: ``[slots]``, and
+    ``[slots, relevant]`` when ``first``, as the first side.
 
     ``slots`` maps each node object to its child slots as ``(child,
     digits)`` pairs: the child with a reference resolved to its target,
@@ -138,38 +140,41 @@ def _tables(tree: ClockTree) -> tuple[dict, dict]:
     bound head and its children's, less its own block.  One preorder
     pass over the distinct node objects makes ``slots``, so a node shared
     by many positions is visited once, and a least fixpoint over them
-    then makes ``relevant``.  A build's tree keeps the pair in
-    ``ClockTree.explored`` the first time it is asked for; a tree made by
-    hand is prepared again for each exploration."""
+    then makes ``relevant``, the first time the tree is a first side.
+    Both are kept in ``tree.explored``.  A node's entries depend only on
+    the graph below it, so kept tables serve any root inside them; a
+    copy whose root lies outside them (``_replace(root=…)`` shares the
+    list) makes its own in their place."""
     kept = tree.explored
-    if kept:
-        return kept[0]
-    slots: dict[Node, tuple[tuple[Node, int], ...]] = {}
-    stack = [tree.root]
-    while stack:  # each node once, in preorder, however many positions it fills
-        n = stack.pop()
-        if n not in slots:
-            kids = slots[n] = tuple([(c.target or c, len(child_step(n, i)))
-                                     for i, c in enumerate(n.children)])
-            stack.extend([c for c, _ in reversed(kids)])
-    nodes = list(slots)
-    relevant: dict[Node, frozenset[str]] = dict.fromkeys(nodes, frozenset())
-    changed = True
-    while changed:
-        changed = False
-        for n in reversed(nodes):
-            r = n.head_ref
-            s = {r[1]} if r is not None and r[0] == "b" else set()
-            for c, _ in slots[n]:
-                s.update(relevant[c])
-            s.difference_update(n.block)
-            fs = frozenset(s)
-            if fs != relevant[n]:
-                relevant[n] = fs
-                changed = True
-    if kept is not None:
-        kept.append((slots, relevant))
-    return slots, relevant
+    if not kept or tree.root not in kept[0]:
+        slots: dict[Node, tuple[tuple[Node, int], ...]] = {}
+        stack = [tree.root]
+        while stack:  # each node once, in preorder, however many positions it fills
+            n = stack.pop()
+            if n not in slots:
+                kids = slots[n] = tuple([(c.target or c, len(child_step(n, i)))
+                                         for i, c in enumerate(n.children)])
+                stack.extend([c for c, _ in reversed(kids)])
+        kept[:] = [slots]
+    if first and len(kept) == 1:
+        slots = kept[0]
+        nodes = list(slots)
+        relevant: dict[Node, frozenset[str]] = dict.fromkeys(nodes, frozenset())
+        changed = True
+        while changed:
+            changed = False
+            for n in reversed(nodes):
+                r = n.head_ref
+                s = {r[1]} if r is not None and r[0] == "b" else set()
+                for c, _ in slots[n]:
+                    s.update(relevant[c])
+                s.difference_update(n.block)
+                fs = frozenset(s)
+                if fs != relevant[n]:
+                    relevant[n] = fs
+                    changed = True
+        kept.append(relevant)
+    return kept
 
 
 class _Product(namedtuple("_Product", "states edges depth shape_bad ann_bad unknown")):
@@ -237,8 +242,8 @@ def _explore(t1: ClockTree, t2: ClockTree, rel: Relation) -> _Product:
         raise ValueError(
             f"cannot compare {t1.semantics!r} tree with {t2.semantics!r} tree"
         )
-    slots_a, relevant = _tables(t1)
-    slots_b = _tables(t2)[0]
+    slots_a, relevant = _tables(t1, True)
+    slots_b = _tables(t2, False)[0]
     test = _NODE_TEST[rel]
     lower = t1.refs and t2.refs
 

@@ -121,8 +121,7 @@ class Node:
         return self.count
 
 
-class ClockTree(namedtuple("ClockTree", "root semantics atomic depth fuel closed refs explored",
-                           defaults=(True, None))):
+class ClockTree(namedtuple("ClockTree", "root semantics atomic depth fuel closed refs explored")):
     """A built tree plus the parameters it was built with.
 
     ``root`` may be a DAG: an acyclic build shares the subtrees it
@@ -131,12 +130,13 @@ class ClockTree(namedtuple("ClockTree", "root semantics atomic depth fuel closed
 
     ``closed``, recorded by the build, says the tree has no ``unknown``
     frontier: the finite structure describes the whole unfolding.
-    ``refs`` says the tree may hold a back edge or shared reference: a
-    build records whether it does, any other tree is taken to.
-    ``explored`` is a build's list that keeps what product exploration
-    reads of the tree (``compare._tables``), made whole by the first
-    comparison that enters it; it lives and dies with the tree.  A tree
-    made by hand has None there, and keeps nothing."""
+    ``refs`` says the tree may hold a back edge or shared reference.
+    ``explored`` is a list that keeps what product exploration reads of
+    the graph under ``root`` (``compare._tables``), filled by the first
+    comparison that enters it; it lives and dies with the tree.  No field
+    can be set, but that list fills, and equality reads it like every
+    field (the root by identity): a copy given a list of its own equals
+    the tree only while both lists hold the same tables."""
 
     __slots__ = ()
 

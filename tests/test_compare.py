@@ -252,7 +252,7 @@ def test_one_node_test_per_relation(rel, case):
     p, q = _ANNOTATIONS[case]
     a, b = (Node("hnf", steps, (), "f", ("f", "f")) for steps in (p, q))
     assert rel.holds_for(a, b) is (case in _HOLDS[rel])
-    ta, tb = (ClockTree(n, "bt", False, 1, 10, closed=True) for n in (a, b))
+    ta, tb = (ClockTree(n, "bt", False, 1, 10, True, True, []) for n in (a, b))
     assert compare._explore(ta, tb, rel).ann_bad == (set() if case in _HOLDS[rel] else {0})
 
 
@@ -269,7 +269,7 @@ def _product_view(prod):
 def test_kept_tables_read_as_fresh_trees(sem, m, n):
     # a tree's tables are made on either side and read on both, so each
     # exploration must pair the trees as freshly built copies do, and as
-    # copies made by hand, which keep no tables
+    # copies of them with lists of their own, which keep nothing yet
     def fresh(t):
         return compact_cyclic(t, semantics=sem)
 
@@ -280,9 +280,22 @@ def test_kept_tables_read_as_fresh_trees(sem, m, n):
         got = _product_view(compare._explore(x, y, rel))
         tx, ty = (m if t is a else n for t in (x, y))
         assert got == _product_view(compare._explore(fresh(tx), fresh(ty), rel))
-        hx, hy = x._replace(explored=None), y._replace(explored=None)
+        hx, hy = x._replace(explored=[]), y._replace(explored=[])
         assert got == _product_view(compare._explore(hx, hy, rel))
-        assert hx.explored is None and hy.explored is None
+
+
+def test_a_copy_with_another_root_reads_tables_of_its_own():
+    # ``_replace`` shares the kept list: a copy rooted outside the kept
+    # tables makes its own, and one rooted inside them reads them
+    a = compact_cyclic(Y0)
+    want = _product_view(compare._explore(a, a, Relation.EQ))
+    for root in (compact_cyclic(E1).root, a.root.children[0], a.root):
+        c = a._replace(root=root)
+        got = _product_view(compare._explore(c, c, Relation.EQ))
+        fresh = c._replace(explored=[])
+        assert got == _product_view(compare._explore(fresh, fresh, Relation.EQ))
+    assert c.root in a.explored[0]
+    assert _product_view(compare._explore(a, a, Relation.EQ)) == want
 
 
 _ACYCLIC = {"bt": clocked_bt, "llt": clocked_llt, "bet": clocked_bet}

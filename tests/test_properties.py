@@ -1169,7 +1169,8 @@ def _per_position(tree):
         path.append(c)
     for c in made:
         c.children = tuple(c.children)
-    return ClockTree(made[0], tree.semantics, tree.atomic, tree.depth, tree.fuel, tree.closed)
+    return ClockTree(made[0], tree.semantics, tree.atomic, tree.depth, tree.fuel, tree.closed,
+                     True, [])
 
 
 def _tree_views(tree):

@@ -410,20 +410,16 @@ def test_walks_over_a_deep_tree_do_not_recurse():
     node.children = (Node("backedge", target=node, delta=1),)
     for _ in range(2999):
         node = Node("hnf", ((2,),), (), "f", ("f", "f"), (node,))
-    tree = ClockTree(node, "bt", False, 3001, 10, closed=True)
+    tree = ClockTree(node, "bt", False, 3001, 10, True, True, [])
     assert render_text(tree).count("\n") == 3001
     assert render_dot(tree).count(" -> ") == 3000
     assert tree_to_dict(tree)["closed"] is True
     (loop,) = periodicity_report(tree)["loops"]
     assert (loop["delta"], loop["period"]) == (1, "2")
-    # made by hand, the tree keeps no tables; given a list, it keeps
-    # them, and the second exploration reads what the first one kept
+    # the second exploration reads the tables the first one kept
     first = holds_eventually(tree, tree, Relation.EQ)
-    assert first.holds and tree.explored is None
-    kept = tree._replace(explored=[])
-    assert holds_eventually(kept, kept, Relation.EQ) == first
-    assert len(kept.explored) == 1
-    assert holds_eventually(kept, kept, Relation.EQ) == first
+    assert first.holds and len(tree.explored) == 2
+    assert holds_eventually(tree, tree, Relation.EQ) == first
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +504,11 @@ def test_an_acyclic_build_makes_each_repeated_subtree_once(build, positions, obj
     assert tree.node_count() == positions
     assert len({id(n) for n, *_ in walk(tree)}) == objects
     assert tree.refs is False
-    # product exploration prepares each object once
-    assert len(compare._tables(tree)[0]) == objects
+    # product exploration prepares each object once, and makes the
+    # binder table only for a first side
+    slots = compare._tables(tree, False)[0]
+    assert len(slots) == objects and len(tree.explored) == 1
+    assert compare._tables(tree, True)[0] is slots and len(tree.explored) == 2
 
 
 def test_render_dot_numbers_every_position():
